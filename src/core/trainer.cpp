@@ -4,7 +4,9 @@
 #include <cmath>
 #include <deque>
 #include <filesystem>
+#include <optional>
 #include <sstream>
+#include <tuple>
 
 #include "autodiff/grad.hpp"
 #include "autodiff/plan_passes.hpp"
@@ -118,19 +120,39 @@ Trainer::Trainer(std::shared_ptr<Problem> problem,
       config_.graph == GraphMode::kOn ||
       (config_.graph == GraphMode::kEnv && plan::graph_env_enabled());
   plan_opt_enabled_ = plan::plan_opt_env_enabled();
-  if (config_.dist && config_.dist->world() > 1) {
-    // Dist mode forces eager execution: a captured plan pins one epoch's
-    // sharding, but rank failure (degrade/rejoin) can reshape the step
-    // mid-run. Composing graph replay with dist is a tracked follow-up.
-    graph_enabled_ = false;
-  }
+  // The executor's single dist policy: dist steps run eager. A captured
+  // plan pins one epoch's sharding, but rank failure (degrade/rejoin) can
+  // reshape the step mid-run. Composing graph replay with dist is a
+  // tracked follow-up.
+  if (dist_active()) graph_enabled_ = false;
 }
 
-Variable Trainer::shard_loss(
-    const Tensor& shard_points, const Tensor& shard_weights,
-    std::int64_t total_rows, bool include_aux,
-    std::vector<std::pair<std::string, double>>* aux_out,
-    double* aux_weighted_sum, std::vector<AuxBinding>* aux_bindings) {
+namespace {
+
+/// Row range [r0, r1) of shard `s` when `rows` interior rows are split into
+/// `shards` contiguous shards, the first rows % shards of them one row
+/// longer. Threads and dist mode share this partition, which is what makes
+/// an N-rank step bit-identical to a single-process step with threads = N.
+std::pair<std::int64_t, std::int64_t> shard_range(std::int64_t rows,
+                                                  std::int64_t shards,
+                                                  std::int64_t s) {
+  const std::int64_t base = rows / shards;
+  const std::int64_t extra = rows % shards;
+  const std::int64_t r0 = s * base + std::min(s, extra);
+  return {r0, r0 + base + (s < extra ? 1 : 0)};
+}
+
+/// Rows [r0, r1) of `t`. The full range is `t` itself rather than a copy,
+/// so a single shard computes on (and its plan pins) the interior buffer.
+Tensor shard_rows(const Tensor& t, std::int64_t r0, std::int64_t r1) {
+  return (r0 == 0 && r1 == t.rows()) ? t : kernels::slice_rows(t, r0, r1);
+}
+
+}  // namespace
+
+Variable Trainer::shard_loss(const Tensor& shard_points,
+                             const Tensor& shard_weights,
+                             std::vector<AuxBinding>* aux) {
   const Variable X = Variable::leaf(shard_points, /*requires_grad=*/true);
   const Variable residual = problem_->residual(*model_, X);
   QPINN_CHECK_SHAPE(residual.value().rows() == shard_points.rows(),
@@ -143,190 +165,107 @@ Variable Trainer::shard_loss(
       (shard_weights.rank() == 2)
           ? weighted_square_sum(Variable::constant(shard_weights), residual)
           : square_sum(residual);
-  const double denom = static_cast<double>(total_rows) *
+  const double denom = static_cast<double>(points_.interior.rows()) *
                        static_cast<double>(problem_->residual_dim());
   Variable loss = scale(reduced, config_.weight_pde / denom);
 
-  if (include_aux) {
+  if (aux != nullptr) {
     for (LossTerm& term : problem_->auxiliary_losses(*model_, points_)) {
       if (term.weight == 0.0) continue;
-      const double value = term.value.item();
-      if (aux_out != nullptr) aux_out->emplace_back(term.name, value);
-      if (aux_weighted_sum != nullptr) {
-        *aux_weighted_sum += term.weight * value;
-      }
-      if (aux_bindings != nullptr) {
-        aux_bindings->push_back({term.name, term.weight, term.value.value()});
-      }
+      aux->push_back({term.name, term.weight, term.value.value()});
       loss = add(loss, scale(term.value, term.weight));
     }
   }
   return loss;
 }
 
-Trainer::LossAndGrads Trainer::compute_serial(std::int64_t epoch) {
-  Tensor weights;  // scalar sentinel = no per-point weights
-  if (config_.curriculum) {
-    weights = per_point_weights(*config_.curriculum, problem_->domain(),
-                                points_.interior, epoch);
-  }
-  LossAndGrads result;
-  double aux_weighted_sum = 0.0;
-  const Variable loss =
-      shard_loss(points_.interior, weights, points_.interior.rows(),
-                 /*include_aux=*/true, &result.aux, &aux_weighted_sum);
-  result.total = loss.item();
-  result.pde = result.total - aux_weighted_sum;
-
-  const std::vector<Variable> grads = grad(loss, params_);
-  result.grads.reserve(grads.size());
-  for (const Variable& g : grads) result.grads.push_back(g.value());
-  return result;
+std::optional<Tensor> Trainer::curriculum_weights(std::int64_t epoch) const {
+  if (!config_.curriculum) return std::nullopt;
+  return per_point_weights(*config_.curriculum, problem_->domain(),
+                           points_.interior, epoch);
 }
 
-Trainer::LossAndGrads Trainer::compute_parallel(std::int64_t epoch) {
-  const std::int64_t total_rows = points_.interior.rows();
-  const std::size_t shards =
-      std::min<std::size_t>(config_.threads,
-                            static_cast<std::size_t>(total_rows));
-
-  Tensor weights;
-  if (config_.curriculum) {
-    weights = per_point_weights(*config_.curriculum, problem_->domain(),
-                                points_.interior, epoch);
+std::vector<Trainer::Shard> Trainer::local_shards() const {
+  const bool dist = dist_active();
+  const std::int64_t rows = points_.interior.rows();
+  const std::int64_t ways =
+      dist ? config_.dist->world() : static_cast<std::int64_t>(config_.threads);
+  const std::int64_t count = std::min(ways, rows);
+  // Threads mode runs every shard in this process; a dist rank owns only
+  // shard `rank`, and none when there are more ranks than rows.
+  const std::int64_t first = dist ? std::min(config_.dist->rank(), count) : 0;
+  const std::int64_t last = dist ? std::min(first + 1, count) : count;
+  std::vector<Shard> shards;
+  for (std::int64_t s = first; s < last; ++s) {
+    Shard& shard = shards.emplace_back();
+    std::tie(shard.r0, shard.r1) = shard_range(rows, count, s);
   }
-
-  struct ShardOutput {
-    double loss = 0.0;
-    double aux_weighted_sum = 0.0;
-    std::vector<std::pair<std::string, double>> aux;
-    std::vector<Tensor> grads;
-  };
-  std::vector<ShardOutput> outputs(shards);
-
-  const std::int64_t base = total_rows / static_cast<std::int64_t>(shards);
-  const std::int64_t extra = total_rows % static_cast<std::int64_t>(shards);
-  std::vector<std::pair<std::int64_t, std::int64_t>> ranges(shards);
-  std::int64_t begin = 0;
-  for (std::size_t s = 0; s < shards; ++s) {
-    const std::int64_t len =
-        base + (static_cast<std::int64_t>(s) < extra ? 1 : 0);
-    ranges[s] = {begin, begin + len};
-    begin += len;
-  }
-
-  global_pool().for_each_index(shards, [&](std::size_t s) {
-    const auto [r0, r1] = ranges[s];
-    const Tensor shard_points = kernels::slice_rows(points_.interior, r0, r1);
-    Tensor shard_weights;
-    if (weights.rank() == 2) {
-      shard_weights = kernels::slice_rows(weights, r0, r1);
-    }
-    ShardOutput& out = outputs[s];
-    const Variable loss = shard_loss(
-        shard_points, shard_weights, total_rows,
-        /*include_aux=*/s == 0, s == 0 ? &out.aux : nullptr,
-        s == 0 ? &out.aux_weighted_sum : nullptr);
-    out.loss = loss.item();
-    const std::vector<Variable> grads = grad(loss, params_);
-    out.grads.reserve(grads.size());
-    for (const Variable& g : grads) out.grads.push_back(g.value());
-  });
-
-  // Deterministic shard-order reduction.
-  LossAndGrads result;
-  result.aux = std::move(outputs[0].aux);
-  result.grads = std::move(outputs[0].grads);
-  result.total = outputs[0].loss;
-  for (std::size_t s = 1; s < shards; ++s) {
-    result.total += outputs[s].loss;
-    for (std::size_t p = 0; p < result.grads.size(); ++p) {
-      kernels::axpy_inplace(result.grads[p], 1.0, outputs[s].grads[p]);
-    }
-  }
-  result.pde = result.total - outputs[0].aux_weighted_sum;
-  return result;
+  return shards;
 }
 
-Trainer::LossAndGrads Trainer::compute_dist(std::int64_t epoch) {
-  dist::Communicator& comm = *config_.dist;
-  const std::int64_t rank = comm.rank();
-  const std::int64_t total_rows = points_.interior.rows();
-  const std::int64_t shards = std::min(comm.world(), total_rows);
-
-  Tensor weights;
-  if (config_.curriculum) {
-    weights = per_point_weights(*config_.curriculum, problem_->domain(),
-                                points_.interior, epoch);
-  }
-
-  // One contiguous shard per rank, with the same base + extra arithmetic
-  // as compute_parallel — this is what makes an N-rank step bit-identical
-  // to a single-process step with threads = N.
-  const std::int64_t base = total_rows / shards;
-  const std::int64_t extra = total_rows % shards;
-  std::int64_t r0 = 0;
-  std::int64_t r1 = 0;
-  if (rank < shards) {
-    r0 = rank * base + std::min(rank, extra);
-    r1 = r0 + base + (rank < extra ? 1 : 0);
-  }
-
-  LossAndGrads local;
-  double aux_weighted_sum = 0.0;
-  if (r1 > r0) {
-    const Tensor shard_points = kernels::slice_rows(points_.interior, r0, r1);
-    Tensor shard_weights;
-    if (weights.rank() == 2) {
-      shard_weights = kernels::slice_rows(weights, r0, r1);
+void Trainer::run_shard(ShardMode mode, Shard& shard,
+                        const std::optional<Tensor>& weights) {
+  if (mode == ShardMode::kReplay) {
+    // Refresh the pinned inputs first, so an in-place resample (which keeps
+    // the interior's identity, and therefore the plan) and this epoch's
+    // curriculum weights are seen by the thunks.
+    if (shard.r1 - shard.r0 < points_.interior.rows()) {
+      kernels::slice_rows_into(shard.points, points_.interior, shard.r0,
+                               shard.r1);
     }
-    const Variable loss = shard_loss(
-        shard_points, shard_weights, total_rows,
-        /*include_aux=*/rank == 0, rank == 0 ? &local.aux : nullptr,
-        rank == 0 ? &aux_weighted_sum : nullptr);
-    local.total = loss.item();
+    if (weights) {
+      kernels::slice_rows_into(shard.weights, *weights, shard.r0, shard.r1);
+    }
+    shard.plan.replay();
+    return;
+  }
+  const Tensor points = shard_rows(points_.interior, shard.r0, shard.r1);
+  // An undefined (scalar) tensor is shard_loss's no-weights sentinel.
+  const Tensor shard_weights =
+      weights ? shard_rows(*weights, shard.r0, shard.r1) : Tensor();
+  {
+    // Capture is the eager step with the recorder armed, so the captured
+    // epoch IS an eager epoch.
+    std::optional<plan::CaptureScope> scope;
+    if (mode == ShardMode::kCapture) scope.emplace(shard.plan);
+    std::vector<AuxBinding>* aux = shard.r0 == 0 ? &shard.aux : nullptr;
+    const Variable loss = shard_loss(points, shard_weights, aux);
     const std::vector<Variable> grads = grad(loss, params_);
-    local.grads.reserve(grads.size());
-    for (const Variable& g : grads) local.grads.push_back(g.value());
-  } else {
-    // More ranks than interior rows: contribute exact zeros.
-    local.grads.reserve(params_.size());
+    shard.loss = loss.value();
+    for (const Variable& g : grads) shard.grads.push_back(g.value());
+  }
+  if (mode == ShardMode::kCapture) {
+    shard.points = points;
+    shard.weights = shard_weights;
+    optimize_shard_plan(shard);
+  }
+}
+
+Trainer::LossAndGrads Trainer::reduce_shards(
+    const std::vector<Shard>& shards) const {
+  LossAndGrads result;
+  if (shards.empty()) {
+    // A dist rank past the last shard contributes exact zeros.
     for (const Variable& p : params_) {
-      local.grads.push_back(Tensor::zeros(p.value().shape()));
+      result.grads.push_back(Tensor::zeros(p.value().shape()));
+    }
+    return result;
+  }
+  // Deterministic shard-order reduction into shard 0's gradient buffers.
+  // Eager, capture and replay all read their results here, in this order,
+  // which is what keeps every replayed epoch bit-identical to eager.
+  result.total = shards[0].loss.item();
+  result.grads = shards[0].grads;
+  for (std::size_t s = 1; s < shards.size(); ++s) {
+    result.total += shards[s].loss.item();
+    for (std::size_t p = 0; p < result.grads.size(); ++p) {
+      kernels::axpy_inplace(result.grads[p], 1.0, shards[s].grads[p]);
     }
   }
-
-  // Reduction buffer: [loss, weighted aux sum, stop flag, grads...]. The
-  // stop flag rides the same all-reduce so every rank observes the same
-  // sum and stops at the same epoch.
-  std::size_t numel = 0;
-  for (const Tensor& g : local.grads) {
-    numel += static_cast<std::size_t>(g.numel());
-  }
-  std::vector<double> buffer;
-  buffer.reserve(3 + numel);
-  buffer.push_back(local.total);
-  buffer.push_back(aux_weighted_sum);
-  buffer.push_back(stop_requested() ? 1.0 : 0.0);
-  for (const Tensor& g : local.grads) {
-    buffer.insert(buffer.end(), g.data(), g.data() + g.numel());
-  }
-
-  comm.allreduce(buffer, epoch);
-
-  LossAndGrads result;
-  result.aux = std::move(local.aux);  // named aux values live on rank 0
-  result.total = buffer[0];
-  result.pde = buffer[0] - buffer[1];
-  dist_stop_sum_ = buffer[2];
-  result.grads = std::move(local.grads);
-  std::size_t offset = 3;
-  for (Tensor& g : result.grads) {
-    const std::size_t count = static_cast<std::size_t>(g.numel());
-    std::copy(buffer.begin() + static_cast<std::ptrdiff_t>(offset),
-              buffer.begin() + static_cast<std::ptrdiff_t>(offset + count),
-              g.data());
-    offset += count;
+  for (const AuxBinding& b : shards[0].aux) {
+    const double value = b.value.item();
+    result.aux.emplace_back(b.name, value);
+    result.aux_weighted += b.weight * value;
   }
   return result;
 }
@@ -343,15 +282,7 @@ Trainer::PlanKey Trainer::current_plan_key() const {
   return key;
 }
 
-// ---- graph capture & replay (autodiff/plan.hpp) ---------------------------
-//
-// Capture runs the ordinary eager step with the thread-local recorder armed,
-// so the captured epoch IS an eager epoch; replay re-executes the recorded
-// kernel sequence against the pinned buffers and re-reads loss/grad/aux
-// buffers on the host side, in the same order as the eager reduction —
-// every replayed epoch is bit-identical to what eager would have computed.
-
-void Trainer::optimize_shard_plan(ShardPlan& sp) {
+void Trainer::optimize_shard_plan(Shard& sp) {
   std::vector<Tensor> outputs;
   outputs.reserve(sp.grads.size() + sp.aux.size() + 1);
   outputs.push_back(sp.loss);
@@ -382,212 +313,75 @@ void Trainer::optimize_shard_plan(ShardPlan& sp) {
 std::vector<plan::PassStats> Trainer::plan_pass_stats() const {
   std::vector<plan::PassStats> stats;
   stats.reserve(plans_.size());
-  for (const ShardPlan& sp : plans_) stats.push_back(sp.plan.pass_stats());
+  for (const Shard& shard : plans_) stats.push_back(shard.plan.pass_stats());
   return stats;
 }
 
-Trainer::LossAndGrads Trainer::capture_serial(std::int64_t epoch) {
-  plans_.clear();
-  plans_.resize(1);
-  ShardPlan& sp = plans_[0];
-  Tensor weights;
-  if (config_.curriculum) {
-    weights = per_point_weights(*config_.curriculum, problem_->domain(),
-                                points_.interior, epoch);
-  }
-  LossAndGrads result;
-  double aux_weighted_sum = 0.0;
-  {
-    plan::CaptureScope scope(sp.plan);
-    const Variable loss =
-        shard_loss(points_.interior, weights, points_.interior.rows(),
-                   /*include_aux=*/true, &result.aux, &aux_weighted_sum,
-                   &sp.aux);
-    result.total = loss.item();
-    result.pde = result.total - aux_weighted_sum;
-    const std::vector<Variable> grads = grad(loss, params_);
-    result.grads.reserve(grads.size());
-    for (const Variable& g : grads) result.grads.push_back(g.value());
-    sp.loss = loss.value();
-    sp.grads = result.grads;
-  }
-  sp.weights = weights;
-  sp.r0 = 0;
-  sp.r1 = points_.interior.rows();
-  optimize_shard_plan(sp);
-  return result;
-}
-
-Trainer::LossAndGrads Trainer::replay_serial(std::int64_t epoch) {
-  ShardPlan& sp = plans_[0];
-  if (config_.curriculum) {
-    const Tensor w = per_point_weights(*config_.curriculum, problem_->domain(),
-                                       points_.interior, epoch);
-    kernels::copy_into(sp.weights, w);
-  }
-  sp.plan.replay();
-  LossAndGrads result;
-  result.total = sp.loss.item();
-  double aux_weighted_sum = 0.0;
-  for (const AuxBinding& b : sp.aux) {
-    const double value = b.value.item();
-    result.aux.emplace_back(b.name, value);
-    aux_weighted_sum += b.weight * value;
-  }
-  result.pde = result.total - aux_weighted_sum;
-  result.grads = sp.grads;
-  return result;
-}
-
-Trainer::LossAndGrads Trainer::capture_parallel(std::int64_t epoch) {
-  const std::int64_t total_rows = points_.interior.rows();
-  const std::size_t shards =
-      std::min<std::size_t>(config_.threads,
-                            static_cast<std::size_t>(total_rows));
-
-  Tensor weights;
-  if (config_.curriculum) {
-    weights = per_point_weights(*config_.curriculum, problem_->domain(),
-                                points_.interior, epoch);
-  }
-
-  struct ShardOutput {
-    double loss = 0.0;
-    double aux_weighted_sum = 0.0;
-    std::vector<std::pair<std::string, double>> aux;
-    std::vector<Tensor> grads;
-  };
-  std::vector<ShardOutput> outputs(shards);
-  plans_.clear();
-  plans_.resize(shards);
-
-  const std::int64_t base = total_rows / static_cast<std::int64_t>(shards);
-  const std::int64_t extra = total_rows % static_cast<std::int64_t>(shards);
-  std::vector<std::pair<std::int64_t, std::int64_t>> ranges(shards);
-  std::int64_t begin = 0;
-  for (std::size_t s = 0; s < shards; ++s) {
-    const std::int64_t len =
-        base + (static_cast<std::int64_t>(s) < extra ? 1 : 0);
-    ranges[s] = {begin, begin + len};
-    begin += len;
-  }
-
-  global_pool().for_each_index(shards, [&](std::size_t s) {
-    const auto [r0, r1] = ranges[s];
-    const Tensor shard_points = kernels::slice_rows(points_.interior, r0, r1);
-    Tensor shard_weights;
-    if (weights.rank() == 2) {
-      shard_weights = kernels::slice_rows(weights, r0, r1);
-    }
-    ShardOutput& out = outputs[s];
-    ShardPlan& sp = plans_[s];
-    {
-      plan::CaptureScope scope(sp.plan);
-      const Variable loss = shard_loss(
-          shard_points, shard_weights, total_rows,
-          /*include_aux=*/s == 0, s == 0 ? &out.aux : nullptr,
-          s == 0 ? &out.aux_weighted_sum : nullptr,
-          s == 0 ? &sp.aux : nullptr);
-      out.loss = loss.item();
-      const std::vector<Variable> grads = grad(loss, params_);
-      out.grads.reserve(grads.size());
-      for (const Variable& g : grads) out.grads.push_back(g.value());
-      sp.loss = loss.value();
-      sp.grads = out.grads;
-    }
-    sp.points = shard_points;
-    sp.weights = shard_weights;
-    sp.r0 = r0;
-    sp.r1 = r1;
-    optimize_shard_plan(sp);
-  });
-
-  // Deterministic shard-order reduction.
-  LossAndGrads result;
-  result.aux = std::move(outputs[0].aux);
-  result.grads = std::move(outputs[0].grads);
-  result.total = outputs[0].loss;
-  for (std::size_t s = 1; s < shards; ++s) {
-    result.total += outputs[s].loss;
-    for (std::size_t p = 0; p < result.grads.size(); ++p) {
-      kernels::axpy_inplace(result.grads[p], 1.0, outputs[s].grads[p]);
-    }
-  }
-  result.pde = result.total - outputs[0].aux_weighted_sum;
-  return result;
-}
-
-Trainer::LossAndGrads Trainer::replay_parallel(std::int64_t epoch) {
-  const std::size_t shards = plans_.size();
-  // The shard point slices were materialized at capture; refresh them from
-  // the interior set so an in-place resample (which keeps the tensor's
-  // identity, and therefore the plan) is seen by every shard's thunks.
-  for (ShardPlan& sp : plans_) {
-    kernels::slice_rows_into(sp.points, points_.interior, sp.r0, sp.r1);
-  }
-  if (config_.curriculum) {
-    const Tensor w = per_point_weights(*config_.curriculum, problem_->domain(),
-                                       points_.interior, epoch);
-    for (ShardPlan& sp : plans_) {
-      if (sp.weights.rank() == 2) {
-        kernels::slice_rows_into(sp.weights, w, sp.r0, sp.r1);
-      }
-    }
-  }
-  global_pool().for_each_index(shards,
-                               [&](std::size_t s) { plans_[s].plan.replay(); });
-
-  // Same shard-order reduction (and buffers) as the captured eager step.
-  LossAndGrads result;
-  result.grads = plans_[0].grads;
-  result.total = plans_[0].loss.item();
-  for (std::size_t s = 1; s < shards; ++s) {
-    result.total += plans_[s].loss.item();
-    for (std::size_t p = 0; p < result.grads.size(); ++p) {
-      kernels::axpy_inplace(result.grads[p], 1.0, plans_[s].grads[p]);
-    }
-  }
-  double aux_weighted_sum = 0.0;
-  for (const AuxBinding& b : plans_[0].aux) {
-    const double value = b.value.item();
-    result.aux.emplace_back(b.name, value);
-    aux_weighted_sum += b.weight * value;
-  }
-  result.pde = result.total - aux_weighted_sum;
-  return result;
-}
-
 Trainer::LossAndGrads Trainer::compute(std::int64_t epoch) {
-  if (config_.dist && config_.dist->world() > 1) return compute_dist(epoch);
-  if (!graph_enabled_) {
-    return (config_.threads > 1) ? compute_parallel(epoch)
-                                 : compute_serial(epoch);
-  }
-  const PlanKey key = current_plan_key();
-  if (plans_ready_ && !(key == plan_key_)) {
-    plans_.clear();
-    plans_ready_ = false;
-    plan::count_fallback();
-    log::info() << problem_->name()
-                << " execution plan invalidated (batch-shape/thread/ISA "
-                   "change); re-capturing";
-  }
-  if (!plans_ready_) {
-    LossAndGrads result;
-    try {
-      result = (config_.threads > 1) ? capture_parallel(epoch)
-                                     : capture_serial(epoch);
-    } catch (...) {
-      // A failed capture (e.g. non-finite loss mid-step) leaves a partial
-      // plan behind; discard it so the next step re-captures cleanly.
+  const std::optional<Tensor> weights = curriculum_weights(epoch);
+  ShardMode mode = ShardMode::kEager;
+  PlanKey key;
+  if (graph_enabled_) {
+    key = current_plan_key();
+    if (!plans_.empty() && !(key == plan_key_)) {
       plans_.clear();
-      throw;
+      plan::count_fallback();
+      log::info() << problem_->name()
+                  << " execution plan invalidated (batch-shape/thread/ISA "
+                     "change); re-capturing";
     }
-    plan_key_ = key;
-    plans_ready_ = true;
-    return result;
+    mode = plans_.empty() ? ShardMode::kCapture : ShardMode::kReplay;
   }
-  return (config_.threads > 1) ? replay_parallel(epoch) : replay_serial(epoch);
+  // Eager shards die with this step; captured ones stay pinned in plans_.
+  std::vector<Shard> eager_shards;
+  std::vector<Shard>& shards =
+      mode == ShardMode::kEager ? eager_shards : plans_;
+  if (mode != ShardMode::kReplay) shards = local_shards();
+
+  LossAndGrads result;
+  try {
+    global_pool().for_each_index(shards.size(), [&](std::size_t s) {
+      run_shard(mode, shards[s], weights);
+    });
+    result = reduce_shards(shards);
+  } catch (...) {
+    // A failed capture (e.g. non-finite loss mid-step) leaves a partial
+    // plan behind; discard it so the next step re-captures cleanly.
+    if (mode == ShardMode::kCapture) plans_.clear();
+    throw;
+  }
+  if (mode == ShardMode::kCapture) plan_key_ = key;
+
+  if (dist_active()) {
+    // Reduction buffer: [loss, weighted aux sum, stop flag, grads...]. The
+    // stop flag rides the same all-reduce so every rank observes the same
+    // sum and stops at the same epoch. Named aux values stay on rank 0.
+    std::size_t numel = 0;
+    for (const Tensor& g : result.grads) {
+      numel += static_cast<std::size_t>(g.numel());
+    }
+    std::vector<double> buffer;
+    buffer.reserve(3 + numel);
+    buffer.push_back(result.total);
+    buffer.push_back(result.aux_weighted);
+    buffer.push_back(stop_requested() ? 1.0 : 0.0);
+    for (const Tensor& g : result.grads) {
+      buffer.insert(buffer.end(), g.data(), g.data() + g.numel());
+    }
+
+    config_.dist->allreduce(buffer, epoch);
+
+    result.total = buffer[0];
+    result.aux_weighted = buffer[1];
+    dist_stop_sum_ = buffer[2];
+    const double* reduced = buffer.data() + 3;
+    for (Tensor& g : result.grads) {
+      std::copy(reduced, reduced + g.numel(), g.data());
+      reduced += g.numel();
+    }
+  }
+  result.pde = result.total - result.aux_weighted;
+  return result;
 }
 
 EpochRecord Trainer::step(std::int64_t epoch) {
@@ -605,15 +399,13 @@ EpochRecord Trainer::step(std::int64_t epoch) {
         (config_.sampling.kind == SamplerKind::kLatinHypercube)
             ? latin_hypercube_points(problem_->domain(), n, resample_rng_)
             : uniform_points(problem_->domain(), n, resample_rng_);
-    // Refreshing the pinned buffer in place keeps the tensor's identity, so
-    // a captured plan survives per-epoch resampling (replay re-reads the
-    // storage). A shape change still swaps the tensor and the new pointer
-    // invalidates the plan.
-    if (graph_enabled_ && points_.interior.shape() == fresh.shape()) {
+    // Refreshing the interior in place keeps the tensor's identity, so a
+    // captured plan survives per-epoch resampling (replay re-reads the
+    // storage). A shape change rebinds the tensor and invalidates the plan.
+    if (points_.interior.shape() == fresh.shape()) {
       kernels::copy_into(points_.interior, fresh);
     } else {
-      points_.interior = std::move(fresh);
-      ++interior_generation_;
+      rebind_interior(std::move(fresh));
     }
   }
 
@@ -652,6 +444,11 @@ EpochRecord Trainer::step(std::int64_t epoch) {
   return record;
 }
 
+void Trainer::rebind_interior(Tensor interior) {
+  points_.interior = std::move(interior);
+  ++interior_generation_;
+}
+
 double Trainer::evaluate_l2() {
   return relative_l2(*model_, problem_->reference(), problem_->domain(),
                      config_.metric_nx, config_.metric_nt);
@@ -682,8 +479,7 @@ void Trainer::restore_snapshot(const Snapshot& snapshot) {
   }
   optimizer_->import_state(snapshot.optimizer);
   resample_rng_.set_state(snapshot.rng);
-  points_.interior = snapshot.interior.clone();
-  ++interior_generation_;
+  rebind_interior(snapshot.interior.clone());
 }
 
 TrainingState Trainer::make_state(std::int64_t epoch) const {
@@ -710,8 +506,7 @@ void Trainer::restore_state(const TrainingState& state) {
     QPINN_CHECK_SHAPE(state.interior.rank() == 2 &&
                           state.interior.cols() == points_.interior.cols(),
                       "resumed collocation set has the wrong shape");
-    points_.interior = state.interior.clone();
-    ++interior_generation_;
+    rebind_interior(state.interior.clone());
   }
 }
 
@@ -747,9 +542,6 @@ std::int64_t Trainer::apply_dist_sync(const std::string& payload) {
 TrainResult Trainer::fit() {
   Stopwatch watch;
   TrainResult result;
-  const auto dist_active = [&]() {
-    return config_.dist && config_.dist->world() > 1;
-  };
 
   std::int64_t start_epoch = 0;
   if (!config_.resume_from.empty()) {
@@ -858,7 +650,7 @@ TrainResult Trainer::fit() {
       // recovery state machine, and retry the epoch.
       if (dist_may_resample) {
         resample_rng_.set_state(dist_pre_rng);
-        points_.interior = dist_pre_interior.clone();
+        rebind_interior(std::move(dist_pre_interior));
       }
       ++result.rank_failures;
       if (result.rank_failures > 8) throw;  // runaway failure loop
@@ -1002,22 +794,12 @@ TrainResult Trainer::fit() {
 }
 
 optim::LbfgsResult Trainer::run_second_stage(std::int64_t epoch) {
-  Tensor weights;
-  if (config_.curriculum) {
-    weights = per_point_weights(*config_.curriculum, problem_->domain(),
-                                points_.interior, epoch);
-  }
+  const std::optional<Tensor> weights = curriculum_weights(epoch);
   const optim::LossClosure closure = [&]() {
-    std::vector<std::pair<std::string, double>> aux;
-    double aux_weighted_sum = 0.0;
-    const Variable loss =
-        shard_loss(points_.interior, weights, points_.interior.rows(),
-                   /*include_aux=*/true, &aux, &aux_weighted_sum);
-    const std::vector<Variable> grads = grad(loss, params_);
-    std::vector<Tensor> grad_values;
-    grad_values.reserve(grads.size());
-    for (const Variable& g : grads) grad_values.push_back(g.value());
-    return std::make_pair(loss.item(), std::move(grad_values));
+    Shard shard;  // one full-range eager shard
+    shard.r1 = points_.interior.rows();
+    run_shard(ShardMode::kEager, shard, weights);
+    return std::make_pair(shard.loss.item(), std::move(shard.grads));
   };
   return optim::lbfgs_minimize(params_, closure, config_.second_stage.lbfgs);
 }

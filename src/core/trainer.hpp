@@ -1,11 +1,14 @@
 // The PINN training loop.
 //
-// Serial and data-parallel paths compute the *same* loss decomposition:
-// the interior residual MSE is split into contiguous row shards, each
-// worker builds its own forward/backward graph against the shared
-// parameter leaves, and the per-shard gradients are reduced in shard order
-// (deterministic). This mirrors the batch-parallel GPU training of the
-// original system on a shared-memory thread pool.
+// Every step runs through one sharded executor. The interior residual MSE
+// is split into N contiguous row shards: N = 1 is serial, N = threads
+// runs every shard on the thread pool, and N = world gives each dist rank
+// one shard. Each shard builds its own forward/backward graph against the
+// shared parameter leaves — eagerly, under plan capture, or by replaying
+// its captured plan — and the per-shard losses and gradients are reduced
+// in shard order (deterministic), followed in dist mode by the rank-ordered
+// all-reduce. This mirrors the batch-parallel GPU training of the original
+// system on a shared-memory thread pool.
 //
 // The loop is fault-tolerant: optional crash-consistent checkpoints with
 // resume (TrainConfig::checkpoint / resume_from), automatic rollback + LR
@@ -96,7 +99,9 @@ struct TrainConfig {
   std::int64_t metric_nt = 32;
   /// Emit a log line every `log_every` epochs (0: silent).
   std::int64_t log_every = 0;
-  /// Interior-shard count for data-parallel training (1 = serial).
+  /// Interior-shard count for data-parallel training: the step executor
+  /// runs min(threads, rows) contiguous shards on the thread pool and sums
+  /// them in shard order (1 = serial, one shard run inline).
   std::size_t threads = 1;
   /// Throw NumericsError when the loss goes non-finite. (With `recovery`
   /// set, non-finite steps are rolled back instead of thrown regardless.)
@@ -114,13 +119,14 @@ struct TrainConfig {
   /// and replay it afterwards (autodiff/plan.hpp). Replay is bit-identical
   /// to eager execution, so this is purely a performance choice.
   GraphMode graph = GraphMode::kEnv;
-  /// Multi-process data-parallel training (dist/communicator.hpp): each
-  /// rank computes one contiguous interior shard — the same partition
-  /// arithmetic as `threads` sharding — and gradients are all-reduced in
-  /// rank order, so an N-rank run is bit-identical to a single-process
-  /// run with threads = N. Dist mode forces eager execution (a captured
-  /// plan would pin a sharding that rank failure can reshape mid-run) and
-  /// is mutually exclusive with threads > 1. Only rank 0 writes
+  /// Multi-process data-parallel training (dist/communicator.hpp): the
+  /// step executor splits the interior into min(world, rows) shards — the
+  /// same partition as `threads` sharding — and each rank runs only shard
+  /// `rank` (a rank with no rows contributes zeros); gradients are then
+  /// all-reduced in rank order, so an N-rank run is bit-identical to a
+  /// single-process run with threads = N. Dist steps run eager (a captured
+  /// plan would pin a sharding that rank failure can reshape mid-run), and
+  /// dist is mutually exclusive with threads > 1. Only rank 0 writes
   /// checkpoints; `resume_from` plus Communicator::rejoined() drives the
   /// elastic-rejoin path. Null: single-process training.
   std::shared_ptr<dist::Communicator> dist;
@@ -214,8 +220,7 @@ class Trainer {
   /// between fit() calls). Any captured execution plan is invalidated on
   /// the next step, exactly like a resample.
   void replace_interior(Tensor interior) {
-    points_.interior = std::move(interior);
-    ++interior_generation_;
+    rebind_interior(std::move(interior));
   }
 
  private:
@@ -223,59 +228,68 @@ class Trainer {
   struct LossAndGrads {
     double total = 0.0;
     double pde = 0.0;
+    double aux_weighted = 0.0;  ///< sum of weight * value over aux terms
     std::vector<std::pair<std::string, double>> aux;
     std::vector<Tensor> grads;
   };
-  LossAndGrads compute(std::int64_t epoch);
-  LossAndGrads compute_serial(std::int64_t epoch);
-  LossAndGrads compute_parallel(std::int64_t epoch);
-  LossAndGrads compute_dist(std::int64_t epoch);
 
-  /// An auxiliary loss term pinned by a captured plan: replay recomputes
-  /// `value` in place, and the host loop re-reads it per epoch.
+  /// An auxiliary loss term of shard 0: its name, weight and scalar value
+  /// tensor. Every step reads the aux values back from these bindings;
+  /// under replay the plan recomputes `value` in place.
   struct AuxBinding {
     std::string name;
     double weight = 0.0;
     Tensor value;
   };
 
-  /// Shard-local weighted residual sum: sum(w * r^2) / (N_total * R),
-  /// plus (on shard 0) the auxiliary losses. When aux terms are included,
-  /// `aux_out` receives their unweighted values and `aux_weighted_sum`
-  /// their weighted total (so the PDE component can be recovered without
-  /// re-evaluating the losses); `aux_bindings` (when non-null) receives the
-  /// scalar tensors themselves for plan replay.
-  autodiff::Variable shard_loss(const Tensor& shard_points,
-                                const Tensor& shard_weights,
-                                std::int64_t total_rows, bool include_aux,
-                                std::vector<std::pair<std::string, double>>*
-                                    aux_out,
-                                double* aux_weighted_sum,
-                                std::vector<AuxBinding>* aux_bindings =
-                                    nullptr);
-
-  /// One shard's captured step: the plan plus the buffers the host loop
-  /// reads (loss, grads, aux) or refreshes (curriculum weights) per replay.
-  struct ShardPlan {
-    autodiff::plan::ExecutionPlan plan;
+  /// One contiguous interior shard's step state. Eager steps build these
+  /// per step and drop them when it ends; captured shards stay in plans_,
+  /// where `plan` replays the step against the pinned buffers.
+  struct Shard {
+    autodiff::plan::ExecutionPlan plan;  ///< empty for eager shards
     Tensor loss;
     std::vector<Tensor> grads;
-    Tensor points;   ///< pinned shard slice of the interior set (parallel)
-    Tensor weights;  ///< pinned shard weights (undefined without curriculum)
+    Tensor points;   ///< pinned interior rows (captured shards only)
+    Tensor weights;  ///< pinned curriculum weights (captured shards only)
     std::int64_t r0 = 0, r1 = 0;  ///< interior row range of this shard
     std::vector<AuxBinding> aux;  ///< shard 0 only
   };
+  enum class ShardMode { kEager, kCapture, kReplay };
+
+  /// The step executor: runs this process's shards (eager, or capture then
+  /// replay) on the thread pool, reduces them in shard order, then
+  /// all-reduces across ranks in dist mode.
+  LossAndGrads compute(std::int64_t epoch);
+  /// This process's shards of the threads/dist interior partition.
+  std::vector<Shard> local_shards() const;
+  /// One shard's step. Eager runs shard_loss and grad; capture does the
+  /// same under plan::CaptureScope and then finalizes the plan; replay
+  /// refreshes the pinned point and weight slices and replays the plan.
+  void run_shard(ShardMode mode, Shard& shard,
+                 const std::optional<Tensor>& weights);
+  /// Shard-order sum of losses and gradients (into shard 0's gradient
+  /// buffers) plus shard 0's aux readout; zeros when `shards` is empty.
+  LossAndGrads reduce_shards(const std::vector<Shard>& shards) const;
+  /// Per-point curriculum weights over the whole interior set.
+  std::optional<Tensor> curriculum_weights(std::int64_t epoch) const;
+
+  /// Shard-local weighted residual sum: sum(w * r^2) / (N_total * R), with
+  /// N_total the full interior size.
+  /// When `aux` is non-null (shard 0) the auxiliary losses are added too,
+  /// and each is bound into `aux` for the readout.
+  autodiff::Variable shard_loss(const Tensor& shard_points,
+                                const Tensor& shard_weights,
+                                std::vector<AuxBinding>* aux);
 
   /// Everything a captured plan depends on besides buffer contents; any
   /// change means the recorded kernel sequence (or its chunking) would
   /// diverge from eager, so the plan must be re-captured.
   struct PlanKey {
     const void* interior_data = nullptr;
-    /// Monotonic count of interior-tensor *identity* changes (resample,
-    /// replace_interior, snapshot/checkpoint restore). The data pointer
-    /// alone is unsafe: the StoragePool can hand a freed buffer back at the
-    /// same address for a different point set (ABA), which would silently
-    /// replay a stale plan.
+    /// Monotonic count of interior-tensor *identity* changes (every
+    /// rebind_interior call). The data pointer alone is unsafe: the
+    /// StoragePool can hand a freed buffer back at the same address for a
+    /// different point set (ABA), which would silently replay a stale plan.
     std::uint64_t interior_generation = 0;
     Shape interior_shape;
     std::size_t pool_threads = 0;
@@ -288,8 +302,6 @@ class Trainer {
   };
   PlanKey current_plan_key() const;
 
-  LossAndGrads capture_serial(std::int64_t epoch);
-  LossAndGrads capture_parallel(std::int64_t epoch);
   /// Finalizes one shard's capture: runs the optimizer passes
   /// (autodiff/plan_passes.hpp) when QPINN_PLAN_OPT is on, then the
   /// mixed-precision demotion pass (autodiff/precision.hpp) when
@@ -298,9 +310,14 @@ class Trainer {
   /// plan outputs for both. Called after the CaptureScope block, once the
   /// eager Variable graph is destroyed; thread-safe (per-shard state
   /// only).
-  void optimize_shard_plan(ShardPlan& sp);
-  LossAndGrads replay_serial(std::int64_t epoch);
-  LossAndGrads replay_parallel(std::int64_t epoch);
+  void optimize_shard_plan(Shard& sp);
+
+  /// The only way points_.interior is rebound to a different tensor: bumps
+  /// interior_generation_ so a captured plan cannot outlive the rebind.
+  void rebind_interior(Tensor interior);
+
+  /// True when training is sharded across more than one rank.
+  bool dist_active() const { return config_.dist && config_.dist->world() > 1; }
 
   /// In-memory rollback point for divergence recovery.
   struct Snapshot {
@@ -336,13 +353,12 @@ class Trainer {
   /// QPINN_PLAN_OPT at construction: run the optimizer passes
   /// (autodiff/plan_passes.hpp) over every finalized capture.
   bool plan_opt_enabled_ = false;
-  bool plans_ready_ = false;
-  /// Bumped whenever points_.interior is rebound to a different tensor
-  /// (see PlanKey::interior_generation). The in-place refresh path
-  /// (copy_into) deliberately does NOT bump — same buffer, plan stays hot.
+  /// Bumped by rebind_interior (see PlanKey::interior_generation). The
+  /// in-place resample (copy_into) deliberately does NOT bump — same
+  /// buffer, plan stays hot.
   std::uint64_t interior_generation_ = 0;
   PlanKey plan_key_;
-  std::vector<ShardPlan> plans_;
+  std::vector<Shard> plans_;
   double lr_scale_ = 1.0;  ///< divergence-recovery LR backoff multiplier
   std::int64_t recoveries_ = 0;
   double best_loss_ = std::numeric_limits<double>::infinity();

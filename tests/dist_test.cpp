@@ -25,6 +25,7 @@
 #include "dist/launcher.hpp"
 #include "dist/transport.hpp"
 #include "parallel/thread_pool.hpp"
+#include "tensor/kernels.hpp"
 #include "util/env.hpp"
 #include "util/error.hpp"
 #include "util/fault.hpp"
@@ -566,6 +567,70 @@ TEST(DistTrainer, LoopbackRanksMatchSingleProcessBitForBit) {
                        "rank0 vs single-process");
   expect_bit_identical(snapshot_params(*models[1]), reference,
                        "rank1 vs single-process");
+}
+
+// More ranks than interior rows: the step runs min(world, rows) shards, and
+// every rank past the last shard contributes exact zeros to the all-reduce.
+// Each case trains `world` loopback ranks on the first `rows` interior rows
+// and compares bitwise against a single process with threads = world.
+TEST(DistTrainer, LoopbackRanksMatchThreadsWhenRanksExceedRows) {
+  FaultGuard guard;
+  struct Case {
+    std::int64_t world;
+    std::int64_t rows;
+  };
+  for (const Case c : {Case{3, 2}, Case{4, 3}}) {
+    SCOPED_TRACE("world " + std::to_string(c.world) + " on " +
+                 std::to_string(c.rows) + " rows");
+    set_global_threads(1);
+    std::vector<std::shared_ptr<core::FieldModel>> models;
+    const auto make_trainer = [&](std::size_t threads,
+                                  std::shared_ptr<dist::Communicator> comm) {
+      auto problem = core::make_free_packet_problem();
+      auto model = dist_tiny_model(*problem);
+      core::TrainConfig config = dist_tiny_config(/*epochs=*/4, 0);
+      config.threads = threads;
+      config.dist = std::move(comm);
+      auto trainer = std::make_unique<core::Trainer>(problem, model, config);
+      trainer->replace_interior(
+          kernels::slice_rows(trainer->collocation().interior, 0, c.rows));
+      models.push_back(model);
+      return trainer;
+    };
+
+    make_trainer(static_cast<std::size_t>(c.world), nullptr)->fit();
+    const std::vector<Tensor> reference = snapshot_params(*models[0]);
+    models.clear();
+
+    auto comms = dist::Communicator::loopback(c.world);
+    std::vector<std::unique_ptr<core::Trainer>> trainers;
+    for (const auto& comm : comms) trainers.push_back(make_trainer(1, comm));
+    std::vector<std::exception_ptr> errors(comms.size());
+    std::vector<std::thread> workers;
+    for (std::size_t r = 1; r < trainers.size(); ++r) {
+      workers.emplace_back([&, r] {
+        try {
+          trainers[r]->fit();
+        } catch (...) {
+          errors[r] = std::current_exception();
+        }
+      });
+    }
+    try {
+      trainers[0]->fit();
+    } catch (...) {
+      errors[0] = std::current_exception();
+    }
+    for (std::thread& worker : workers) worker.join();
+    for (const std::exception_ptr& error : errors) {
+      if (error) std::rethrow_exception(error);
+    }
+
+    for (std::size_t r = 0; r < models.size(); ++r) {
+      expect_bit_identical(snapshot_params(*models[r]), reference,
+                           "rank " + std::to_string(r) + " vs threads");
+    }
+  }
 }
 
 TEST(DistTrainer, StopIsSynchronizedAcrossRanks) {

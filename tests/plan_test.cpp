@@ -279,6 +279,36 @@ TEST(PlanTrainer, ParallelShardsWithCurriculumBitIdentical) {
   set_global_threads(default_num_threads());
 }
 
+// More threads than interior rows: the step runs min(threads, rows)
+// one-row shards, each with its own plan, and replay still matches eager.
+TEST(PlanTrainer, MoreThreadsThanRowsBitIdentical) {
+  Fp64Guard precision_guard;
+  set_global_threads(4);
+  auto problem = make_free_packet_problem();
+  const auto losses = [&](GraphMode mode) {
+    TrainConfig config = plan_config(1);
+    config.threads = 4;
+    config.graph = mode;
+    Trainer trainer(problem, tiny_model(*problem, 23), config);
+    trainer.replace_interior(
+        kernels::slice_rows(trainer.collocation().interior, 0, 3));
+    std::vector<double> out;
+    for (std::int64_t e = 0; e < 20; ++e) {
+      out.push_back(trainer.step(e).total_loss);
+    }
+    return out;
+  };
+  plan::reset_plan_stats();
+  const auto eager = losses(GraphMode::kOff);
+  const auto replay = losses(GraphMode::kOn);
+  expect_bit_identical(eager, replay);
+  const plan::PlanStats stats = plan::plan_stats();
+  EXPECT_EQ(stats.plans_captured, 3u);
+  EXPECT_EQ(stats.replays, 3u * 19u);
+  EXPECT_EQ(stats.fallbacks, 0u);
+  set_global_threads(default_num_threads());
+}
+
 // Per-epoch resampling refreshes the pinned interior buffer in place, so a
 // captured plan survives it: one capture per shard, then steady-state
 // replays on fresh collocation points every epoch.
