@@ -106,14 +106,6 @@ std::unordered_map<BufKey, AccessCount> count_accesses(
   return acc;
 }
 
-/// True when `x` is a bias row vector against rank-2 `a` (the shape class
-/// bias_tanh_into/bias_sin_into accept).
-bool is_bias_row(const Tensor& a, const Tensor& x) {
-  if (a.rank() != 2) return false;
-  return (x.rank() == 1 && x.numel() == a.cols()) ||
-         (x.rank() == 2 && x.rows() == 1 && x.cols() == a.cols());
-}
-
 std::size_t fuse_elementwise(std::vector<Thunk>& ts,
                              const std::unordered_set<BufKey>& outputs) {
   std::size_t fused_total = 0;
@@ -161,7 +153,7 @@ std::size_t fuse_elementwise(std::vector<Thunk>& ts,
           links(ts[i], ts[i + 1], 0) &&
           (is_unary(ts[i + 1], &k::tanh_into) ||
            is_unary(ts[i + 1], &k::sin_into)) &&
-          is_bias_row(ts[i].ins[0], ts[i].ins[1]) &&
+          is_row_vector_of(ts[i].ins[1].shape(), ts[i].ins[0].shape()) &&
           ts[i].out.same_shape(ts[i].ins[0])) {
         Thunk& act = ts[i + 1];
         const bool is_tanh = is_unary(act, &k::tanh_into);

@@ -10,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "autodiff/plan_passes.hpp"
 #include "tensor/kernels.hpp"
 #include "tensor/kernels_f32.hpp"
 #include "tensor/storage_pool.hpp"
@@ -72,23 +73,6 @@ struct Residency {
   bool v32 = false;  ///< fp32 shadow holds the current value
   Shadow shadow;     ///< allocated lazily on first fp32 use
 };
-
-/// True for the rank-2 row-broadcast operand layout bin_row handles
-/// (full-shape `a`, row-vector `b`), mirroring the fast-path test in
-/// kernels.cpp binary_apply_into.
-bool is_row_broadcast(const Tensor& a, const Tensor& b, const Tensor& o) {
-  if (o.rank() != 2 || !a.same_shape(o) || o.cols() < 2) return false;
-  return (b.rank() == 1 && b.numel() == o.cols()) ||
-         (b.rank() == 2 && b.rows() == 1 && b.cols() == o.cols());
-}
-
-/// True for the rank-2 row-collapse sum_to fast path ({n,m} -> {m} or
-/// {1,m}).
-bool is_row_collapse(const Tensor& a, const Tensor& o) {
-  if (a.rank() != 2) return false;
-  return (o.rank() == 1 && o.numel() == a.cols()) ||
-         (o.rank() == 2 && o.rows() == 1 && o.cols() == a.cols());
-}
 
 /// The demotion walk over one plan's thunk array. Emitted closures
 /// capture only raw pointers and immediates: the fp64 buffers stay
@@ -327,7 +311,7 @@ class Demoter {
         wrote_f32(o);
         return true;
       }
-      if (t.k1 == &k::sum_to_into && is_row_collapse(a, o)) {
+      if (t.k1 == &k::sum_to_into && is_row_vector_of(o.shape(), a.shape())) {
         const float* ap = read_f32(a);
         float* op = write_f32(o);
         const auto rows = static_cast<std::size_t>(a.rows());
@@ -401,7 +385,7 @@ class Demoter {
     }
 
     if (t.k2 == &k::bias_tanh_into || t.k2 == &k::bias_sin_into) {
-      if (a.rank() != 2 || b.numel() != a.cols()) return false;
+      if (!is_row_vector_of(b.shape(), a.shape())) return false;
       const bool is_tanh = t.k2 == &k::bias_tanh_into;
       const float* ap = read_f32(a);
       const float* bp = read_f32(b);
@@ -433,12 +417,7 @@ class Demoter {
       // ins are (weights, residual); weights are either same-shape or a
       // per-row column vector against a rank-2 residual.
       const bool roww = !a.same_shape(b);
-      if (roww &&
-          !(b.rank() == 2 && ((a.rank() == 1 && a.numel() == b.rows()) ||
-                              (a.rank() == 2 && a.rows() == b.rows() &&
-                               a.cols() == 1)))) {
-        return false;
-      }
+      if (roww && !is_column_vector_of(a.shape(), b.shape())) return false;
       const float* wp = read_f32(a);
       const float* ap = read_f32(b);
       double* po = const_cast<Tensor&>(o).data();
@@ -493,7 +472,7 @@ class Demoter {
       wrote_f32(o);
       return true;
     }
-    if (is_row_broadcast(a, b, o)) {
+    if (is_row_vector_of(b.shape(), a.shape())) {
       const float* ap = read_f32(a);
       const float* bp = read_f32(b);
       float* op = write_f32(o);
@@ -523,6 +502,18 @@ DemoteStats demote_plan(plan::ExecutionPlan& plan,
   Demoter d(plan.take_thunks());
   plan.set_thunks(d.run(outputs));
   return d.stats();
+}
+
+FinalizeStats finalize_plan(plan::ExecutionPlan& plan,
+                            const std::vector<Tensor>& outputs) {
+  FinalizeStats stats;
+  if (plan::plan_opt_env_enabled()) {
+    stats.passes = plan::optimize_plan(plan, outputs);
+  }
+  if (precision_mode() == Precision::kMixed) {
+    stats.demotion = demote_plan(plan, outputs);
+  }
+  return stats;
 }
 
 }  // namespace qpinn::autodiff

@@ -35,6 +35,7 @@
 #pragma once
 
 #include <cstddef>
+#include <optional>
 #include <vector>
 
 #include "autodiff/plan.hpp"
@@ -76,5 +77,21 @@ struct DemoteStats {
 /// by plan::optimize_plan; must be the LAST pass applied.
 DemoteStats demote_plan(plan::ExecutionPlan& plan,
                         const std::vector<Tensor>& outputs);
+
+/// What finalize_plan ran: the optimizer's stats when QPINN_PLAN_OPT is
+/// on, the demotion stats when the precision mode is mixed.
+struct FinalizeStats {
+  std::optional<plan::PassStats> passes;
+  std::optional<DemoteStats> demotion;
+};
+
+/// The finalize policy of every captured plan (trainer shards, serving
+/// lanes): plan::optimize_plan when plan::plan_opt_env_enabled(), then
+/// demote_plan when precision_mode() is kMixed — demotion last, because a
+/// demoted plan is terminal. `outputs` are the host-read buffers, declared
+/// to both passes. Call once the eager Variable graph of the capture is
+/// destroyed, so the passes see plan-private intermediates.
+FinalizeStats finalize_plan(plan::ExecutionPlan& plan,
+                            const std::vector<Tensor>& outputs);
 
 }  // namespace qpinn::autodiff

@@ -119,7 +119,10 @@ Trainer::Trainer(std::shared_ptr<Problem> problem,
   graph_enabled_ =
       config_.graph == GraphMode::kOn ||
       (config_.graph == GraphMode::kEnv && plan::graph_env_enabled());
-  plan_opt_enabled_ = plan::plan_opt_env_enabled();
+  // Validate QPINN_PLAN_OPT here so a malformed value fails at
+  // construction, not at the first capture inside a pool shard task;
+  // finalize_plan re-reads it on every capture.
+  plan::plan_opt_env_enabled();
   // The executor's single dist policy: dist steps run eager. A captured
   // plan pins one epoch's sharding, but rank failure (degrade/rejoin) can
   // reshape the step mid-run. Composing graph replay with dist is a
@@ -237,7 +240,7 @@ void Trainer::run_shard(ShardMode mode, Shard& shard,
   if (mode == ShardMode::kCapture) {
     shard.points = points;
     shard.weights = shard_weights;
-    optimize_shard_plan(shard);
+    finalize_shard_plan(shard);
   }
 }
 
@@ -282,31 +285,27 @@ Trainer::PlanKey Trainer::current_plan_key() const {
   return key;
 }
 
-void Trainer::optimize_shard_plan(Shard& sp) {
+void Trainer::finalize_shard_plan(Shard& sp) {
   std::vector<Tensor> outputs;
   outputs.reserve(sp.grads.size() + sp.aux.size() + 1);
   outputs.push_back(sp.loss);
   for (const Tensor& g : sp.grads) outputs.push_back(g);
   for (const AuxBinding& b : sp.aux) outputs.push_back(b.value);
-  if (plan_opt_enabled_) {
-    const plan::PassStats stats = plan::optimize_plan(sp.plan, outputs);
+  const FinalizeStats stats = finalize_plan(sp.plan, outputs);
+  if (const auto& p = stats.passes) {
     log::debug() << problem_->name() << " plan optimized: "
-                 << stats.thunks_before << " -> " << stats.thunks_after
-                 << " thunks (" << stats.dead_eliminated << " dead, "
-                 << stats.fused << " fused), arena "
-                 << stats.arena_bytes_before << " -> "
-                 << stats.arena_bytes_after << " bytes ("
-                 << stats.buffers_rebound << " buffers re-bound)";
+                 << p->thunks_before << " -> " << p->thunks_after
+                 << " thunks (" << p->dead_eliminated << " dead, "
+                 << p->fused << " fused), arena " << p->arena_bytes_before
+                 << " -> " << p->arena_bytes_after << " bytes ("
+                 << p->buffers_rebound << " buffers re-bound)";
   }
-  if (precision_mode() == Precision::kMixed) {
-    // Must run after the optimizer passes: demoted thunks are opaque
-    // closures the passes cannot analyze.
-    const DemoteStats d = demote_plan(sp.plan, outputs);
+  if (const auto& d = stats.demotion) {
     log::debug() << problem_->name() << " plan demoted to mixed precision: "
-                 << d.demoted << "/" << d.thunks_before
-                 << " thunks fp32 (" << d.kept_fp64 << " kept fp64, "
-                 << d.downcasts << " downcasts, " << d.upcasts
-                 << " upcasts, " << d.shadow_bytes << " shadow bytes)";
+                 << d->demoted << "/" << d->thunks_before
+                 << " thunks fp32 (" << d->kept_fp64 << " kept fp64, "
+                 << d->downcasts << " downcasts, " << d->upcasts
+                 << " upcasts, " << d->shadow_bytes << " shadow bytes)";
   }
 }
 

@@ -302,15 +302,12 @@ class Trainer {
   };
   PlanKey current_plan_key() const;
 
-  /// Finalizes one shard's capture: runs the optimizer passes
-  /// (autodiff/plan_passes.hpp) when QPINN_PLAN_OPT is on, then the
-  /// mixed-precision demotion pass (autodiff/precision.hpp) when
-  /// QPINN_PRECISION=mixed — demotion must be last, a demoted plan is
-  /// terminal. The host-read buffers (loss, grads, aux) are declared as
-  /// plan outputs for both. Called after the CaptureScope block, once the
+  /// Finalizes one shard's capture through autodiff::finalize_plan with
+  /// the host-read buffers (loss, grads, aux) as plan outputs, and logs
+  /// what the passes did. Called after the CaptureScope block, once the
   /// eager Variable graph is destroyed; thread-safe (per-shard state
   /// only).
-  void optimize_shard_plan(Shard& sp);
+  void finalize_shard_plan(Shard& sp);
 
   /// The only way points_.interior is rebound to a different tensor: bumps
   /// interior_generation_ so a captured plan cannot outlive the rebind.
@@ -350,9 +347,6 @@ class Trainer {
   std::unique_ptr<optim::Adam> optimizer_;
   std::unique_ptr<optim::LrSchedule> schedule_;
   bool graph_enabled_ = false;
-  /// QPINN_PLAN_OPT at construction: run the optimizer passes
-  /// (autodiff/plan_passes.hpp) over every finalized capture.
-  bool plan_opt_enabled_ = false;
   /// Bumped by rebind_interior (see PlanKey::interior_generation). The
   /// in-place resample (copy_into) deliberately does NOT bump — same
   /// buffer, plan stays hot.

@@ -84,30 +84,19 @@ void ThreadPool::for_each_chunk(
     fn(0, 0, n);
     return;
   }
-  const std::size_t base = n / chunks;
-  const std::size_t extra = n % chunks;
-
   std::vector<std::future<void>> futures;
   futures.reserve(chunks - 1);
-  std::size_t begin = 0;
-  std::size_t first_begin = 0, first_end = 0;
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t len = base + (c < extra ? 1 : 0);
-    const std::size_t end = begin + len;
-    if (c == 0) {
-      // Chunk 0 runs on the calling thread so the pool never deadlocks when
-      // invoked from inside a pool task.
-      first_begin = begin;
-      first_end = end;
-    } else {
-      futures.push_back(
-          submit([&fn, c, begin, end] { fn(c, begin, end); }));
-    }
-    begin = end;
+  for (std::size_t c = 1; c < chunks; ++c) {
+    const auto range = chunk_range(n, chunks, c);
+    futures.push_back(
+        submit([&fn, c, range] { fn(c, range.first, range.second); }));
   }
   std::exception_ptr error;
   try {
-    fn(0, first_begin, first_end);
+    // Chunk 0 runs on the calling thread so the pool never deadlocks when
+    // invoked from inside a pool task.
+    const auto [begin, end] = chunk_range(n, chunks, 0);
+    fn(0, begin, end);
   } catch (...) {
     error = std::current_exception();
   }

@@ -10,6 +10,7 @@
 // dynamic behavior in CI). Task bodies themselves run unlocked.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -18,11 +19,24 @@
 #include <future>
 #include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "util/mutex.hpp"
 
 namespace qpinn {
+
+/// [begin, end) of chunk `c` when [0, n) is cut into `chunks` contiguous
+/// chunks, the first n % chunks of them one element longer — the
+/// partition ThreadPool::for_each_chunk runs.
+inline std::pair<std::size_t, std::size_t> chunk_range(std::size_t n,
+                                                       std::size_t chunks,
+                                                       std::size_t c) {
+  const std::size_t base = n / chunks;
+  const std::size_t extra = n % chunks;
+  const std::size_t begin = c * base + std::min(c, extra);
+  return {begin, begin + base + (c < extra ? 1 : 0)};
+}
 
 class ThreadPool {
  public:
@@ -48,8 +62,8 @@ class ThreadPool {
   void for_each_index(std::size_t n, const std::function<void(std::size_t)>& fn);
 
   /// Runs fn(chunk_index, begin, end) over a static partition of [0, n)
-  /// into exactly min(size(), n) chunks. Useful when per-chunk scratch
-  /// state is needed (e.g. per-shard gradients).
+  /// into exactly min(size(), n) chunks (see chunk_range). Useful when
+  /// per-chunk scratch state is needed (e.g. per-shard gradients).
   void for_each_chunk(
       std::size_t n,
       const std::function<void(std::size_t chunk, std::size_t begin,

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "autodiff/ops.hpp"
-#include "autodiff/plan_passes.hpp"
 #include "autodiff/precision.hpp"
 #include "autodiff/variable.hpp"
 #include "util/env.hpp"
@@ -46,14 +45,8 @@ CompiledModel::CompiledModel(std::shared_ptr<core::FieldModel> model,
     }
     // The forward graph is gone (constants only, destroyed with the
     // block), so the pass pipeline sees plan-private intermediates; the
-    // lane's output stays pinned. Demotion (when QPINN_PRECISION=mixed)
-    // must run last: a demoted plan is terminal.
-    if (autodiff::plan::plan_opt_env_enabled()) {
-      autodiff::plan::optimize_plan(lane->plan, {lane->output});
-    }
-    if (autodiff::precision_mode() == autodiff::Precision::kMixed) {
-      autodiff::demote_plan(lane->plan, {lane->output});
-    }
+    // lane's output stays pinned.
+    autodiff::finalize_plan(lane->plan, {lane->output});
     lanes_.push_back(std::move(lane));
   }
 }

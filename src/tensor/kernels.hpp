@@ -1,10 +1,13 @@
 // Compute kernels on raw tensors.
 //
 // These are the only routines that touch tensor memory directly; the
-// autodiff layer composes them. Large elementwise loops, reductions, and
-// the matmul family are parallelized over the global thread pool, and the
-// arithmetic hot loops dispatch through the runtime-selected SIMD kernel
-// table (tensor/simd.hpp; QPINN_SIMD overrides the choice).
+// autodiff layer composes them. Each X_into validates its operands and
+// shapes and makes one call into the precision-generic kernel body
+// exec::X (tensor/executors.hpp), which owns the chunking over the global
+// thread pool and dispatches through the runtime-selected SIMD kernel
+// table (tensor/simd.hpp; QPINN_SIMD overrides the choice). The same
+// bodies at T = float are the mixed-precision executors
+// (tensor/kernels_f32.hpp).
 //
 // Storage contract: every value-returning kernel returns FRESH storage the
 // caller may mutate freely — no path aliases an operand's buffer, including
@@ -102,11 +105,13 @@ Tensor square_sum_all(const Tensor& a);
 Tensor weighted_square_sum_all(const Tensor& w, const Tensor& a);
 
 // ---- preallocated-output variants (graph capture & replay) ----------------
-// Each X_into(out, ...) computes exactly what X(...) returns, written into a
-// caller-provided tensor whose shape must already match the result (checked).
-// The autodiff execution plan (autodiff/plan.hpp) records these against the
-// buffers pinned at capture so steady-state replay performs zero
-// allocations; results are bit-identical to the value-returning versions.
+// Each X_into(out, ...) writes what X(...) returns into a caller-provided
+// tensor whose shape must already match the result (checked). This holds
+// by construction: every value-returning X allocates its result shape
+// uninitialized and calls X_into. The autodiff execution plan
+// (autodiff/plan.hpp) records these against the buffers pinned at capture
+// so steady-state replay performs zero allocations and is bit-identical to
+// eager execution.
 void add_into(Tensor& out, const Tensor& a, const Tensor& b);
 void sub_into(Tensor& out, const Tensor& a, const Tensor& b);
 void mul_into(Tensor& out, const Tensor& a, const Tensor& b);

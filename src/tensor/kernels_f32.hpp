@@ -1,28 +1,25 @@
-// fp32 executor layer for mixed-precision plan replay.
+// fp32 executors for mixed-precision plan replay.
 //
-// These are raw-buffer kernels (float* / const float*, explicit shapes),
-// not Tensor operations: the fp32 shadow buffers that mixed-precision
-// replay writes (see src/autodiff/precision.cpp) are plain pooled
-// std::vector<float> storage with no Tensor wrapper. Shapes were already
-// validated when the fp64 plan was captured, so this layer does no
-// checking — it only dispatches through simd::active_f32() with the same
-// chunking/grain policy as the fp64 paths in kernels.cpp.
+// The executors are the precision-generic kernel bodies of
+// tensor/executors.hpp, named here for T = float: kernels_f32::X is
+// exec::X, the same template the fp64 Tensor kernel X_into runs, so fp32
+// replay follows the fp64 chunking and fast-path policy by construction.
+// They take raw buffers (float* / const float*, explicit extents) because
+// the fp32 shadow buffers of a demoted plan (src/autodiff/precision.cpp)
+// are plain pooled std::vector<float> storage with no Tensor wrapper;
+// shapes were validated when the fp64 plan was captured, so nothing here
+// checks them. Reductions accumulate in and return double, preserving the
+// fp64 loss accumulation of mixed mode.
 //
-// This header and its .cpp are, together with the SIMD layer, the only
-// code allowed to convert between double and float (enforced by
-// tools/qpinn_lint.py banned-naked-float-cast): downcast/upcast are the
-// sole precision boundary, and every scalar immediate crossing into a
-// kernel is cast exactly once at entry.
-//
-// Reductions accumulate in and return double (the fp32 tables promote
-// per element), preserving the fp64 loss-accumulation contract of mixed
-// mode.
+// downcast/upcast are the only precision-specific code: together with the
+// SIMD layer, src/tensor/ is the only place allowed to convert between
+// double and float (enforced by tools/qpinn_lint.py banned-naked-float-cast),
+// and these two are the sole precision boundary of a demoted plan.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 
-#include "tensor/simd.hpp"
+#include "tensor/executors.hpp"
 
 namespace qpinn::kernels_f32 {
 
@@ -35,80 +32,19 @@ void downcast(float* dst, const double* src, std::size_t n);
 /// dst[i] = (double)src[i] — exact (every float is a double).
 void upcast(double* dst, const float* src, std::size_t n);
 
-// ---- elementwise ---------------------------------------------------------
+// ---- executors (see tensor/executors.hpp for each contract) --------------
 
-/// o[i] = a[i] op b[i], contiguous same length.
-void bin_same(simd::BinOp op, const float* a, const float* b, float* o,
-              std::size_t n);
-/// o[r][c] = a[r][c] op b[c] (rank-2 row broadcast, the bias pattern).
-void bin_row(simd::BinOp op, const float* a, const float* b, float* o,
-             std::size_t rows, std::size_t cols);
-/// o[i] = a[i] op s (scalar right operand, read from the fp64 plan buffer
-/// at replay time).
-void bin_scalar_rhs(simd::BinOp op, const float* a, double s, float* o,
-                    std::size_t n);
-/// o[i] = s op b[i] (scalar left operand).
-void bin_scalar_lhs(simd::BinOp op, double s, const float* b, float* o,
-                    std::size_t n);
-
-void neg(const float* a, float* o, std::size_t n);
-void square(const float* a, float* o, std::size_t n);
-void sqrt(const float* a, float* o, std::size_t n);
-void reciprocal(const float* a, float* o, std::size_t n);
-void relu(const float* a, float* o, std::size_t n);
-void abs(const float* a, float* o, std::size_t n);
-void step(const float* a, float* o, std::size_t n);
-void sign(const float* a, float* o, std::size_t n);
-void tanh(const float* a, float* o, std::size_t n);
-void exp(const float* a, float* o, std::size_t n);
-void log(const float* a, float* o, std::size_t n);
-void sin(const float* a, float* o, std::size_t n);
-void cos(const float* a, float* o, std::size_t n);
-void sigmoid(const float* a, float* o, std::size_t n);
-void softplus(const float* a, float* o, std::size_t n);
-
-void scale(const float* a, double s, float* o, std::size_t n);
-void add_scalar(const float* a, double s, float* o, std::size_t n);
-void pow_scalar(const float* a, double p, float* o, std::size_t n);
-
-/// o[r][c] = tanh(a[r][c] + b[c]) — fused hidden-layer forward.
-void bias_tanh(const float* a, const float* b, float* o, std::size_t rows,
-               std::size_t cols);
-/// o[r][c] = sin(a[r][c] + b[c]).
-void bias_sin(const float* a, const float* b, float* o, std::size_t rows,
-              std::size_t cols);
-/// o[i] = g[i] * (1 - t[i]^2) — fused tanh backward.
-void tanh_grad(const float* g, const float* t, float* o, std::size_t n);
-
-// ---- data movement -------------------------------------------------------
-
-void copy(float* dst, const float* src, std::size_t n);
-void fill_zero(float* o, std::size_t n);
-/// o[i] = (float)v for all i — scalar broadcast_to, value read from the
-/// fp64 plan buffer at replay time.
-void fill_value(float* o, double v, std::size_t n);
-/// dst[i] += s * src[i] (gradient accumulation in kAxpyAcc/kCopyAxpy).
-void axpy(float* dst, double s, const float* src, std::size_t n);
-/// out[m][n] = a[n][m]^T.
-void transpose(const float* a, float* o, std::int64_t n, std::int64_t m);
-/// o[c] = sum_r a[r][c] — the rank-2 row-collapse of sum_to.
-void sum_to_rows(const float* a, float* o, std::size_t rows,
-                 std::size_t cols);
-
-// ---- matmul --------------------------------------------------------------
-
-/// out[n,m] = a[n,k] * b[k,m].
-void matmul(const float* a, const float* b, float* o, std::int64_t n,
-            std::int64_t k, std::int64_t m);
-
-// ---- reductions (double accumulation) ------------------------------------
-
-double sum(const float* a, std::size_t n);
-double square_sum(const float* a, std::size_t n);
-/// sum_i w[i] * a[i]^2, same-shape contiguous operands.
-double weighted_square_sum(const float* w, const float* a, std::size_t n);
-/// sum_r w[r] * sum_c a[r][c]^2 — per-row weights (the PINN loss shape).
-double weighted_square_sum_rows(const float* w, const float* a,
-                                std::size_t rows, std::size_t cols);
+using exec::bin_row, exec::bin_same, exec::bin_scalar_lhs,
+    exec::bin_scalar_rhs;
+using exec::abs, exec::cos, exec::exp, exec::log, exec::neg,
+    exec::reciprocal, exec::relu, exec::sigmoid, exec::sign, exec::sin,
+    exec::softplus, exec::sqrt, exec::square, exec::step, exec::tanh;
+using exec::add_scalar, exec::pow_scalar, exec::scale;
+using exec::bias_sin, exec::bias_tanh, exec::tanh_grad;
+using exec::axpy, exec::copy, exec::fill_value, exec::fill_zero,
+    exec::sum_to_rows, exec::transpose;
+using exec::matmul;
+using exec::square_sum, exec::sum, exec::weighted_square_sum,
+    exec::weighted_square_sum_rows;
 
 }  // namespace qpinn::kernels_f32

@@ -71,4 +71,16 @@ void check_shape_valid(const Shape& shape) {
   }
 }
 
+bool is_row_vector_of(const Shape& v, const Shape& mat) {
+  if (mat.size() != 2) return false;
+  return (v.size() == 1 && v[0] == mat[1]) ||
+         (v.size() == 2 && v[0] == 1 && v[1] == mat[1]);
+}
+
+bool is_column_vector_of(const Shape& v, const Shape& mat) {
+  if (mat.size() != 2) return false;
+  return (v.size() == 1 && v[0] == mat[0]) ||
+         (v.size() == 2 && v[0] == mat[0] && v[1] == 1);
+}
+
 }  // namespace qpinn

@@ -31,4 +31,17 @@ bool broadcastable_to(const Shape& from, const Shape& to);
 /// Validates that every extent is positive; throws ShapeError otherwise.
 void check_shape_valid(const Shape& shape);
 
+// Shape classes of the kernel fast paths. The kernels, the plan fusion
+// pass and the mixed-precision demoter all test these, so they cannot
+// disagree on which path an op takes.
+
+/// True when `v` is a row vector ({m} or {1, m}) across the columns of the
+/// rank-2 shape `mat` = {n, m}: a bias / row-broadcast operand, and the
+/// target of the row-collapsing sum_to.
+bool is_row_vector_of(const Shape& v, const Shape& mat);
+
+/// True when `v` is a column vector ({n} or {n, 1}) down the rows of the
+/// rank-2 shape `mat` = {n, m}: per-row loss weights.
+bool is_column_vector_of(const Shape& v, const Shape& mat);
+
 }  // namespace qpinn

@@ -1,5 +1,6 @@
 // Runtime dispatch for the SIMD layer: CPU feature detection, the
-// QPINN_SIMD override, and the atomic active-table pointer.
+// QPINN_SIMD override, and the atomic pointer to the active variant's
+// fp64/fp32 table pair.
 //
 // The per-ISA tables themselves live in simd_scalar.cpp / simd_sse2.cpp /
 // simd_avx2.cpp / simd_neon.cpp, each compiled with the matching target
@@ -21,19 +22,15 @@ namespace qpinn::simd {
 namespace detail {
 
 // Defined in the per-ISA translation units.
-const KernelTable* scalar_table();
-const KernelTableF* scalar_table_f32();
+const Tables* scalar_tables();
 #if defined(QPINN_SIMD_X86)
-const KernelTable* sse2_table();
-const KernelTableF* sse2_table_f32();
+const Tables* sse2_tables();
 #endif
 #if defined(QPINN_HAVE_AVX2_TU)
-const KernelTable* avx2_table();
-const KernelTableF* avx2_table_f32();
+const Tables* avx2_tables();
 #endif
 #if defined(QPINN_SIMD_NEON)
-const KernelTable* neon_table();
-const KernelTableF* neon_table_f32();
+const Tables* neon_tables();
 #endif
 
 namespace {
@@ -68,26 +65,26 @@ bool cpu_supports(Isa isa) {
 }
 
 // Null when the variant is compiled out or unsupported on this CPU.
-const KernelTable* table_for(Isa isa) {
+const Tables* tables_for(Isa isa) {
   if (!cpu_supports(isa)) return nullptr;
   switch (isa) {
     case Isa::kScalar:
-      return scalar_table();
+      return scalar_tables();
     case Isa::kSse2:
 #if defined(QPINN_SIMD_X86)
-      return sse2_table();
+      return sse2_tables();
 #else
       return nullptr;
 #endif
     case Isa::kAvx2:
 #if defined(QPINN_HAVE_AVX2_TU)
-      return avx2_table();
+      return avx2_tables();
 #else
       return nullptr;
 #endif
     case Isa::kNeon:
 #if defined(QPINN_SIMD_NEON)
-      return neon_table();
+      return neon_tables();
 #else
       return nullptr;
 #endif
@@ -95,40 +92,11 @@ const KernelTable* table_for(Isa isa) {
   return nullptr;
 }
 
-// The fp32 twin of table_for; same guards, so whenever table_for(isa)
-// returns non-null this does too.
-const KernelTableF* table_f32_for(Isa isa) {
-  if (!cpu_supports(isa)) return nullptr;
-  switch (isa) {
-    case Isa::kScalar:
-      return scalar_table_f32();
-    case Isa::kSse2:
-#if defined(QPINN_SIMD_X86)
-      return sse2_table_f32();
-#else
-      return nullptr;
-#endif
-    case Isa::kAvx2:
-#if defined(QPINN_HAVE_AVX2_TU)
-      return avx2_table_f32();
-#else
-      return nullptr;
-#endif
-    case Isa::kNeon:
-#if defined(QPINN_SIMD_NEON)
-      return neon_table_f32();
-#else
-      return nullptr;
-#endif
-  }
-  return nullptr;
-}
-
-const KernelTable* resolve_initial() {
+const Tables* resolve_initial() {
   const std::string requested = env_string("QPINN_SIMD");
   if (!requested.empty()) {
     const Isa isa = parse_isa(requested);
-    const KernelTable* t = table_for(isa);
+    const Tables* t = tables_for(isa);
     if (t == nullptr) {
       throw ConfigError("QPINN_SIMD requests '" + std::string(isa_name(isa)) +
                         "', which is not available on this build/CPU");
@@ -136,40 +104,33 @@ const KernelTable* resolve_initial() {
     return t;
   }
   for (const Isa isa : {Isa::kAvx2, Isa::kNeon, Isa::kSse2}) {
-    if (const KernelTable* t = table_for(isa)) return t;
+    if (const Tables* t = tables_for(isa)) return t;
   }
-  return scalar_table();
+  return scalar_tables();
 }
 
-std::atomic<const KernelTable*> g_active{nullptr};
+std::atomic<const Tables*> g_active{nullptr};
 
 }  // namespace
 
-}  // namespace detail
-
-const KernelTable& active() {
-  const KernelTable* t = detail::g_active.load(std::memory_order_acquire);
+const Tables& active_tables() {
+  const Tables* t = g_active.load(std::memory_order_acquire);
   if (t != nullptr) return *t;
   static std::once_flag once;
   std::call_once(once, [] {
-    detail::g_active.store(detail::resolve_initial(),
-                           std::memory_order_release);
+    g_active.store(resolve_initial(), std::memory_order_release);
   });
-  return *detail::g_active.load(std::memory_order_acquire);
+  return *g_active.load(std::memory_order_acquire);
 }
 
-const KernelTableF& active_f32() {
-  // Derived from the fp64 table so both widths always agree on the ISA
-  // (force_isa swaps them together; QPINN_SIMD picks both).
-  return *detail::table_f32_for(active().isa);
-}
+}  // namespace detail
 
 Isa active_isa() { return active().isa; }
 
 bool force_isa(Isa isa) {
-  const KernelTable* t = detail::table_for(isa);
+  const Tables* t = detail::tables_for(isa);
   if (t == nullptr) return false;
-  active();  // make sure first-use resolution has happened
+  detail::active_tables();  // make sure first-use resolution has happened
   detail::g_active.store(t, std::memory_order_release);
   return true;
 }
@@ -177,7 +138,7 @@ bool force_isa(Isa isa) {
 std::vector<Isa> available_isas() {
   std::vector<Isa> out;
   for (const Isa isa : {Isa::kAvx2, Isa::kNeon, Isa::kSse2, Isa::kScalar}) {
-    if (detail::table_for(isa) != nullptr) out.push_back(isa);
+    if (detail::tables_for(isa) != nullptr) out.push_back(isa);
   }
   return out;
 }

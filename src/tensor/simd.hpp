@@ -11,13 +11,15 @@
 //      binaries, reductions, in-place BLAS-1 style updates, the fused
 //      Adam sweep, and the matmul micro-kernels. `KernelTable` is the
 //      fp64 table (`KernelTableT<double>`), `KernelTableF` the fp32 one.
-//   2. `active()` / `active_f32()`, which return the tables selected
-//      once at first use by runtime CPU detection (cpuid-backed
-//      __builtin_cpu_supports on x86, compile-target NEON on aarch64),
-//      overridable with the QPINN_SIMD environment variable
+//   2. `table<T>()`, which returns the table of element type T from the
+//      variant selected once at first use by runtime CPU detection
+//      (cpuid-backed __builtin_cpu_supports on x86, compile-target NEON
+//      on aarch64), overridable with the QPINN_SIMD environment variable
 //      (off|scalar|sse2|avx2|neon) and, for tests, switchable at
-//      runtime with force_isa(). Both element widths always dispatch to
-//      the same ISA.
+//      runtime with force_isa(). Both element widths come from one
+//      atomic load of the active variant's table pair, so they always
+//      dispatch to the same ISA. The precision-generic kernel bodies in
+//      tensor/executors.hpp are its callers.
 //
 // Kernel implementations are written once as width- and element-
 // agnostic templates over a small vector wrapper (VecScalar / VecSse2 /
@@ -167,12 +169,33 @@ struct KernelTableT {
 using KernelTable = KernelTableT<double>;
 using KernelTableF = KernelTableT<float>;
 
-/// The active fp64 kernel table. First call resolves it from the CPU and
-/// the QPINN_SIMD override; later calls are one atomic load.
-const KernelTable& active();
+/// Both element widths of one instruction-set variant.
+struct Tables {
+  const KernelTable* f64;
+  const KernelTableF* f32;
+};
 
-/// The active fp32 kernel table; always the same ISA as active().
-const KernelTableF& active_f32();
+namespace detail {
+/// The active variant's tables. First call resolves them from the CPU and
+/// the QPINN_SIMD override; later calls are one atomic load.
+const Tables& active_tables();
+}  // namespace detail
+
+/// The active kernel table for element type T (double or float). Both
+/// widths come from one variant, so they always agree on the ISA.
+template <class T>
+const KernelTableT<T>& table() {
+  const Tables& t = detail::active_tables();
+  if constexpr (std::is_same_v<T, float>) {
+    return *t.f32;
+  } else {
+    return *t.f64;
+  }
+}
+
+/// table<double>() and table<float>().
+inline const KernelTable& active() { return table<double>(); }
+inline const KernelTableF& active_f32() { return table<float>(); }
 
 /// Shorthand for active().isa.
 Isa active_isa();

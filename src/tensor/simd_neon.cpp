@@ -7,14 +7,12 @@
 
 namespace qpinn::simd::detail {
 
-const KernelTable* neon_table() {
-  static const KernelTable table = make_table<VecNeon>(Isa::kNeon, "neon");
-  return &table;
-}
-
-const KernelTableF* neon_table_f32() {
-  static const KernelTableF table = make_table<VecNeonF>(Isa::kNeon, "neon");
-  return &table;
+const Tables* neon_tables() {
+  static const KernelTable f64 = make_table<VecNeon>(Isa::kNeon, "neon");
+  static const KernelTableF f32 =
+      make_table<VecNeonF>(Isa::kNeon, "neon");
+  static const Tables tables{&f64, &f32};
+  return &tables;
 }
 
 }  // namespace qpinn::simd::detail

@@ -8,16 +8,12 @@
 
 namespace qpinn::simd::detail {
 
-const KernelTable* scalar_table() {
-  static const KernelTable table =
-      make_table<VecScalar>(Isa::kScalar, "scalar");
-  return &table;
-}
-
-const KernelTableF* scalar_table_f32() {
-  static const KernelTableF table =
+const Tables* scalar_tables() {
+  static const KernelTable f64 = make_table<VecScalar>(Isa::kScalar, "scalar");
+  static const KernelTableF f32 =
       make_table<VecScalarF>(Isa::kScalar, "scalar");
-  return &table;
+  static const Tables tables{&f64, &f32};
+  return &tables;
 }
 
 }  // namespace qpinn::simd::detail

@@ -7,14 +7,12 @@
 
 namespace qpinn::simd::detail {
 
-const KernelTable* sse2_table() {
-  static const KernelTable table = make_table<VecSse2>(Isa::kSse2, "sse2");
-  return &table;
-}
-
-const KernelTableF* sse2_table_f32() {
-  static const KernelTableF table = make_table<VecSse2F>(Isa::kSse2, "sse2");
-  return &table;
+const Tables* sse2_tables() {
+  static const KernelTable f64 = make_table<VecSse2>(Isa::kSse2, "sse2");
+  static const KernelTableF f32 =
+      make_table<VecSse2F>(Isa::kSse2, "sse2");
+  static const Tables tables{&f64, &f32};
+  return &tables;
 }
 
 }  // namespace qpinn::simd::detail

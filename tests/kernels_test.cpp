@@ -2,10 +2,18 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <functional>
 #include <limits>
+#include <set>
+#include <string>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 #include "parallel/thread_pool.hpp"
 #include "tensor/kernels.hpp"
+#include "tensor/simd.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -401,6 +409,227 @@ TEST(Kernels, DotAndNorm) {
   const Tensor a = Tensor::from_vector({3, 4}, {2});
   EXPECT_DOUBLE_EQ(dot(a, a), 25.0);
   EXPECT_DOUBLE_EQ(norm2(a), 5.0);
+}
+
+// ---- value kernels vs their _into twins -----------------------------------
+
+/// Equal shapes and equal bytes, so NaN payloads and signed zeros count.
+bool same_bits(const Tensor& x, const Tensor& y) {
+  return x.shape() == y.shape() &&
+         std::memcmp(x.data(), y.data(),
+                     sizeof(double) * static_cast<std::size_t>(x.numel())) ==
+             0;
+}
+
+/// One value kernel call and the same call through its _into twin.
+struct TwinCase {
+  std::string kernel;
+  std::string operands;
+  std::function<Tensor()> value;
+  std::function<void(Tensor&)> into;
+};
+
+std::string shape_list(const std::vector<Tensor>& ts) {
+  std::string s;
+  for (const Tensor& t : ts) s += shape_to_string(t.shape());
+  return s;
+}
+
+/// Every value-returning kernel over the shape classes its fast paths
+/// distinguish: same shape, scalar rhs/lhs (rank-0 against {1,1}
+/// included), row broadcast, general broadcast, sum_to row collapse and
+/// general case, per-row weights — at sizes 1, 3, 257 and 13x17, plus
+/// 70x65, which is large enough to split into parallel chunks.
+std::vector<TwinCase> twin_cases() {
+  std::vector<TwinCase> cases;
+  std::uint64_t seed = 900;
+  const auto rnd = [&seed](Shape s, double lo = -2.0, double hi = 2.0) {
+    return random(std::move(s), seed++, lo, hi);
+  };
+  const auto add_case = [&cases](const char* kernel,
+                                 const std::vector<Tensor>& ins,
+                                 std::function<Tensor()> value,
+                                 std::function<void(Tensor&)> into) {
+    cases.push_back(
+        {kernel, shape_list(ins), std::move(value), std::move(into)});
+  };
+  const std::vector<Shape> sizes = {{1}, {3}, {257}, {13, 17}, {70, 65}};
+
+  using Binary = Tensor (*)(const Tensor&, const Tensor&);
+  using BinaryInto = void (*)(Tensor&, const Tensor&, const Tensor&);
+  const std::vector<std::tuple<const char*, Binary, BinaryInto>> binaries = {
+      {"add", &add, &add_into},
+      {"sub", &sub, &sub_into},
+      {"mul", &mul, &mul_into},
+      {"div", &div, &div_into}};
+  std::vector<std::pair<Shape, Shape>> pairs = {
+      {{}, {1, 1}},       {{1, 1}, {}},       {{1}, {1, 1}},
+      {{13, 17}, {17}},   {{13, 17}, {1, 17}}, {{70, 65}, {65}},
+      {{1, 17}, {17}},    {{13, 1}, {1, 17}}, {{17}, {13, 17}},
+      {{3, 1}, {3, 257}}, {{13, 17}, {13, 1}}};
+  for (const Shape& s : sizes) {
+    pairs.push_back({s, s});
+    pairs.push_back({s, {}});
+    pairs.push_back({{}, s});
+    pairs.push_back({s, {1}});
+  }
+  for (const auto& [name, f, f_into] : binaries) {
+    for (const auto& [sa, sb] : pairs) {
+      const Tensor a = rnd(sa);
+      const Tensor b = rnd(sb, 0.5, 2.0);  // away from 0 for div
+      add_case(name, {a, b}, [=, f = f] { return f(a, b); },
+               [=, f_into = f_into](Tensor& o) { f_into(o, a, b); });
+    }
+  }
+
+  using Unary = Tensor (*)(const Tensor&);
+  using UnaryInto = void (*)(Tensor&, const Tensor&);
+  const std::vector<std::tuple<const char*, Unary, UnaryInto>> unaries = {
+      {"neg", &neg, &neg_into},
+      {"exp", &exp, &exp_into},
+      {"log", &log, &log_into},
+      {"tanh", &tanh, &tanh_into},
+      {"sin", &sin, &sin_into},
+      {"cos", &cos, &cos_into},
+      {"sqrt", &sqrt, &sqrt_into},
+      {"reciprocal", &reciprocal, &reciprocal_into},
+      {"square", &square, &square_into},
+      {"sigmoid", &sigmoid, &sigmoid_into},
+      {"softplus", &softplus, &softplus_into},
+      {"step", &step, &step_into},
+      {"relu", &relu, &relu_into},
+      {"abs", &abs, &abs_into},
+      {"sign", &sign, &sign_into},
+      {"transpose", &transpose, &transpose_into},
+      {"sum_all", &sum_all, &sum_all_into},
+      {"mean_all", &mean_all, &mean_all_into},
+      {"square_sum_all", &square_sum_all, &square_sum_all_into}};
+  using UnaryS = Tensor (*)(const Tensor&, double);
+  using UnarySInto = void (*)(Tensor&, const Tensor&, double);
+  const std::vector<std::tuple<const char*, UnaryS, UnarySInto, double>>
+      scalar_unaries = {{"scale", &scale, &scale_into, -1.75},
+                        {"add_scalar", &add_scalar, &add_scalar_into, 0.3},
+                        {"pow_scalar", &pow_scalar, &pow_scalar_into, 2.5}};
+  std::vector<Shape> unary_shapes = sizes;
+  unary_shapes.push_back({});
+  unary_shapes.push_back({1, 1});
+  for (const Shape& s : unary_shapes) {
+    const Tensor x = rnd(s);
+    const Tensor pos = rnd(s, 0.1, 2.0);  // log/sqrt/pow domain
+    for (const auto& [name, f, f_into] : unaries) {
+      const std::string n = name;
+      if (n == "transpose" && s.size() != 2) continue;
+      const Tensor& in = (n == "log" || n == "sqrt") ? pos : x;
+      add_case(name, {in}, [=, f = f] { return f(in); },
+               [=, f_into = f_into](Tensor& o) { f_into(o, in); });
+    }
+    for (const auto& [name, f, f_into, p] : scalar_unaries) {
+      const Tensor& in = std::string(name) == "pow_scalar" ? pos : x;
+      add_case(name, {in}, [=, f = f, p = p] { return f(in, p); },
+               [=, f_into = f_into, p = p](Tensor& o) { f_into(o, in, p); });
+    }
+    const Tensor t = rnd(s, -1.0, 1.0);
+    add_case("tanh_grad", {x, t}, [=] { return tanh_grad(x, t); },
+             [=](Tensor& o) { tanh_grad_into(o, x, t); });
+    const Tensor w = rnd(s, 0.5, 2.0);
+    add_case("weighted_square_sum_all", {w, x},
+             [=] { return weighted_square_sum_all(w, x); },
+             [=](Tensor& o) { weighted_square_sum_all_into(o, w, x); });
+  }
+  // Per-row weights against rank-2 residuals.
+  for (const Shape& s : {Shape{13, 17}, Shape{70, 65}, Shape{3, 1}}) {
+    const Tensor x = rnd(s);
+    for (const Shape& ws : {Shape{s[0]}, Shape{s[0], 1}}) {
+      const Tensor w = rnd(ws, 0.5, 2.0);
+      add_case("weighted_square_sum_all", {w, x},
+               [=] { return weighted_square_sum_all(w, x); },
+               [=](Tensor& o) { weighted_square_sum_all_into(o, w, x); });
+    }
+  }
+
+  // Matmul trio: (n,k) x (k,m) over fringe-heavy extents.
+  for (const auto& [n, k, m] :
+       std::vector<std::tuple<std::int64_t, std::int64_t, std::int64_t>>{
+           {1, 1, 1}, {3, 3, 3}, {13, 17, 13}, {257, 3, 5}, {70, 65, 9}}) {
+    const Tensor a = rnd({n, k});
+    const Tensor b = rnd({k, m});
+    add_case("matmul", {a, b}, [=] { return matmul(a, b); },
+             [=](Tensor& o) { matmul_into(o, a, b); });
+    const Tensor at = rnd({k, n});
+    add_case("matmul_tn", {at, b}, [=] { return matmul_tn(at, b); },
+             [=](Tensor& o) { matmul_tn_into(o, at, b); });
+    const Tensor bt = rnd({m, k});
+    add_case("matmul_nt", {a, bt}, [=] { return matmul_nt(a, bt); },
+             [=](Tensor& o) { matmul_nt_into(o, a, bt); });
+  }
+
+  // sum_to: same shape, row collapse ({m} and {1,m}), general case.
+  const std::vector<std::pair<Shape, Shape>> reductions = {
+      {{13, 17}, {13, 17}}, {{13, 17}, {17}},  {{13, 17}, {1, 17}},
+      {{70, 65}, {65}},     {{1, 17}, {17}},   {{13, 17}, {13, 1}},
+      {{13, 17}, {}},       {{257}, {1}},      {{3}, {}},
+      {{1}, {}},            {{3, 1, 257}, {1, 257}}};
+  for (const auto& [from, to] : reductions) {
+    const Tensor a = rnd(from);
+    add_case("sum_to", {a}, [=, to = to] { return sum_to(a, to); },
+             [=](Tensor& o) { sum_to_into(o, a); });
+  }
+  for (const auto& [to, from] : reductions) {
+    const Tensor a = rnd(from);
+    add_case("broadcast_to", {a}, [=, to = to] { return broadcast_to(a, to); },
+             [=](Tensor& o) { broadcast_to_into(o, a); });
+  }
+
+  // Fused bias activations: bias {m} and {1,m}.
+  for (const auto& [rows, cols] :
+       std::vector<std::pair<std::int64_t, std::int64_t>>{
+           {1, 1}, {3, 3}, {13, 17}, {257, 3}, {70, 65}}) {
+    const Tensor a = rnd({rows, cols});
+    for (const Shape& bs : {Shape{cols}, Shape{1, cols}}) {
+      const Tensor bias = rnd(bs);
+      add_case("bias_tanh", {a, bias}, [=] { return bias_tanh(a, bias); },
+               [=](Tensor& o) { bias_tanh_into(o, a, bias); });
+      add_case("bias_sin", {a, bias}, [=] { return bias_sin(a, bias); },
+               [=](Tensor& o) { bias_sin_into(o, a, bias); });
+    }
+  }
+
+  // Structural kernels.
+  const Tensor p = rnd({13, 17});
+  const Tensor q = rnd({13, 3});
+  const Tensor r = rnd({1, 17});
+  add_case("concat_cols", {p, q}, [=] { return concat_cols({p, q}); },
+           [=](Tensor& o) { concat_cols_into(o, {p, q}); });
+  add_case("concat_rows", {p, r}, [=] { return concat_rows({p, r}); },
+           [=](Tensor& o) { concat_rows_into(o, {p, r}); });
+  add_case("slice_cols", {p}, [=] { return slice_cols(p, 3, 16); },
+           [=](Tensor& o) { slice_cols_into(o, p, 3, 16); });
+  add_case("slice_rows", {p}, [=] { return slice_rows(p, 1, 12); },
+           [=](Tensor& o) { slice_rows_into(o, p, 1, 12); });
+  return cases;
+}
+
+TEST(Kernels, EveryValueKernelEqualsItsIntoTwinBitForBit) {
+  const std::vector<TwinCase> cases = twin_cases();
+  std::set<std::string> kernels;
+  for (const TwinCase& c : cases) kernels.insert(c.kernel);
+  EXPECT_EQ(kernels.size(), 39u) << "a value kernel lost its twin case";
+
+  const simd::Isa original = simd::active_isa();
+  for (const simd::Isa isa : simd::available_isas()) {
+    ASSERT_TRUE(simd::force_isa(isa));
+    for (const TwinCase& c : cases) {
+      const Tensor want = c.value();
+      // A dirty output proves the _into writes every element itself.
+      Tensor got =
+          Tensor::full(want.shape(), std::numeric_limits<double>::quiet_NaN());
+      c.into(got);
+      EXPECT_TRUE(same_bits(want, got))
+          << c.kernel << " on " << c.operands << " under "
+          << simd::isa_name(isa);
+    }
+  }
+  ASSERT_TRUE(simd::force_isa(original));
 }
 
 }  // namespace

@@ -387,6 +387,18 @@ TEST(PlanPassesTrainer, InvalidationRecaptureReoptimizes) {
   EXPECT_EQ(stats.plans_optimized, 2u);
 }
 
+// A malformed QPINN_PLAN_OPT fails at Trainer construction rather than at
+// the first capture, which in threads mode runs inside pool shard tasks.
+TEST(PlanPassesTrainer, MalformedPlanOptEnvThrowsAtConstruction) {
+  PlanOptEnvGuard env;
+  ::setenv("QPINN_PLAN_OPT", "sideways", 1);
+  auto problem = make_free_packet_problem();
+  TrainConfig config = passes_config(1);
+  config.graph = GraphMode::kOn;
+  auto model = tiny_model(*problem, 9);
+  EXPECT_THROW(Trainer(problem, model, config), ConfigError);
+}
+
 // --- escape hatch -----------------------------------------------------------
 
 // QPINN_PLAN_OPT=off must replay the verbatim capture (no optimizer run at

@@ -187,6 +187,179 @@ TEST(KernelsF32, ExecutorsTrackFp64KernelsWithinFloatTolerance) {
   }
 }
 
+/// A float buffer and the fp64 tensor holding exactly its values, so an
+/// executor and its fp64 kernel see identical operands and differ only in
+/// compute rounding.
+struct F32Operand {
+  std::vector<float> f;
+  Tensor d;
+};
+
+F32Operand f32_operand(Shape shape, Rng& rng, double lo, double hi) {
+  const Tensor src = Tensor::rand(std::move(shape), rng, lo, hi);
+  F32Operand op{std::vector<float>(static_cast<std::size_t>(src.numel())),
+                Tensor::uninitialized(src.shape())};
+  f32::downcast(op.f.data(), src.data(), op.f.size());
+  f32::upcast(op.d.data(), op.f.data(), op.f.size());
+  return op;
+}
+
+/// Every lane of `got` within float tolerance of `want`; `scale` widens the
+/// absolute floor for sums of many fp32 terms.
+void expect_tracks(const std::vector<float>& got, const Tensor& want,
+                   const std::string& what, double scale = 1.0) {
+  ASSERT_EQ(static_cast<std::int64_t>(got.size()), want.numel()) << what;
+  for (std::int64_t i = 0; i < want.numel(); ++i) {
+    ASSERT_NEAR(got[static_cast<std::size_t>(i)], want[i],
+                1e-5 * std::max(scale, std::abs(want[i])))
+        << what << " lane " << i;
+  }
+}
+
+struct UnaryExecutor {
+  const char* name;
+  void (*exec)(const float*, float*, std::size_t);
+  void (*ref)(Tensor&, const Tensor&);
+  bool positive;  ///< needs a positive operand (log, sqrt)
+};
+
+struct ScalarExecutor {
+  const char* name;
+  void (*exec)(const float*, double, float*, std::size_t);
+  void (*ref)(Tensor&, const Tensor&, double);
+  double s;
+};
+
+struct BinaryExecutor {
+  simd::BinOp op;
+  void (*ref)(Tensor&, const Tensor&, const Tensor&);
+};
+
+TEST(KernelsF32, EveryDemotedExecutorTracksItsFp64IntoUnderEveryIsa) {
+  namespace k = qpinn::kernels;
+  const UnaryExecutor unaries[] = {
+      {"neg", &f32::neg, &k::neg_into, false},
+      {"tanh", &f32::tanh, &k::tanh_into, false},
+      {"square", &f32::square, &k::square_into, false},
+      {"sqrt", &f32::sqrt, &k::sqrt_into, true},
+      {"reciprocal", &f32::reciprocal, &k::reciprocal_into, true},
+      {"relu", &f32::relu, &k::relu_into, false},
+      {"abs", &f32::abs, &k::abs_into, false},
+      {"step", &f32::step, &k::step_into, false},
+      {"sign", &f32::sign, &k::sign_into, false},
+      {"exp", &f32::exp, &k::exp_into, false},
+      {"log", &f32::log, &k::log_into, true},
+      {"sin", &f32::sin, &k::sin_into, false},
+      {"cos", &f32::cos, &k::cos_into, false},
+      {"sigmoid", &f32::sigmoid, &k::sigmoid_into, false},
+      {"softplus", &f32::softplus, &k::softplus_into, false}};
+  const ScalarExecutor scalars[] = {
+      {"scale", &f32::scale, &k::scale_into, -1.75},
+      {"add_scalar", &f32::add_scalar, &k::add_scalar_into, 0.375},
+      {"pow_scalar", &f32::pow_scalar, &k::pow_scalar_into, 2.5}};
+  const BinaryExecutor binaries[] = {{simd::kAdd, &k::add_into},
+                                     {simd::kSub, &k::sub_into},
+                                     {simd::kMul, &k::mul_into},
+                                     {simd::kDiv, &k::div_into}};
+  // Exactly representable in float, so both sides use the same immediate.
+  const double s = 0.75;
+
+  const simd::Isa original = simd::active_isa();
+  for (const simd::Isa isa : simd::available_isas()) {
+    ASSERT_TRUE(simd::force_isa(isa));
+    Rng rng(59 + static_cast<std::uint64_t>(isa));
+    for (const auto& [rows, cols] :
+         std::vector<std::pair<std::int64_t, std::int64_t>>{
+             {1, 1}, {1, 3}, {1, 257}, {13, 17}, {70, 65}}) {
+      const std::string at = std::string(simd::isa_name(isa)) + " " +
+                             std::to_string(rows) + "x" +
+                             std::to_string(cols) + " ";
+      const auto n = static_cast<std::size_t>(rows * cols);
+      const F32Operand a = f32_operand({rows, cols}, rng, -2.0, 2.0);
+      const F32Operand b = f32_operand({rows, cols}, rng, -1.0, 1.0);
+      const F32Operand pos = f32_operand({rows, cols}, rng, 0.5, 2.0);
+      const F32Operand row = f32_operand({cols}, rng, 0.5, 2.0);
+      const F32Operand w = f32_operand({rows, 1}, rng, 0.5, 2.0);
+      std::vector<float> out(n);
+      Tensor want = Tensor::uninitialized({rows, cols});
+
+      for (const UnaryExecutor& u : unaries) {
+        const F32Operand& x = u.positive ? pos : a;
+        u.exec(x.f.data(), out.data(), n);
+        u.ref(want, x.d);
+        expect_tracks(out, want, at + u.name);
+      }
+      for (const ScalarExecutor& u : scalars) {
+        const F32Operand& x = std::string(u.name) == "pow_scalar" ? pos : a;
+        u.exec(x.f.data(), u.s, out.data(), n);
+        u.ref(want, x.d, u.s);
+        expect_tracks(out, want, at + u.name);
+      }
+      for (const BinaryExecutor& bin : binaries) {
+        const std::string op = at + "op " + std::to_string(bin.op) + " ";
+        f32::bin_same(bin.op, a.f.data(), pos.f.data(), out.data(), n);
+        bin.ref(want, a.d, pos.d);
+        expect_tracks(out, want, op + "bin_same");
+        f32::bin_row(bin.op, a.f.data(), row.f.data(), out.data(),
+                     static_cast<std::size_t>(rows),
+                     static_cast<std::size_t>(cols));
+        bin.ref(want, a.d, row.d);
+        expect_tracks(out, want, op + "bin_row");
+        f32::bin_scalar_rhs(bin.op, a.f.data(), s, out.data(), n);
+        bin.ref(want, a.d, Tensor::scalar(s));
+        expect_tracks(out, want, op + "bin_scalar_rhs");
+        f32::bin_scalar_lhs(bin.op, s, pos.f.data(), out.data(), n);
+        bin.ref(want, Tensor::scalar(s), pos.d);
+        expect_tracks(out, want, op + "bin_scalar_lhs");
+      }
+
+      f32::bias_sin(a.f.data(), row.f.data(), out.data(),
+                    static_cast<std::size_t>(rows),
+                    static_cast<std::size_t>(cols));
+      k::bias_sin_into(want, a.d, row.d);
+      expect_tracks(out, want, at + "bias_sin");
+      f32::tanh_grad(a.f.data(), b.f.data(), out.data(), n);
+      k::tanh_grad_into(want, a.d, b.d);
+      expect_tracks(out, want, at + "tanh_grad");
+      f32::fill_value(out.data(), s, n);
+      k::broadcast_to_into(want, Tensor::scalar(s));
+      expect_tracks(out, want, at + "fill_value");
+      out = b.f;
+      f32::axpy(out.data(), s, a.f.data(), n);
+      Tensor acc = b.d.clone();
+      k::axpy_inplace(acc, s, a.d);
+      expect_tracks(out, acc, at + "axpy");
+
+      Tensor want_t = Tensor::uninitialized({cols, rows});
+      f32::transpose(a.f.data(), out.data(), rows, cols);
+      k::transpose_into(want_t, a.d);
+      expect_tracks(out, want_t, at + "transpose");
+
+      std::vector<float> collapsed(static_cast<std::size_t>(cols));
+      Tensor want_rows = Tensor::uninitialized({cols});
+      f32::sum_to_rows(a.f.data(), collapsed.data(),
+                       static_cast<std::size_t>(rows),
+                       static_cast<std::size_t>(cols));
+      k::sum_to_into(want_rows, a.d);
+      expect_tracks(collapsed, want_rows, at + "sum_to_rows",
+                    static_cast<double>(rows));
+
+      Tensor total = Tensor::scalar(0.0);
+      k::sum_all_into(total, a.d);
+      EXPECT_NEAR(f32::sum(a.f.data(), n), total.item(),
+                  1e-9 * static_cast<double>(n))
+          << at << "sum";
+      k::weighted_square_sum_all_into(total, w.d, a.d);
+      EXPECT_NEAR(f32::weighted_square_sum_rows(
+                      w.f.data(), a.f.data(), static_cast<std::size_t>(rows),
+                      static_cast<std::size_t>(cols)),
+                  total.item(), 1e-9 * static_cast<double>(n))
+          << at << "weighted_square_sum_rows";
+    }
+  }
+  ASSERT_TRUE(simd::force_isa(original));
+}
+
 // ---- cross-precision gradcheck sweep ---------------------------------------
 
 struct SweepCase {
