@@ -1,4 +1,8 @@
-// Convenience wrappers over the global ThreadPool.
+// Convenience wrappers over the global ThreadPool. Called from inside a
+// chunk of that pool (a trainer shard task, say), they run the same
+// chunk_range partition inline on the calling thread
+// (ThreadPool::for_each_chunk): shard-level parallelism owns the pool and
+// the kernels inside a shard run serially, with unchanged results.
 #pragma once
 
 #include <cstddef>
@@ -10,15 +14,16 @@
 namespace qpinn {
 
 /// Runs body(begin, end) over a static partition of [0, n). For small `n`
-/// (below `grain`) the body runs inline on the calling thread, avoiding
-/// pool overhead for tiny kernels.
+/// (below `grain`) the body runs once over [0, n) on the calling thread,
+/// avoiding pool overhead for tiny kernels; nested calls run every chunk
+/// inline (see above).
 void parallel_for(std::size_t n,
                   const std::function<void(std::size_t, std::size_t)>& body,
                   std::size_t grain = 2048);
 
 /// Deterministic parallel reduction: partial results are produced per
 /// chunk and combined in chunk order, so the result does not depend on
-/// thread scheduling.
+/// thread scheduling, nor on whether the call is nested.
 ///
 ///   double s = parallel_reduce<double>(n, 0.0,
 ///       [&](size_t b, size_t e, double acc){ ... return acc; },

@@ -9,6 +9,12 @@
 
 namespace qpinn {
 
+namespace {
+/// The pool whose chunk this thread is running: set for a worker's whole
+/// life and around the calling thread's chunk 0 (see for_each_chunk).
+thread_local const ThreadPool* t_chunk_pool = nullptr;
+}  // namespace
+
 ThreadPool::ThreadPool(std::size_t num_threads) {
   QPINN_CHECK(num_threads >= 1, "thread pool needs at least one worker");
   workers_.reserve(num_threads);
@@ -27,6 +33,7 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::worker_loop() {
+  t_chunk_pool = this;
   for (;;) {
     Entry entry;
     {
@@ -77,11 +84,15 @@ bool ThreadPool::idle() const {
 
 void ThreadPool::for_each_chunk(
     std::size_t n,
-    const std::function<void(std::size_t, std::size_t, std::size_t)>& fn) {
+    const std::function<void(std::size_t, std::size_t, std::size_t)>& fn,
+    bool dispatch) {
   if (n == 0) return;
   const std::size_t chunks = std::min(size(), n);
-  if (chunks == 1) {
-    fn(0, 0, n);
+  if (chunks == 1 || !dispatch || t_chunk_pool == this) {
+    for (std::size_t c = 0; c < chunks; ++c) {
+      const auto [begin, end] = chunk_range(n, chunks, c);
+      fn(c, begin, end);
+    }
     return;
   }
   std::vector<std::future<void>> futures;
@@ -92,14 +103,16 @@ void ThreadPool::for_each_chunk(
         submit([&fn, c, range] { fn(c, range.first, range.second); }));
   }
   std::exception_ptr error;
+  // Chunk 0 runs on the calling thread, marked as inside this pool so a
+  // call it makes back into the pool runs inline (see the header).
+  const ThreadPool* const outer = std::exchange(t_chunk_pool, this);
   try {
-    // Chunk 0 runs on the calling thread so the pool never deadlocks when
-    // invoked from inside a pool task.
     const auto [begin, end] = chunk_range(n, chunks, 0);
     fn(0, begin, end);
   } catch (...) {
     error = std::current_exception();
   }
+  t_chunk_pool = outer;
   for (auto& future : futures) {
     try {
       future.get();

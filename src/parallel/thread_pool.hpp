@@ -64,10 +64,28 @@ class ThreadPool {
   /// Runs fn(chunk_index, begin, end) over a static partition of [0, n)
   /// into exactly min(size(), n) chunks (see chunk_range). Useful when
   /// per-chunk scratch state is needed (e.g. per-shard gradients).
+  ///
+  /// The partition never depends on where the call is made, so neither do
+  /// results that combine per-chunk partials in chunk order. Chunks 1.. go
+  /// to the workers and chunk 0 runs on the calling thread, except that
+  /// every chunk runs inline, in chunk order, on the calling thread (no
+  /// task submitted, no future waited on) when
+  ///  - there is one chunk,
+  ///  - `dispatch` is false (the caller judged the work too small to pay
+  ///    for a dispatch), or
+  ///  - the call is nested: made from inside a chunk of this pool, i.e. on
+  ///    one of its workers or in the calling thread's own chunk 0.
+  /// One level of parallelism owns the pool: a kernel called inside a
+  /// trainer shard task runs its chunks serially, and a nested call can
+  /// never wait on workers that are busy running its own callers.
+  /// The first exception thrown by a chunk is rethrown; a dispatched call
+  /// still waits for every chunk, an inline one stops at the throwing
+  /// chunk.
   void for_each_chunk(
       std::size_t n,
       const std::function<void(std::size_t chunk, std::size_t begin,
-                               std::size_t end)>& fn);
+                               std::size_t end)>& fn,
+      bool dispatch = true);
 
   /// True when no submitted task is queued or executing. Point-in-time
   /// answer: another thread may submit immediately afterwards.
@@ -75,6 +93,7 @@ class ThreadPool {
 
   /// Lifetime count of tasks handed to workers via submit(). Work run
   /// inline on the calling thread (small-n parallel_for, chunk 0 of
+  /// for_each_chunk, and every chunk of a nested or non-dispatching
   /// for_each_chunk) is NOT counted — the counter measures dispatch, which
   /// is what grain heuristics are tuned against (see the serial-dispatch
   /// tests in tests/kernels_test.cpp).

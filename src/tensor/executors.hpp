@@ -417,29 +417,28 @@ void broadcast_strided(const T* a, const Strides& sa, T* o, const Strides& so,
 /// gradient). From kRowGrain rows on, the rows are cut into the pool's
 /// chunk partition (chunk_range) and the per-chunk partial rows combine
 /// in chunk order, so the result is deterministic for a given thread
-/// count. Below kStreamDispatch input elements the same chunks run
-/// in order on the calling thread: the same bits without pool dispatch,
-/// which costs more than a collapse of that size.
+/// count. Below kStreamDispatch input elements the pool runs the same
+/// chunks inline (for_each_chunk's `dispatch` flag): the same bits
+/// without a dispatch, which costs more than a collapse of that size.
 template <class T>
 void sum_to_rows(const T* a, T* o, std::size_t rows, std::size_t cols) {
   auto* fn = simd::table<T>().acc_add;
+  std::fill(o, o + cols, T{0});
+  if (rows < kRowGrain) {
+    for (std::size_t r = 0; r < rows; ++r) fn(o, a + r * cols, cols);
+    return;
+  }
   ThreadPool& pool = global_pool();
-  const std::size_t chunks = rows < kRowGrain ? 1 : std::min(pool.size(), rows);
+  const std::size_t chunks = std::min(pool.size(), rows);
   // Chunk 0 accumulates straight into o, chunk c > 0 into partials row c-1.
   std::vector<T> partials((chunks - 1) * cols, T{0});
-  std::fill(o, o + cols, T{0});
-  const auto run = [&](std::size_t c, std::size_t begin, std::size_t end) {
-    T* acc = c == 0 ? o : partials.data() + (c - 1) * cols;
-    for (std::size_t r = begin; r < end; ++r) fn(acc, a + r * cols, cols);
-  };
-  if (chunks > 1 && rows * cols >= kStreamDispatch) {
-    pool.for_each_chunk(rows, run);
-  } else {
-    for (std::size_t c = 0; c < chunks; ++c) {
-      const auto range = chunk_range(rows, chunks, c);
-      run(c, range.first, range.second);
-    }
-  }
+  pool.for_each_chunk(
+      rows,
+      [&](std::size_t c, std::size_t begin, std::size_t end) {
+        T* acc = c == 0 ? o : partials.data() + (c - 1) * cols;
+        for (std::size_t r = begin; r < end; ++r) fn(acc, a + r * cols, cols);
+      },
+      rows * cols >= kStreamDispatch);
   for (std::size_t c = 1; c < chunks; ++c) {
     const T* p = partials.data() + (c - 1) * cols;
     for (std::size_t j = 0; j < cols; ++j) o[j] += p[j];

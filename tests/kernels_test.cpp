@@ -13,6 +13,7 @@
 
 #include "parallel/thread_pool.hpp"
 #include "tensor/kernels.hpp"
+#include "tensor/kernels_f32.hpp"
 #include "tensor/simd.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -630,6 +631,157 @@ TEST(Kernels, EveryValueKernelEqualsItsIntoTwinBitForBit) {
     }
   }
   ASSERT_TRUE(simd::force_isa(original));
+}
+
+// ---- calls from inside a pool chunk ---------------------------------------
+
+/// The bytes of a kernel result, compared with memcmp.
+template <class T>
+std::vector<unsigned char> bytes_of(const T* p, std::size_t n) {
+  std::vector<unsigned char> out(n * sizeof(T));
+  std::memcpy(out.data(), p, out.size());
+  return out;
+}
+std::vector<unsigned char> bytes_of(const Tensor& t) {
+  return bytes_of(t.data(), static_cast<std::size_t>(t.numel()));
+}
+std::vector<unsigned char> bytes_of(double v) { return bytes_of(&v, 1); }
+
+std::vector<float> to_f32(const Tensor& t) {
+  std::vector<float> out(static_cast<std::size_t>(t.numel()));
+  kernels_f32::downcast(out.data(), t.data(), out.size());
+  return out;
+}
+
+/// One kernel call whose bits depend on the chunk partition.
+struct ChunkedCase {
+  std::string kernel;
+  std::function<std::vector<unsigned char>()> run;
+};
+
+/// Every kernel whose result depends on the chunk count, fp64 and fp32,
+/// at sizes above its grain: the reductions combine per-chunk partials,
+/// the sum_to row collapse adds per-chunk partial rows (both below and
+/// above the kStreamDispatch size), and the matmul family's row-tile
+/// fringe follows each chunk's row count.
+std::vector<ChunkedCase> chunked_cases() {
+  std::vector<ChunkedCase> cases;
+  const Tensor v = random({10007}, 950);
+  const Tensor u = random({10007}, 951);
+  const Tensor w = random({10007}, 952, 0.0, 1.0);
+  const Tensor rows = random({257, 3}, 953);
+  const Tensor row_w = random({257, 1}, 954, 0.0, 1.0);
+  const Tensor narrow = random({257, 17}, 955);
+  const Tensor wide = random({1031, 257}, 956);
+  const Tensor a = random({517, 33}, 957);
+  const Tensor at = random({33, 517}, 958);
+  const Tensor b = random({33, 19}, 959);
+  const Tensor bt = random({19, 33}, 960);
+
+  cases.push_back({"sum", [=] { return bytes_of(sum_all(v)); }});
+  cases.push_back({"dot", [=] { return bytes_of(dot(v, u)); }});
+  cases.push_back(
+      {"square_sum", [=] { return bytes_of(square_sum_all(v)); }});
+  cases.push_back({"weighted_square_sum",
+                   [=] { return bytes_of(weighted_square_sum_all(w, v)); }});
+  cases.push_back(
+      {"weighted_square_sum_rows",
+       [=] { return bytes_of(weighted_square_sum_all(row_w, rows)); }});
+  cases.push_back(
+      {"sum_to_rows 257x17", [=] { return bytes_of(sum_to(narrow, {17})); }});
+  cases.push_back(
+      {"sum_to_rows 1031x257", [=] { return bytes_of(sum_to(wide, {257})); }});
+  cases.push_back({"matmul", [=] { return bytes_of(matmul(a, b)); }});
+  cases.push_back({"matmul_tn", [=] { return bytes_of(matmul_tn(at, b)); }});
+  cases.push_back({"matmul_nt", [=] { return bytes_of(matmul_nt(a, bt)); }});
+
+  const std::vector<float> vf = to_f32(v);
+  const std::vector<float> uf = to_f32(u);
+  const std::vector<float> wf = to_f32(w);
+  const std::vector<float> rowsf = to_f32(rows);
+  const std::vector<float> row_wf = to_f32(row_w);
+  const std::vector<float> narrowf = to_f32(narrow);
+  const std::vector<float> widef = to_f32(wide);
+  const std::vector<float> af = to_f32(a);
+  const std::vector<float> atf = to_f32(at);
+  const std::vector<float> bf = to_f32(b);
+  const std::vector<float> btf = to_f32(bt);
+  const std::size_t n = vf.size();
+  const auto collapse = [](const std::vector<float>& x, std::size_t r,
+                           std::size_t c) {
+    std::vector<float> o(c);
+    kernels_f32::sum_to_rows(x.data(), o.data(), r, c);
+    return bytes_of(o.data(), c);
+  };
+  using Matmul = void (*)(const float*, const float*, float*, std::int64_t,
+                          std::int64_t, std::int64_t);
+  const auto product = [](Matmul fn, const std::vector<float>& x,
+                          const std::vector<float>& y) {
+    std::vector<float> o(517 * 19);
+    fn(x.data(), y.data(), o.data(), 517, 33, 19);
+    return bytes_of(o.data(), o.size());
+  };
+
+  cases.push_back({"f32 sum", [=] {
+                     return bytes_of(kernels_f32::sum(vf.data(), n));
+                   }});
+  cases.push_back({"f32 dot", [=] {
+                     return bytes_of(exec::dot(vf.data(), uf.data(), n));
+                   }});
+  cases.push_back({"f32 square_sum", [=] {
+                     return bytes_of(kernels_f32::square_sum(vf.data(), n));
+                   }});
+  cases.push_back({"f32 weighted_square_sum", [=] {
+                     return bytes_of(kernels_f32::weighted_square_sum(
+                         wf.data(), vf.data(), n));
+                   }});
+  cases.push_back({"f32 weighted_square_sum_rows", [=] {
+                     return bytes_of(kernels_f32::weighted_square_sum_rows(
+                         row_wf.data(), rowsf.data(), 257, 3));
+                   }});
+  cases.push_back({"f32 sum_to_rows 257x17",
+                   [=] { return collapse(narrowf, 257, 17); }});
+  cases.push_back({"f32 sum_to_rows 1031x257",
+                   [=] { return collapse(widef, 1031, 257); }});
+  cases.push_back({"f32 matmul", [=] {
+                     return product(&kernels_f32::matmul<float>, af, bf);
+                   }});
+  cases.push_back({"f32 matmul_tn", [=] {
+                     return product(&exec::matmul_tn<float>, atf, bf);
+                   }});
+  cases.push_back({"f32 matmul_nt", [=] {
+                     return product(&exec::matmul_nt<float>, af, btf);
+                   }});
+  return cases;
+}
+
+// A kernel called from inside a chunk of the global pool -- the caller's
+// chunk 0 or a worker's chunk -- must give the same bytes as the same call
+// at top level, on every ISA: the trainer's shard tasks replay exactly
+// these kernels.
+TEST(Kernels, ChunkedKernelsInsidePoolChunkMatchTopLevelBitForBit) {
+  set_global_threads(4);
+  const std::vector<ChunkedCase> cases = chunked_cases();
+  const simd::Isa original = simd::active_isa();
+  for (const simd::Isa isa : simd::available_isas()) {
+    ASSERT_TRUE(simd::force_isa(isa));
+    for (const ChunkedCase& c : cases) {
+      const std::vector<unsigned char> want = c.run();
+      for (const std::size_t host : {std::size_t{0}, std::size_t{3}}) {
+        std::vector<unsigned char> got;
+        global_pool().for_each_chunk(
+            4, [&](std::size_t chunk, std::size_t, std::size_t) {
+              if (chunk == host) got = c.run();
+            });
+        ASSERT_EQ(got.size(), want.size()) << c.kernel;
+        EXPECT_EQ(std::memcmp(got.data(), want.data(), want.size()), 0)
+            << c.kernel << " inside chunk " << host << " under "
+            << simd::isa_name(isa);
+      }
+    }
+  }
+  ASSERT_TRUE(simd::force_isa(original));
+  set_global_threads(default_num_threads());
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 
 #include <atomic>
 #include <numeric>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include "parallel/parallel_for.hpp"
 #include "parallel/thread_pool.hpp"
@@ -129,6 +132,78 @@ TEST(ThreadPool, NestedInvocationDoesNotDeadlock) {
     });
   });
   EXPECT_EQ(total.load(), 8);
+}
+
+// A call made from inside a chunk -- the caller's chunk 0 or a worker's --
+// runs the unchanged chunk_range partition inline, in chunk order, on the
+// thread that made it, and hands nothing to the workers.
+TEST(ThreadPool, NestedForEachChunkRunsPartitionInlineInOrder) {
+  ThreadPool pool(4);
+  struct Visit {
+    std::size_t chunk, begin, end;
+    std::thread::id thread;
+  };
+  std::vector<std::vector<Visit>> visits(4);
+  std::vector<std::thread::id> hosts(4);
+  const std::uint64_t before = pool.tasks_submitted();
+  pool.for_each_chunk(4, [&](std::size_t outer, std::size_t, std::size_t) {
+    hosts[outer] = std::this_thread::get_id();
+    pool.for_each_chunk(10, [&](std::size_t c, std::size_t begin,
+                                std::size_t end) {
+      visits[outer].push_back({c, begin, end, std::this_thread::get_id()});
+    });
+  });
+  // Only the three outer chunks were dispatched.
+  EXPECT_EQ(pool.tasks_submitted() - before, 3u);
+  for (std::size_t outer = 0; outer < 4; ++outer) {
+    ASSERT_EQ(visits[outer].size(), 4u);
+    for (std::size_t c = 0; c < 4; ++c) {
+      const Visit& v = visits[outer][c];
+      EXPECT_EQ(v.chunk, c);
+      EXPECT_EQ(std::make_pair(v.begin, v.end), chunk_range(10, 4, c));
+      EXPECT_EQ(v.thread, hosts[outer]);
+    }
+  }
+}
+
+TEST(ThreadPool, NonDispatchingForEachChunkRunsPartitionInline) {
+  ThreadPool pool(3);
+  std::vector<std::pair<std::size_t, std::size_t>> ranges;
+  const std::uint64_t before = pool.tasks_submitted();
+  pool.for_each_chunk(
+      7,
+      [&](std::size_t c, std::size_t begin, std::size_t end) {
+        EXPECT_EQ(c, ranges.size());
+        ranges.emplace_back(begin, end);
+      },
+      /*dispatch=*/false);
+  EXPECT_EQ(pool.tasks_submitted(), before);
+  ASSERT_EQ(ranges.size(), 3u);
+  for (std::size_t c = 0; c < 3; ++c) {
+    EXPECT_EQ(ranges[c], chunk_range(7, 3, c));
+  }
+}
+
+// A throwing nested chunk propagates out of both levels, and the caller's
+// chunk-0 marker is cleared on the way out: the next top-level call
+// dispatches again.
+TEST(ThreadPool, NestedChunkExceptionPropagatesThenTopLevelDispatches) {
+  ThreadPool pool(4);
+  EXPECT_THROW(
+      pool.for_each_chunk(4,
+                          [&](std::size_t, std::size_t, std::size_t) {
+                            pool.for_each_chunk(
+                                8, [](std::size_t c, std::size_t, std::size_t) {
+                                  if (c == 2) throw NumericsError("nested");
+                                });
+                          }),
+      NumericsError);
+  EXPECT_TRUE(pool.idle());
+  const std::uint64_t before = pool.tasks_submitted();
+  std::atomic<int> counter{0};
+  pool.for_each_index(100, [&](std::size_t) { ++counter; });
+  EXPECT_EQ(counter.load(), 100);
+  EXPECT_EQ(pool.tasks_submitted() - before, 3u);
 }
 
 TEST(ThreadPool, RejectsZeroWorkers) {

@@ -516,6 +516,33 @@ TEST(PlanTrainer, SteadyStateReplayDoesZeroPoolWork) {
   EXPECT_EQ(after.pool_reuses, before.pool_reuses);
 }
 
+// One level of parallelism: the four shard tasks of a replayed step own
+// the 4-thread pool, and the kernels they replay run their chunks inline
+// on the shard's thread instead of dispatching nested tasks. What remains
+// is top-level dispatch: the shard fan-out and the shard-order gradient
+// reduction and optimizer sweeps after it.
+TEST(PlanTrainer, ShardedReplayDispatchesOnlyTopLevelTasks) {
+  set_global_threads(4);
+  auto problem = make_free_packet_problem();
+  TrainConfig config = plan_config(1);
+  config.threads = 4;
+  config.graph = GraphMode::kOn;
+  config.sampling.n_interior_x = 16;
+  config.sampling.n_interior_t = 16;
+  FieldModelConfig model_config = default_model_config(*problem, 31);
+  model_config.hidden = {32, 32};
+  Trainer trainer(problem, make_field_model(model_config), config);
+  trainer.step(0);  // capture
+  trainer.step(1);
+  const std::uint64_t before = global_pool().tasks_submitted();
+  trainer.step(2);
+  const std::uint64_t tasks = global_pool().tasks_submitted() - before;
+  // Measured: 18 tasks per replayed step. When each shard's kernels
+  // re-entered the pool, the same step dispatched 3990.
+  EXPECT_LE(tasks, 64u);
+  set_global_threads(default_num_threads());
+}
+
 // --- configuration ---------------------------------------------------------
 
 TEST(PlanEnv, GraphEnvParsing) {
