@@ -675,8 +675,8 @@ int main(int argc, char** argv) {
     }
     // Per-plan pass statistics, captured on the trainer's first step
     // (all-zero when QPINN_PLAN_OPT is off).
-    const auto shard_stats = trainer.plan_pass_stats();
-    if (!shard_stats.empty()) tdse_pass = shard_stats[0];
+    const auto shard_plans = trainer.captured_plans();
+    if (!shard_plans.empty()) tdse_pass = shard_plans[0]->pass_stats();
 
     if (!target_reached) {
       // L-BFGS refinement rounds through the Trainer's first-class second
@@ -878,6 +878,8 @@ int main(int argc, char** argv) {
        << tdse_pass.arena_bytes_before << ",\n";
   json << "    \"tdse_plan_arena_bytes_after\": "
        << tdse_pass.arena_bytes_after << ",\n";
+  json << "    \"tdse_plan_cse_eliminated\": " << tdse_pass.cse_eliminated
+       << ",\n";
   json << "    \"time_to_target_l2_ns\": " << fmt(time_to_target_ns)
        << ",\n";
   json << "    \"time_to_target_l2_goal\": " << fmt(target_l2) << ",\n";

@@ -20,10 +20,11 @@
 // output tensor, and its input tensors. That metadata is what makes the plan
 // an analyzable IR — the optimizer passes in autodiff/plan_passes.hpp walk
 // the thunk array to eliminate dead thunks, fuse adjacent elementwise
-// sequences into the fused kernels, and re-bind non-overlapping buffer
-// lifetimes onto shared arena storage. Structural kernels that need extra
-// immediates (pad/slice/concat) record an opaque closure but still declare
-// their read/write sets so the analyses stay sound.
+// sequences into the fused kernels, compute repeated values once, and
+// re-bind non-overlapping buffer lifetimes onto shared arena storage.
+// Structural kernels that need extra immediates (pad/slice/concat) record an
+// opaque closure but still declare their read/write sets so the analyses
+// stay sound.
 //
 // Bit-identity contract: replay calls the identical kernel entry points with
 // the identical operand buffers in the identical order as the eager step that
@@ -77,6 +78,13 @@ enum class ThunkKind : std::uint8_t {
 /// One recorded kernel invocation. The operand tensors share storage with
 /// the buffers pinned at capture time; re-running the thunk recomputes the
 /// same values into the same memory.
+///
+/// Purity premise: a structured kernel (kUnary, kUnaryScalar, kBinary)
+/// reads only `ins` and `scalar` and fully overwrites `out`, so for a fixed
+/// thread count and ISA its result is a deterministic function of its
+/// operand values and shapes. Common-subexpression elimination
+/// (plan_passes.hpp) relies on this to compute a repeated value once; a
+/// kernel that reads any other state must be recorded as kOpaque.
 struct Thunk {
   ThunkKind kind = ThunkKind::kOpaque;
   UnaryKernel k1 = nullptr;
@@ -98,7 +106,8 @@ struct PassStats {
   std::size_t thunks_after = 0;
   std::size_t dead_eliminated = 0;  ///< pass 1: dead-thunk elimination
   std::size_t fused = 0;            ///< pass 2: thunks removed by fusion
-  std::size_t buffers_rebound = 0;  ///< pass 3: buffers moved onto shared slots
+  std::size_t cse_eliminated = 0;   ///< pass 3: repeated computations removed
+  std::size_t buffers_rebound = 0;  ///< pass 4: buffers moved onto shared slots
   std::size_t arena_buffers_before = 0;
   std::size_t arena_buffers_after = 0;
   std::size_t arena_bytes_before = 0;
@@ -225,7 +234,7 @@ struct PlanStats {
   std::uint64_t replays = 0;
   std::uint64_t fallbacks = 0;
   std::uint64_t plans_optimized = 0;
-  std::uint64_t thunks_eliminated = 0;  ///< dead + fused, all plans
+  std::uint64_t thunks_eliminated = 0;  ///< dead + fused + CSE, all plans
   std::uint64_t arena_bytes_saved = 0;
 };
 PlanStats plan_stats();

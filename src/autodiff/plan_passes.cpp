@@ -1,8 +1,11 @@
 #include "autodiff/plan_passes.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cctype>
 #include <cstddef>
+#include <cstdint>
+#include <map>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -218,71 +221,197 @@ std::size_t fuse_elementwise(std::vector<Thunk>& ts,
   return fused_total;
 }
 
-// ---- pass 3: liveness-based arena reuse -----------------------------------
-//
-// Computes each buffer's live interval [first write, last access] over the
-// thunk sequence and greedily colors the interval graph per buffer-size
-// class (interval partitioning: sorted by start, first free slot wins), so
-// buffers whose lifetimes never overlap share one pinned storage. A buffer
-// is only re-bound when the plan provably owns it: produced by a structured
-// thunk, not a declared output, never read before its first in-plan write
-// (that would make it an external input the host refreshes), untouched by
-// opaque closures (their closures capture the original tensors), and with
-// a storage use count exactly accounted for by the plan's own references —
-// any outside observer blocks the move.
+// ---- buffer facts shared by CSE and arena reuse ---------------------------
 
+/// One buffer's accesses over the thunk sequence.
 struct BufInfo {
-  Tensor rep;
-  bool has_rep = false;
+  Tensor rep;  ///< a tensor on the buffer, held by the analysis
   long plan_refs = 0;
+  std::size_t writes = 0;
   bool opaque = false;
-  bool written = false;
   bool read_before_write = false;
   std::size_t first_def = 0;
   std::size_t last_use = 0;
+
+  /// The plan provably owns the buffer: produced in the plan, never read
+  /// before its first write (that would make it an external input the host
+  /// refreshes), untouched by opaque closures (their closures capture the
+  /// original tensors), and with a storage use count exactly accounted for
+  /// by the plan's own references plus `rep` — any outside observer fails.
+  bool plan_owned() const {
+    return writes > 0 && !read_before_write && !opaque &&
+           rep.storage_use_count() == plan_refs + 1;
+  }
 };
 
-std::size_t reuse_arena(std::vector<Thunk>& ts,
-                        const std::unordered_set<BufKey>& outputs) {
+std::unordered_map<BufKey, BufInfo> analyze_buffers(
+    const std::vector<Thunk>& ts) {
   std::unordered_map<BufKey, BufInfo> bufs;
-  const auto touch = [&](const Tensor& x) -> BufInfo& {
+  const auto touch = [&](const Tensor& x, std::size_t i,
+                         bool opaque) -> BufInfo& {
     BufInfo& b = bufs[buf(x)];
-    if (!b.has_rep) {
-      b.rep = x;
-      b.has_rep = true;
-    }
+    if (b.plan_refs == 0) b.rep = x;
+    b.plan_refs += 1;
+    b.opaque = b.opaque || opaque;
+    b.last_use = i;
     return b;
   };
   for (std::size_t i = 0; i < ts.size(); ++i) {
     const Thunk& t = ts[i];
     const bool opaque = t.kind == ThunkKind::kOpaque;
     for (const Tensor& in : t.ins) {
-      BufInfo& b = touch(in);
-      if (!b.written) b.read_before_write = true;
-      b.last_use = i;
-      b.plan_refs += 1;
-      b.opaque = b.opaque || opaque;
+      BufInfo& b = touch(in, i, opaque);
+      if (b.writes == 0) b.read_before_write = true;
     }
-    BufInfo& b = touch(t.out);
-    if (t.reads_out() && !b.written) b.read_before_write = true;
-    if (!b.written) {
-      b.written = true;
-      b.first_def = i;
-    }
-    b.last_use = i;
-    b.plan_refs += 1;
-    b.opaque = b.opaque || opaque;
+    BufInfo& b = touch(t.out, i, opaque);
+    if (t.reads_out() && b.writes == 0) b.read_before_write = true;
+    if (b.writes == 0) b.first_def = i;
+    b.writes += 1;
   }
+  return bufs;
+}
+
+// ---- pass 3: common-subexpression elimination -----------------------------
+//
+// Value numbering over the structured thunks. Every write gives its buffer a
+// fresh value number; two structured thunks compute the same value when they
+// agree on kind, kernel, scalar bit pattern, output shape and each input's
+// value number and shape, because a structured kernel is a pure function of
+// exactly those (see Thunk). The autodiff backward of sin/cos re-derives
+// cos(a)/sin(a) at every derivative order and every matmul backward
+// re-transposes its weight; this pass computes each such value once.
+//
+// For a repeat at index l of the thunk at index e, one copy goes:
+//   - later output droppable -> erase thunk l, rename its readers to e's
+//     output;
+//   - else earlier output droppable and the later output written once and
+//     never read before that write -> retarget thunk e onto l's buffer,
+//     rename e's readers to it, erase thunk l. No thunk touches l's buffer
+//     between e and l, so writing it early is unobservable.
+// A buffer is droppable when nothing but renameable structured readers can
+// observe it: plan-owned (the arena-reuse privacy test), written once and
+// not a declared output. The match itself requires e's output written
+// once, so it still holds e's value for every renamed reader after l.
+
+bool is_structured(const Thunk& t) {
+  return t.kind == ThunkKind::kUnary || t.kind == ThunkKind::kUnaryScalar ||
+         t.kind == ThunkKind::kBinary;
+}
+
+std::size_t eliminate_common_subexpressions(
+    std::vector<Thunk>& ts, const std::unordered_set<BufKey>& outputs) {
+  const std::unordered_map<BufKey, BufInfo> bufs = analyze_buffers(ts);
+  // Privacy is decided before this pass takes any tensor copies of its own.
+  std::unordered_set<BufKey> droppable;
+  for (const auto& [key, b] : bufs) {
+    if (b.plan_owned() && b.writes == 1 && outputs.count(key) == 0) {
+      droppable.insert(key);
+    }
+  }
+  std::unordered_map<BufKey, std::size_t> value;
+  std::size_t next_value = 0;
+  const auto value_of = [&](BufKey key) {
+    const auto [it, fresh] = value.try_emplace(key, next_value);
+    if (fresh) ++next_value;
+    return it->second;
+  };
+  const auto append_shape = [](std::vector<std::int64_t>& key,
+                               const Tensor& x) {
+    key.push_back(static_cast<std::int64_t>(x.shape().size()));
+    key.insert(key.end(), x.shape().begin(), x.shape().end());
+  };
+
+  std::map<std::vector<std::int64_t>, std::size_t> seen;  // key -> thunk
+  std::unordered_map<BufKey, Tensor> rename;
+  std::vector<char> erased(ts.size(), 0);
+  std::size_t removed = 0;
+  std::vector<std::int64_t> key;
+  for (std::size_t i = 0; i < ts.size(); ++i) {
+    Thunk& t = ts[i];
+    const BufKey out = buf(t.out);
+    if (!is_structured(t)) {
+      value[out] = next_value++;
+      continue;
+    }
+    const auto kernel =
+        t.kind == ThunkKind::kUnary ? reinterpret_cast<std::intptr_t>(t.k1)
+        : t.kind == ThunkKind::kUnaryScalar
+            ? reinterpret_cast<std::intptr_t>(t.k1s)
+            : reinterpret_cast<std::intptr_t>(t.k2);
+    // The scalar is an operand of kUnaryScalar only; other kinds may carry
+    // a leftover from a fusion rewrite.
+    const double scalar = t.kind == ThunkKind::kUnaryScalar ? t.scalar : 0.0;
+    key.assign({static_cast<std::int64_t>(t.kind), kernel,
+                std::bit_cast<std::int64_t>(scalar)});
+    append_shape(key, t.out);
+    for (const Tensor& in : t.ins) {
+      key.push_back(static_cast<std::int64_t>(value_of(buf(in))));
+      append_shape(key, in);
+    }
+    const auto [it, fresh] = seen.try_emplace(key, i);
+    if (!fresh) {
+      Thunk& e = ts[it->second];
+      const BufKey earlier = buf(e.out);
+      if (droppable.count(out) != 0) {
+        rename.emplace(out, e.out);
+        value[out] = value.at(earlier);
+        erased[i] = 1;
+        removed += 1;
+        continue;
+      }
+      const BufInfo& later = bufs.at(out);
+      if (droppable.count(earlier) != 0 && later.writes == 1 &&
+          !later.read_before_write) {
+        rename.emplace(earlier, t.out);
+        e.out = t.out;
+        value[out] = value.at(earlier);
+        erased[i] = 1;
+        removed += 1;
+        continue;
+      }
+    }
+    value[out] = next_value++;
+    // Only a written-once output keeps its value for later matches.
+    if (fresh && bufs.at(out).writes != 1) seen.erase(it);
+  }
+  if (removed == 0) return 0;
+
+  // Renames chain at most through one retarget (a dropped copy's target
+  // later moved onto a pinned buffer); pinned buffers are never renamed.
+  std::vector<Thunk> kept;
+  kept.reserve(ts.size() - removed);
+  for (std::size_t i = 0; i < ts.size(); ++i) {
+    if (erased[i] != 0) continue;
+    for (Tensor& in : ts[i].ins) {
+      for (auto r = rename.find(buf(in)); r != rename.end();
+           r = rename.find(buf(in))) {
+        in = r->second.reshape(in.shape());
+      }
+    }
+    kept.push_back(std::move(ts[i]));
+  }
+  ts = std::move(kept);
+  return removed;
+}
+
+// ---- pass 4: liveness-based arena reuse -----------------------------------
+//
+// Computes each buffer's live interval [first write, last access] over the
+// thunk sequence and greedily colors the interval graph per buffer-size
+// class (interval partitioning: sorted by start, first free slot wins), so
+// buffers whose lifetimes never overlap share one pinned storage. A buffer
+// is only re-bound when the plan provably owns it (BufInfo::plan_owned) and
+// it is not a declared output.
+
+std::size_t reuse_arena(std::vector<Thunk>& ts,
+                        const std::unordered_set<BufKey>& outputs) {
+  const std::unordered_map<BufKey, BufInfo> bufs = analyze_buffers(ts);
 
   // Candidate set, grouped by element count (storage sharing goes through
   // Tensor::reshape, which requires numel preserved).
   std::unordered_map<std::int64_t, std::vector<const BufInfo*>> classes;
   for (const auto& [key, b] : bufs) {
-    if (!b.written || b.read_before_write || b.opaque) continue;
-    if (outputs.count(key) != 0) continue;
-    // +1: the `rep` copy held by this analysis. Anything beyond the plan's
-    // own references means an outside owner could observe the buffer.
-    if (b.rep.storage_use_count() != b.plan_refs + 1) continue;
+    if (!b.plan_owned() || outputs.count(key) != 0) continue;
     classes[b.rep.numel()].push_back(&b);
   }
 
@@ -360,6 +489,7 @@ PassStats optimize_plan(ExecutionPlan& plan,
   std::vector<Thunk> ts = plan.take_thunks();
   s.dead_eliminated = eliminate_dead_thunks(ts, outs);
   s.fused = fuse_elementwise(ts, outs);
+  s.cse_eliminated = eliminate_common_subexpressions(ts, outs);
   s.buffers_rebound = reuse_arena(ts, outs);
   plan.set_thunks(std::move(ts));
 

@@ -19,7 +19,17 @@
 //      Every rewrite reuses a kernel whose bit-identity against the
 //      composition it replaces is already part of the SIMD layer's
 //      contract, so replay output is unchanged to the last bit.
-//   3. Liveness-based arena reuse — buffer live intervals over the thunk
+//   3. Common-subexpression elimination — value numbering over the
+//      structured thunks: a thunk that repeats an earlier one (same kind,
+//      kernel, scalar bits, output shape, and the same value and shape of
+//      every input) computes nothing new. The repeat is erased and its
+//      readers renamed to the earlier output; when only the earlier output
+//      is private (the repeat feeds an opaque closure), the earlier thunk
+//      is retargeted onto the repeat's buffer instead. Sound by the purity
+//      premise on Thunk (plan.hpp). The autodiff backward of sin/cos
+//      re-derives cos(a)/sin(a) at every derivative order and each matmul
+//      backward re-transposes its weight; this pass computes each once.
+//   4. Liveness-based arena reuse — buffer live intervals over the thunk
 //      sequence are colored greedily (interval partitioning per buffer
 //      size class) so non-overlapping lifetimes share one pinned arena
 //      slot, shrinking arena_bytes(). Only buffers proven plan-private are
@@ -28,10 +38,15 @@
 //      and with no storage owners outside the plan (storage_use_count()
 //      equals the plan-internal reference count).
 //
-// Ordering matters: fusion runs before liveness because fusing shortens
-// live ranges (intermediates disappear), which is exactly what makes
-// interval coloring effective; liveness runs last because re-binding
-// invalidates the buffer-identity facts the earlier passes key on.
+// Ordering matters. Dead-thunk elimination runs first so no later pass
+// spends work on values nobody reads. CSE follows fusion: a merged output
+// is read more than once, which fails fusion's read-once test, so merging
+// first would share the square(t) of repeated tanh-backward chains and
+// leave them as four sweeps instead of one tanh_grad. Liveness runs last
+// because fusion and CSE shorten live ranges (intermediates disappear),
+// which is exactly what makes interval coloring effective, and because
+// re-binding invalidates the buffer-identity facts the earlier passes key
+// on.
 //
 // The pipeline is gated by QPINN_PLAN_OPT (same grammar as QPINN_GRAPH);
 // with the knob off, plan owners skip optimize_plan() and replay the

@@ -296,7 +296,8 @@ void Trainer::finalize_shard_plan(Shard& sp) {
     log::debug() << problem_->name() << " plan optimized: "
                  << p->thunks_before << " -> " << p->thunks_after
                  << " thunks (" << p->dead_eliminated << " dead, "
-                 << p->fused << " fused), arena " << p->arena_bytes_before
+                 << p->fused << " fused, " << p->cse_eliminated
+                 << " CSE), arena " << p->arena_bytes_before
                  << " -> " << p->arena_bytes_after << " bytes ("
                  << p->buffers_rebound << " buffers re-bound)";
   }
@@ -309,11 +310,11 @@ void Trainer::finalize_shard_plan(Shard& sp) {
   }
 }
 
-std::vector<plan::PassStats> Trainer::plan_pass_stats() const {
-  std::vector<plan::PassStats> stats;
-  stats.reserve(plans_.size());
-  for (const Shard& shard : plans_) stats.push_back(shard.plan.pass_stats());
-  return stats;
+std::vector<const plan::ExecutionPlan*> Trainer::captured_plans() const {
+  std::vector<const plan::ExecutionPlan*> plans;
+  plans.reserve(plans_.size());
+  for (const Shard& shard : plans_) plans.push_back(&shard.plan);
+  return plans;
 }
 
 Trainer::LossAndGrads Trainer::compute(std::int64_t epoch) {

@@ -210,11 +210,10 @@ class Trainer {
   /// True when this trainer captures/replays execution plans.
   bool graph_enabled() const { return graph_enabled_; }
 
-  /// Optimizer-pass statistics for each captured shard plan (observability:
-  /// bench_report surfaces the thunk/arena reduction per training plan).
-  /// Empty until the first captured step; all-zero when QPINN_PLAN_OPT is
-  /// off.
-  std::vector<autodiff::plan::PassStats> plan_pass_stats() const;
+  /// The captured shard plans in shard order (observability: their
+  /// thunks and pass_stats(), all-zero when QPINN_PLAN_OPT is off). Empty
+  /// until the first captured step; valid until the next re-capture.
+  std::vector<const autodiff::plan::ExecutionPlan*> captured_plans() const;
 
   /// Replaces the interior collocation set (e.g. to change the batch size
   /// between fit() calls). Any captured execution plan is invalidated on

@@ -2,7 +2,8 @@
 //
 // The contract under test: optimize_plan rewrites a captured thunk array —
 // dead-thunk elimination, elementwise fusion onto the bit-identical fused
-// kernels, liveness-based arena reuse — without changing ANY replayed value.
+// kernels, common-subexpression elimination, liveness-based arena reuse —
+// without changing ANY replayed value.
 // Replay with the passes on stays bit-identical to eager under every SIMD
 // variant (serial, parallel shards, curriculum, per-epoch resampling), the
 // TDSE training plan provably shrinks in both thunk count and arena bytes,
@@ -11,6 +12,8 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -292,6 +295,200 @@ TEST(PlanPassesUnit, ExternallyObservedBufferIsNeverRebound) {
   (void)stats;
 }
 
+// --- unit: common-subexpression elimination ----------------------------------
+
+std::size_t count_unary(const plan::ExecutionPlan& p, plan::UnaryKernel f) {
+  std::size_t n = 0;
+  for (const plan::Thunk& t : p.thunks()) {
+    if (t.kind == plan::ThunkKind::kUnary && t.k1 == f) ++n;
+  }
+  return n;
+}
+
+void expect_same_bits(const Tensor& got, const Tensor& want) {
+  ASSERT_TRUE(got.same_shape(want));
+  for (std::int64_t i = 0; i < want.numel(); ++i) {
+    ASSERT_EQ(std::memcmp(got.data() + i, want.data() + i, sizeof(double)), 0)
+        << "element " << i << ": " << got[i] << " vs " << want[i];
+  }
+}
+
+// Repeated sin, cos and transpose of one input collapse onto one thunk
+// each, and replay stays bit-identical to the eager kernels.
+TEST(PlanPassesCse, DuplicateSinCosTransposeCollapse) {
+  Rng rng(17);
+  Tensor x = Tensor::randn({16, 8}, rng);
+  Tensor out_s, out_c, out_t;
+  plan::ExecutionPlan p;
+  {
+    plan::CaptureScope scope(p);
+    ad::NoGradGuard no_grad;
+    const ad::Variable xv = ad::Variable::constant(x);
+    out_s = ad::add(ad::sin(xv), ad::sin(xv)).value();
+    out_c = ad::mul(ad::cos(xv), ad::cos(xv)).value();
+    out_t = ad::add(ad::transpose(xv), ad::transpose(xv)).value();
+  }
+  ASSERT_EQ(p.size(), 9u);
+  const plan::PassStats stats = plan::optimize_plan(p, {out_s, out_c, out_t});
+  EXPECT_EQ(stats.cse_eliminated, 3u);
+  EXPECT_EQ(p.size(), 6u);
+  EXPECT_EQ(count_unary(p, &kernels::sin_into), 1u);
+  EXPECT_EQ(count_unary(p, &kernels::cos_into), 1u);
+  EXPECT_EQ(count_unary(p, &kernels::transpose_into), 1u);
+
+  kernels::copy_into(x, Tensor::randn({16, 8}, rng));
+  p.replay();
+  expect_same_bits(out_s, kernels::add(kernels::sin(x), kernels::sin(x)));
+  expect_same_bits(out_c, kernels::mul(kernels::cos(x), kernels::cos(x)));
+  expect_same_bits(out_t, kernels::add(kernels::transpose(x),
+                                       kernels::transpose(x)));
+}
+
+// sin(x); <write x>; sin(x) reads two different values of x: the second
+// sin must survive, whether the write overwrites x or accumulates into it.
+TEST(PlanPassesCse, NoMergeAcrossAWriteToTheInput) {
+  for (const bool accumulate : {false, true}) {
+    SCOPED_TRACE(accumulate ? "axpy accumulation" : "full overwrite");
+    Rng rng(19);
+    Tensor x = Tensor::randn({8, 8}, rng);
+    const Tensor y = Tensor::randn({8, 8}, rng);
+    const Tensor out = Tensor::zeros({8, 8});
+    plan::ExecutionPlan p;
+    {
+      const Tensor a = Tensor::zeros({8, 8});
+      const Tensor b = Tensor::zeros({8, 8});
+      plan::CaptureScope scope(p);
+      plan::record_unary(a, &kernels::sin_into, x);
+      if (accumulate) {
+        plan::record_axpy_acc(x, 1.0, y);
+      } else {
+        plan::record_unary(x, &kernels::exp_into, y);
+      }
+      plan::record_unary(b, &kernels::sin_into, x);
+      plan::record_binary(out, &kernels::add_into, a, b);
+    }
+    const plan::PassStats stats = plan::optimize_plan(p, {out});
+    EXPECT_EQ(stats.cse_eliminated, 0u);
+    EXPECT_EQ(count_unary(p, &kernels::sin_into), 2u);
+
+    const Tensor x0 = x.clone();
+    p.replay();
+    const Tensor x1 = accumulate ? kernels::add(x0, y) : kernels::exp(y);
+    expect_same_bits(x, x1);
+    expect_same_bits(out, kernels::add(kernels::sin(x0), kernels::sin(x1)));
+  }
+}
+
+// The scalar is part of the match by bit pattern: scale by 2.0 vs 3.0 and
+// by 0.0 vs -0.0 (equal as doubles, different products) stay apart, while
+// scale by 2.0 twice merges.
+TEST(PlanPassesCse, ScalarsMatchByBitPattern) {
+  struct Case {
+    double s1, s2;
+    std::size_t merged;
+  };
+  for (const Case c : {Case{2.0, 3.0, 0}, Case{0.0, -0.0, 0},
+                       Case{2.0, 2.0, 1}}) {
+    SCOPED_TRACE(std::to_string(c.s1) + " vs " + std::to_string(c.s2));
+    Rng rng(23);
+    Tensor x = Tensor::rand({8, 4}, rng, 0.5, 1.0);
+    Tensor lhs, rhs;
+    plan::ExecutionPlan p;
+    {
+      plan::CaptureScope scope(p);
+      ad::NoGradGuard no_grad;
+      const ad::Variable xv = ad::Variable::constant(x);
+      lhs = ad::exp(ad::scale(xv, c.s1)).value();
+      rhs = ad::exp(ad::scale(xv, c.s2)).value();
+    }
+    const plan::PassStats stats = plan::optimize_plan(p, {lhs, rhs});
+    // The exp thunks write declared outputs, so only a scale can merge.
+    EXPECT_EQ(stats.cse_eliminated, c.merged);
+
+    kernels::copy_into(x, Tensor::rand({8, 4}, rng, 0.5, 1.0));
+    p.replay();
+    expect_same_bits(lhs, kernels::exp(kernels::scale(x, c.s1)));
+    expect_same_bits(rhs, kernels::exp(kernels::scale(x, c.s2)));
+  }
+}
+
+// A repeat whose output the host can observe is never dropped: a declared
+// output, or a buffer with an owner outside the plan. With both copies
+// observable nothing merges, and each buffer keeps its value.
+TEST(PlanPassesCse, ObservableDuplicatesAreKept) {
+  for (const bool declared : {true, false}) {
+    SCOPED_TRACE(declared ? "declared outputs" : "outside owners");
+    Rng rng(29);
+    Tensor x = Tensor::randn({8, 8}, rng);
+    Tensor a, b, out;
+    plan::ExecutionPlan p;
+    {
+      plan::CaptureScope scope(p);
+      ad::NoGradGuard no_grad;
+      const ad::Variable xv = ad::Variable::constant(x);
+      const ad::Variable av = ad::sin(xv);
+      const ad::Variable bv = ad::sin(xv);
+      a = av.value();
+      b = bv.value();
+      out = ad::add(av, bv).value();
+    }
+    const plan::PassStats stats =
+        declared ? plan::optimize_plan(p, {a, b, out})
+                 : plan::optimize_plan(p, {out});
+    EXPECT_EQ(stats.cse_eliminated, 0u);
+    EXPECT_EQ(count_unary(p, &kernels::sin_into), 2u);
+
+    kernels::copy_into(x, Tensor::randn({8, 8}, rng));
+    p.replay();
+    const Tensor want = kernels::sin(x);
+    expect_same_bits(a, want);
+    expect_same_bits(b, want);
+    expect_same_bits(out, kernels::add(want, want));
+  }
+}
+
+// A repeat read by an opaque closure is pinned (the closure holds the
+// original tensor), so it cannot be dropped. When the earlier copy is
+// private the earlier thunk is retargeted onto the pinned buffer instead;
+// when both copies feed opaque closures nothing merges.
+TEST(PlanPassesCse, OpaqueReaderRetargetsTheEarlierCopy) {
+  for (const bool earlier_pinned : {false, true}) {
+    SCOPED_TRACE(earlier_pinned ? "both pinned" : "later pinned");
+    Rng rng(31);
+    Tensor x = Tensor::randn({8, 4}, rng);
+    Tensor first, second;
+    plan::ExecutionPlan p;
+    {
+      plan::CaptureScope scope(p);
+      ad::NoGradGuard no_grad;
+      const ad::Variable xv = ad::Variable::constant(x);
+      const ad::Variable a = ad::sin(xv);
+      first = earlier_pinned ? ad::concat_cols({a, xv}).value()
+                             : ad::mul(a, xv).value();
+      second = ad::concat_cols({ad::sin(xv), xv}).value();
+    }
+    const plan::PassStats stats = plan::optimize_plan(p, {first, second});
+    EXPECT_EQ(stats.cse_eliminated, earlier_pinned ? 0u : 1u);
+    EXPECT_EQ(count_unary(p, &kernels::sin_into), earlier_pinned ? 2u : 1u);
+    if (!earlier_pinned) {
+      // The surviving sin is the earlier thunk, now writing the buffer the
+      // second concat reads.
+      const auto& ts = p.thunks();
+      ASSERT_EQ(ts.size(), 3u);
+      EXPECT_EQ(ts[0].k1, &kernels::sin_into);
+      EXPECT_EQ(ts[0].out.data(), ts[2].ins[0].data());
+      EXPECT_EQ(ts[1].ins[0].data(), ts[0].out.data());
+    }
+
+    kernels::copy_into(x, Tensor::randn({8, 4}, rng));
+    p.replay();
+    const Tensor s = kernels::sin(x);
+    expect_same_bits(first, earlier_pinned ? kernels::concat_cols({s, x})
+                                           : kernels::mul(s, x));
+    expect_same_bits(second, kernels::concat_cols({s, x}));
+  }
+}
+
 // --- trainer: bit-identity with passes on -----------------------------------
 
 TEST(PlanPassesTrainer, TdsePlanShrinksAndStaysBitIdenticalEveryIsa) {
@@ -315,6 +512,48 @@ TEST(PlanPassesTrainer, TdsePlanShrinksAndStaysBitIdenticalEveryIsa) {
     EXPECT_GT(stats.thunks_eliminated, 0u);
     EXPECT_GT(stats.arena_bytes_saved, 0u);
     EXPECT_EQ(stats.fallbacks, 0u);
+  }
+}
+
+// The B1 model's 64 Fourier features: the autodiff backward re-derives
+// sin/cos of the projection at every derivative order, and CSE leaves
+// exactly one sin_into and one cos_into per projection buffer in the
+// training plan. Replay stays bit-identical to eager on every ISA.
+TEST(PlanPassesTrainer, FourierSinCosComputedOncePerStepEveryIsa) {
+  Fp64Guard precision_guard;
+  PlanOptEnvGuard env;
+  ::setenv("QPINN_PLAN_OPT", "on", 1);
+  IsaGuard guard;
+  auto problem = make_free_packet_problem();
+  TrainConfig base = passes_config(1);
+  for (simd::Isa isa : simd::available_isas()) {
+    SCOPED_TRACE(simd::isa_name(isa));
+    ASSERT_TRUE(simd::force_isa(isa));
+    std::vector<double> losses[2];
+    std::map<const void*, std::size_t> sin_per_arg, cos_per_arg;
+    for (const GraphMode mode : {GraphMode::kOff, GraphMode::kOn}) {
+      TrainConfig config = base;
+      config.graph = mode;
+      Trainer trainer(problem, make_model_for(*problem, 37), config);
+      for (std::int64_t e = 0; e < 4; ++e) {
+        losses[mode == GraphMode::kOn].push_back(trainer.step(e).total_loss);
+      }
+      for (const plan::ExecutionPlan* p : trainer.captured_plans()) {
+        for (const plan::Thunk& t : p->thunks()) {
+          if (t.kind != plan::ThunkKind::kUnary || t.out.rank() != 2 ||
+              t.out.cols() != 64) {
+            continue;
+          }
+          if (t.k1 == &kernels::sin_into) ++sin_per_arg[t.ins[0].data()];
+          if (t.k1 == &kernels::cos_into) ++cos_per_arg[t.ins[0].data()];
+        }
+      }
+    }
+    expect_bit_identical(losses[0], losses[1]);
+    ASSERT_FALSE(sin_per_arg.empty());
+    EXPECT_EQ(sin_per_arg.size(), cos_per_arg.size());
+    for (const auto& [arg, n] : sin_per_arg) EXPECT_EQ(n, 1u);
+    for (const auto& [arg, n] : cos_per_arg) EXPECT_EQ(n, 1u);
   }
 }
 
