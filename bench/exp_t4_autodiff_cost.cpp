@@ -5,6 +5,9 @@
 // Shape expected: each extra derivative order roughly doubles-and-change
 // the work (the loss-evaluation cost model c ~ 1 + sum 2^order per
 // occurrence), and the parameter-gradient pass adds a comparable factor.
+// The jet rows compute the same u_t + u_xx by one forward Taylor jet
+// (nn/jet.hpp) instead of nested reverse sweeps, then one reverse sweep
+// for the parameter gradient.
 #include "exp_common.hpp"
 
 #include "autodiff/derivatives.hpp"
@@ -72,6 +75,15 @@ int main() {
         grad(loss, params);
       },
       repeats);
+  // The jet carries (value, d/dx, d/dt, d2/dx2) through each layer.
+  const auto jet_loss = [&] {
+    const nn::Jet jet = net.forward_jet(
+        nn::input_jet(Variable::constant(X), {2, 1}, {1.0, 1.0}));
+    return mse(add(slice_cols(jet.d1[1], 0, 1), slice_cols(jet.d2[0], 0, 1)));
+  };
+  const double t_jet = time_of([&] { jet_loss(); }, repeats);
+  const double t_jet_grad =
+      time_of([&] { grad(jet_loss(), params); }, repeats);
   const double t_third = time_of(
       [&] {
         const Variable Xv = Variable::leaf(X, true);
@@ -93,12 +105,16 @@ int main() {
   add("+ parameter gradient", t_param_grad);
   add("+ u_t residual (1st order)", t_first);
   add("+ u_t, u_xx residual (2nd order)", t_second);
+  add("u_t + u_xx by jets", t_jet);
+  add("u_t + u_xx by jets + parameter gradient", t_jet_grad);
   add("+ u_xxx residual (3rd order)", t_third);
   exp::emit(table, "T4 - cost vs derivative order (MLP 2-64-64-64-2)",
             "exp_t4_autodiff_cost.csv");
   std::printf(
       "shape check: 2nd-order residual / plain parameter gradient = %.2f\n"
-      "(cost grows roughly geometrically with derivative order)\n",
-      t_second / t_param_grad);
+      "(cost grows roughly geometrically with derivative order)\n"
+      "jets: 2nd-order residual + parameter gradient = %.2fx forward "
+      "(reverse chain %.2fx)\n",
+      t_second / t_param_grad, t_jet_grad / t_forward, t_second / t_forward);
   return 0;
 }

@@ -5,6 +5,9 @@
 // output row depends only on its own input row, grad(sum(y), X) recovers
 // per-point derivatives, and slicing column `dim` yields d y / d x_dim at
 // every collocation point. Repeating with create_graph gives u_xx etc.
+// Backbones with a forward jet (nn/jet.hpp) get these derivatives in one
+// forward pass instead; `partial` stays the path for everything else and
+// the oracle the jets are tested against.
 #pragma once
 
 #include "autodiff/grad.hpp"

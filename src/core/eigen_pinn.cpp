@@ -41,7 +41,30 @@ Variable trapezoid_weights(std::int64_t n, double dx) {
   return Variable::constant(w);
 }
 
+/// 4 (x - a)(b - x) / (b - a)^2: zero at the walls, O(1) inside.
+Variable envelope(const Variable& x, double a, double b) {
+  const double envelope_scale = 4.0 / ((b - a) * (b - a));
+  return scale(mul(add_scalar(x, -a), add_scalar(neg(x), b)), envelope_scale);
+}
+
 }  // namespace
+
+std::pair<Variable, Variable> envelope_field(nn::Module& net, const Variable& x,
+                                             double a, double b) {
+  const Variable e = envelope(x, a, b);
+  if (!net.has_jet()) {
+    const Variable psi = mul(e, net.forward(x));
+    return {psi, partial_n(psi, x, 0, 2)};
+  }
+  const nn::Jet n = net.forward_jet(nn::input_jet(x.detach(), {2}, {1.0}));
+  // e = s (x - a)(b - x), so e' = s (a + b - 2x) and e'' = -2s.
+  const double s = 4.0 / ((b - a) * (b - a));
+  const Variable e_x = scale(add_scalar(scale(x.detach(), -2.0), a + b), s);
+  Variable psi_xx =
+      add(scale(mul(e_x, n.d1[0]), 2.0), scale(n.value, -2.0 * s));
+  if (n.d2[0].defined()) psi_xx = add(mul(e, n.d2[0]), psi_xx);
+  return {mul(e, n.value), psi_xx};
+}
 
 EigenState EigenPinn::solve_state(
     double energy_guess, const std::vector<EigenState>& lower_states) const {
@@ -82,15 +105,9 @@ EigenState EigenPinn::solve_state(
   double last_residual = 0.0;
 
   for (std::int64_t epoch = 0; epoch < config_.epochs; ++epoch) {
-    const Variable x = Variable::leaf(xs, /*requires_grad=*/true);
-    // Exact Dirichlet envelope (x - a)(b - x), scale-normalized so the raw
-    // network output stays O(1).
-    const double envelope_scale = 4.0 / ((b - a) * (b - a));
-    const Variable envelope =
-        scale(mul(add_scalar(x, -a), add_scalar(neg(x), b)), envelope_scale);
-    const Variable psi = mul(envelope, net.forward(x));
-
-    const Variable psi_xx = partial_n(psi, x, 0, 2);
+    // Exact Dirichlet envelope; only the partial path differentiates by x.
+    const Variable x = Variable::leaf(xs, /*requires_grad=*/!net.has_jet());
+    const auto [psi, psi_xx] = envelope_field(net, x, a, b);
     Variable h_psi = scale(psi_xx, -0.5);
     if (config_.potential) {
       h_psi = add(h_psi, mul(config_.potential(x), psi));
@@ -136,10 +153,7 @@ EigenState EigenPinn::solve_state(
   {
     NoGradGuard guard;
     const Variable x = Variable::constant(xs);
-    const double envelope_scale = 4.0 / ((b - a) * (b - a));
-    const Variable envelope =
-        scale(mul(add_scalar(x, -a), add_scalar(neg(x), b)), envelope_scale);
-    const Tensor psi = mul(envelope, net.forward(x)).value();
+    const Tensor psi = mul(envelope(x, a, b), net.forward(x)).value();
     double norm = 0.0;
     for (std::int64_t i = 0; i < n; ++i) {
       const double w = (i == 0 || i == n - 1) ? 0.5 : 1.0;

@@ -53,6 +53,13 @@ struct EigenState {
   double residual_loss = 0.0;
 };
 
+/// The Dirichlet envelope model psi = 4 (x - a)(b - x) / (b - a)^2 * NN(x)
+/// and psi_xx at a column x (N, 1). One forward jet gives psi_xx when `net`
+/// has one (product rule psi'' = e NN'' + 2 e' NN' + e'' NN); otherwise it
+/// is `partial`, for which x must require grad.
+std::pair<autodiff::Variable, autodiff::Variable> envelope_field(
+    nn::Module& net, const autodiff::Variable& x, double a, double b);
+
 class EigenPinn {
  public:
   explicit EigenPinn(EigenPinnConfig config);

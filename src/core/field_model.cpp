@@ -36,22 +36,21 @@ FieldModel::FieldModel(std::unique_ptr<nn::Module> backbone,
   }
 }
 
-Variable FieldModel::forward(const Variable& X) {
+Variable FieldModel::network_input(const Variable& X) const {
   QPINN_CHECK_SHAPE(X.value().rank() == 2 && X.value().cols() == 2,
                     "FieldModel expects (N, 2) input, got " +
                         shape_to_string(X.shape()));
-  Variable net_input = X;
-  if (normalization_) {
-    const InputNormalization& n = *normalization_;
-    const Variable x_hat =
-        scale(add_scalar(slice_cols(X, 0, 1), -n.x_center),
-              1.0 / n.x_half_span);
-    const Variable t_hat =
-        scale(add_scalar(slice_cols(X, 1, 2), -n.t_center),
-              1.0 / n.t_half_span);
-    net_input = concat_cols({x_hat, t_hat});
-  }
-  const Variable raw = backbone_->forward(net_input);
+  if (!normalization_) return X;
+  const InputNormalization& n = *normalization_;
+  const Variable x_hat =
+      scale(add_scalar(slice_cols(X, 0, 1), -n.x_center), 1.0 / n.x_half_span);
+  const Variable t_hat =
+      scale(add_scalar(slice_cols(X, 1, 2), -n.t_center), 1.0 / n.t_half_span);
+  return concat_cols({x_hat, t_hat});
+}
+
+Variable FieldModel::forward(const Variable& X) {
+  const Variable raw = backbone_->forward(network_input(X));
   if (!hard_ic_) return raw;
 
   const Variable x = slice_cols(X, 0, 1);
@@ -61,6 +60,45 @@ Variable FieldModel::forward(const Variable& X) {
   const Variable u = add(u0, mul(ramp, slice_cols(raw, 0, 1)));
   const Variable v = add(v0, mul(ramp, slice_cols(raw, 1, 2)));
   return concat_cols({u, v});
+}
+
+FieldDerivatives FieldModel::derivatives(const Variable& X) {
+  // Coordinate 0 is x (to second order), coordinate 1 is t (first order).
+  const std::vector<int> order{2, 1};
+  nn::Jet u, v;
+  if (backbone_->has_jet()) {
+    // The jet carries the X-derivatives itself, so no reverse sweep needs
+    // X: detaching keeps the parameter sweep out of the input layers. No
+    // normalization is the identity map, whose half-spans are 1.
+    const Variable Xc = X.detach();
+    const InputNormalization n = normalization_.value_or(InputNormalization{});
+    const nn::Jet raw = backbone_->forward_jet(nn::input_jet(
+        network_input(Xc), order, {1.0 / n.x_half_span, 1.0 / n.t_half_span}));
+    u = raw.slice_cols(0, 1);
+    v = raw.slice_cols(1, 2);
+    if (hard_ic_) {
+      // psi0 on its own leaf over X's storage; its derivatives are data.
+      // The ramp runs along coordinate 1 (t).
+      const Variable Xl = Variable::leaf(X.value());
+      auto [u0, v0] = hard_ic_->psi0(slice_cols(Xl, 0, 1));
+      const Variable ramp = add_scalar(slice_cols(Xc, 1, 2), -hard_ic_->t0);
+      u = nn::hard_ic(nn::partial_jet(u0, Xl, {2, 0}).detached(), ramp, u, 1);
+      v = nn::hard_ic(nn::partial_jet(v0, Xl, {2, 0}).detached(), ramp, v, 1);
+    }
+  } else {
+    const Variable out = forward(X);
+    u = nn::partial_jet(slice_cols(out, 0, 1), X, order);
+    v = nn::partial_jet(slice_cols(out, 1, 2), X, order);
+  }
+  const Shape& column = u.value.shape();
+  FieldDerivatives d;
+  d.u = u.value;
+  d.v = v.value;
+  d.u_t = nn::or_zeros(u.d1[1], column);
+  d.v_t = nn::or_zeros(v.d1[1], column);
+  d.u_xx = nn::or_zeros(u.d2[0], column);
+  d.v_xx = nn::or_zeros(v.d2[0], column);
+  return d;
 }
 
 Tensor FieldModel::evaluate(const Tensor& X) {

@@ -31,6 +31,14 @@ struct InputNormalization {
                                        double t_hi);
 };
 
+/// psi = (u, v) and the derivatives every 1+1-D Schrödinger residual
+/// needs, each (N, 1).
+struct FieldDerivatives {
+  autodiff::Variable u, v;
+  autodiff::Variable u_t, v_t;
+  autodiff::Variable u_xx, v_xx;
+};
+
 class FieldModel {
  public:
   /// Takes ownership of the backbone; out_dim must be 2 (u, v). The
@@ -41,6 +49,16 @@ class FieldModel {
 
   /// Builds the forward graph for a batch X of (x, t) rows; returns (N, 2).
   autodiff::Variable forward(const autodiff::Variable& X);
+
+  /// psi, psi_t and psi_xx at a batch X of (x, t) rows. A backbone with a
+  /// jet (nn::Module::has_jet) yields all of them in one forward jet; the
+  /// results then carry no graph back to X, and the parameter gradient of
+  /// a loss on them is one reverse sweep. psi0 of a hard IC is an arbitrary
+  /// FieldOp, so its x-derivatives come from reverse-mode `partial` on its
+  /// own [N, 1] column and enter as constants. Other backbones take
+  /// `partial` throughout, which needs X to require grad. u and v equal
+  /// forward(X)'s columns bit for bit on both paths.
+  FieldDerivatives derivatives(const autodiff::Variable& X);
 
   /// Evaluates without building graphs (metrics / inference).
   Tensor evaluate(const Tensor& X);
@@ -57,6 +75,9 @@ class FieldModel {
   nn::Module& backbone() { return *backbone_; }
 
  private:
+  /// The backbone input for X: X itself, or its normalized columns.
+  autodiff::Variable network_input(const autodiff::Variable& X) const;
+
   std::unique_ptr<nn::Module> backbone_;
   std::optional<HardIc> hard_ic_;
   std::optional<InputNormalization> normalization_;

@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "autodiff/derivatives.hpp"
 #include "autodiff/grad.hpp"
 #include "optim/adam.hpp"
 #include "util/error.hpp"
@@ -88,13 +87,7 @@ InverseResult solve_inverse_harmonic(const InverseHarmonicConfig& config) {
 
     // PDE residual with the PARAMETRIZED potential V = 1/2 omega^2 x^2.
     const Variable X = Variable::leaf(interior, /*requires_grad=*/true);
-    const Variable out = model->forward(X);
-    const Variable u = slice_cols(out, 0, 1);
-    const Variable v = slice_cols(out, 1, 2);
-    const Variable u_t = partial(u, X, 1);
-    const Variable v_t = partial(v, X, 1);
-    const Variable u_xx = partial_n(u, X, 0, 2);
-    const Variable v_xx = partial_n(v, X, 0, 2);
+    const auto [u, v, u_t, v_t, u_xx, v_xx] = model->derivatives(X);
     const Variable x_col = slice_cols(X, 0, 1);
     const Variable v_pot =
         mul(broadcast_to(scale(square(omega), 0.5), x_col.shape()),

@@ -1,6 +1,5 @@
 #include "core/schrodinger_problem.hpp"
 
-#include "autodiff/derivatives.hpp"
 #include "util/error.hpp"
 
 namespace qpinn::core {
@@ -29,14 +28,7 @@ SchrodingerProblem::SchrodingerProblem(Config config)
 
 Variable SchrodingerProblem::residual(FieldModel& model,
                                       const Variable& X) const {
-  const Variable out = model.forward(X);
-  const Variable u = slice_cols(out, 0, 1);
-  const Variable v = slice_cols(out, 1, 2);
-
-  const Variable u_t = partial(u, X, 1);
-  const Variable v_t = partial(v, X, 1);
-  const Variable u_xx = partial_n(u, X, 0, 2);
-  const Variable v_xx = partial_n(v, X, 0, 2);
+  const auto [u, v, u_t, v_t, u_xx, v_xx] = model.derivatives(X);
 
   // Effective potential V + g |psi|^2.
   Variable v_eff;

@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "autodiff/derivatives.hpp"
 #include "autodiff/grad.hpp"
 #include "core/field_ops.hpp"
 #include "optim/adam.hpp"
@@ -90,38 +89,63 @@ Tdse2dSolver::Tdse2dSolver(Tdse2dConfig config)
   net_ = std::make_unique<nn::Mlp>(mlp);
 }
 
-Variable Tdse2dSolver::forward(const Variable& X) {
-  const Domain2d& d = config_.domain;
-  const Variable x = slice_cols(X, 0, 1);
-  const Variable y = slice_cols(X, 1, 2);
-  const Variable t = slice_cols(X, 2, 3);
-
+Variable Tdse2dSolver::network_input(const Variable& X) const {
   // Normalize each coordinate to [-1, 1] before the backbone.
-  auto normalized = [](const Variable& col, double lo, double hi) {
-    return scale(add_scalar(col, -0.5 * (lo + hi)), 2.0 / (hi - lo));
+  const Domain2d& d = config_.domain;
+  auto normalized = [&](std::int64_t c, double lo, double hi) {
+    return scale(add_scalar(slice_cols(X, c, c + 1), -0.5 * (lo + hi)),
+                 2.0 / (hi - lo));
   };
-  const Variable net_in = concat_cols({normalized(x, d.x_lo, d.x_hi),
-                                       normalized(y, d.y_lo, d.y_hi),
-                                       normalized(t, d.t_lo, d.t_hi)});
-  const Variable raw = net_->forward(net_in);
+  return concat_cols({normalized(0, d.x_lo, d.x_hi),
+                      normalized(1, d.y_lo, d.y_hi),
+                      normalized(2, d.t_lo, d.t_hi)});
+}
+
+Variable Tdse2dSolver::forward(const Variable& X) {
+  const Variable raw = net_->forward(network_input(X));
 
   // Hard IC: psi = psi0(x, y) + (t - t_lo) * NN.
-  const Variable ramp = add_scalar(t, -d.t_lo);
-  auto [u0, v0] = config_.initial(x, y);
+  const Variable ramp = add_scalar(slice_cols(X, 2, 3), -config_.domain.t_lo);
+  auto [u0, v0] = config_.initial(slice_cols(X, 0, 1), slice_cols(X, 1, 2));
   const Variable u = add(u0, mul(ramp, slice_cols(raw, 0, 1)));
   const Variable v = add(v0, mul(ramp, slice_cols(raw, 1, 2)));
   return concat_cols({u, v});
 }
 
-Variable Tdse2dSolver::residual(const Variable& X) {
-  const Variable out = forward(X);
-  const Variable u = slice_cols(out, 0, 1);
-  const Variable v = slice_cols(out, 1, 2);
+std::pair<nn::Jet, nn::Jet> Tdse2dSolver::jets(const Variable& X) {
+  const std::vector<int> order{2, 2, 1};
+  if (!net_->has_jet()) {
+    const Variable out = forward(X);
+    return {nn::partial_jet(slice_cols(out, 0, 1), X, order),
+            nn::partial_jet(slice_cols(out, 1, 2), X, order)};
+  }
+  // As FieldModel::derivatives, with the ramp along coordinate 2 (t).
+  const Domain2d& d = config_.domain;
+  const Variable Xc = X.detach();
+  const std::vector<double> direction{2.0 / (d.x_hi - d.x_lo),
+                                      2.0 / (d.y_hi - d.y_lo),
+                                      2.0 / (d.t_hi - d.t_lo)};
+  const nn::Jet raw =
+      net_->forward_jet(nn::input_jet(network_input(Xc), order, direction));
+  const Variable Xl = Variable::leaf(X.value());
+  auto [u0, v0] = config_.initial(slice_cols(Xl, 0, 1), slice_cols(Xl, 1, 2));
+  const Variable ramp = add_scalar(slice_cols(Xc, 2, 3), -d.t_lo);
+  const auto field = [&](const Variable& psi0, std::int64_t c) {
+    return nn::hard_ic(nn::partial_jet(psi0, Xl, {2, 2, 0}).detached(), ramp,
+                       raw.slice_cols(c, c + 1), 2);
+  };
+  return {field(u0, 0), field(v0, 1)};
+}
 
-  const Variable u_t = partial(u, X, 2);
-  const Variable v_t = partial(v, X, 2);
-  const Variable lap_u = add(partial_n(u, X, 0, 2), partial_n(u, X, 1, 2));
-  const Variable lap_v = add(partial_n(v, X, 0, 2), partial_n(v, X, 1, 2));
+Variable Tdse2dSolver::residual(const Variable& X) {
+  const auto [u, v] = jets(X);
+  const Shape column = u.value.shape();
+  const Variable u_t = nn::or_zeros(u.d1[2], column);
+  const Variable v_t = nn::or_zeros(v.d1[2], column);
+  const Variable lap_u = add(nn::or_zeros(u.d2[0], column),
+                             nn::or_zeros(u.d2[1], column));
+  const Variable lap_v = add(nn::or_zeros(v.d2[0], column),
+                             nn::or_zeros(v.d2[1], column));
 
   Variable r1 = add(neg(v_t), scale(lap_u, 0.5));
   Variable r2 = add(u_t, scale(lap_v, 0.5));
@@ -134,8 +158,8 @@ Variable Tdse2dSolver::residual(const Variable& X) {
       v_values[r] = config_.potential(px[3 * r], px[3 * r + 1]);
     }
     const Variable v_pot = Variable::constant(v_values);
-    r1 = sub(r1, mul(v_pot, u));
-    r2 = sub(r2, mul(v_pot, v));
+    r1 = sub(r1, mul(v_pot, u.value));
+    r2 = sub(r2, mul(v_pot, v.value));
   }
   return concat_cols({r1, r2});
 }

@@ -53,4 +53,50 @@ Variable apply_activation(Activation activation, const Variable& x) {
   throw ValueError("invalid Activation enum value");
 }
 
+Variable apply_activation(Activation activation, const Variable& y,
+                          const Variable& bias) {
+  if (!bias.defined()) return apply_activation(activation, y);
+  if (activation == Activation::kTanh) return autodiff::bias_tanh(y, bias);
+  if (activation == Activation::kSin) return autodiff::bias_sin(y, bias);
+  return apply_activation(activation, autodiff::add(y, bias));
+}
+
+bool has_activation_jet(Activation activation) {
+  return activation == Activation::kTanh || activation == Activation::kSin ||
+         activation == Activation::kIdentity;
+}
+
+Jet activation_jet(Activation activation, const Jet& z, const Variable& bias) {
+  using namespace autodiff;
+  QPINN_CHECK(has_activation_jet(activation),
+              "activation_jet: no jet rule for " + to_string(activation));
+  Jet y = z;
+  y.value = apply_activation(activation, z.value, bias);
+  if (activation == Activation::kIdentity) return y;
+
+  const bool is_tanh = activation == Activation::kTanh;
+  Variable d1;  // φ'
+  if (is_tanh) {
+    d1 = add_scalar(neg(square(y.value)), 1.0);
+  } else {
+    d1 = cos(bias.defined() ? add(z.value, bias) : z.value);
+  }
+  Variable d2;  // φ'', built once a second-order stream needs it
+  for (std::size_t k = 0; k < z.dims(); ++k) {
+    const Variable& zk = z.d1[k];
+    y.d1[k] = zk.defined() ? mul(d1, zk) : Variable();
+    if (z.order[k] < 2) continue;
+    Variable ykk = z.d2[k].defined() ? mul(d1, z.d2[k]) : Variable();
+    if (zk.defined()) {
+      if (!d2.defined()) {
+        d2 = is_tanh ? scale(mul(y.value, d1), -2.0) : neg(y.value);
+      }
+      const Variable curvature = mul(d2, square(zk));
+      ykk = ykk.defined() ? add(ykk, curvature) : curvature;
+    }
+    y.d2[k] = ykk;
+  }
+  return y;
+}
+
 }  // namespace qpinn::nn

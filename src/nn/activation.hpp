@@ -4,6 +4,7 @@
 #include <string>
 
 #include "autodiff/ops.hpp"
+#include "nn/jet.hpp"
 
 namespace qpinn::nn {
 
@@ -25,5 +26,23 @@ std::string to_string(Activation activation);
 /// except relu whose higher derivatives vanish a.e.).
 autodiff::Variable apply_activation(Activation activation,
                                     const autodiff::Variable& x);
+
+/// activation(y + bias), fusing the bias-add into one kernel sweep (and one
+/// tape node) for tanh and sin; other activations compose. `bias` may be
+/// undefined (no bias). Results are identical either way.
+autodiff::Variable apply_activation(Activation activation,
+                                    const autodiff::Variable& y,
+                                    const autodiff::Variable& bias);
+
+/// True when activation_jet has a rule for `activation` (tanh, sin,
+/// identity).
+bool has_activation_jet(Activation activation);
+
+/// The jet of activation(z + bias) from the jet of z: the value is
+/// apply_activation(activation, z.value, bias), and with φ' and φ'' at
+/// z + bias each stream follows y_k = φ'·z_k, y_kk = φ'·z_kk + φ''·z_k².
+/// tanh takes φ' = 1 − t², φ'' = −2t·φ' from its own value t.
+Jet activation_jet(Activation activation, const Jet& z,
+                   const autodiff::Variable& bias);
 
 }  // namespace qpinn::nn

@@ -28,4 +28,16 @@ Variable RandomFourierFeatures::forward(const Variable& x) {
   return concat_cols({sin(projected), cos(projected)});
 }
 
+Jet RandomFourierFeatures::forward_jet(const Jet& x) {
+  QPINN_CHECK_SHAPE(
+      x.value.value().rank() == 2 && x.value.value().cols() == in_,
+      "RFF expects (N, " + std::to_string(in_) + ") input");
+  const auto project = [&](const Variable& v) {
+    return autodiff::scale(autodiff::matmul(v, projection_),
+                           2.0 * std::numbers::pi);
+  };
+  auto [s, c] = sin_cos(map_linear(x, project));
+  return concat_jets({std::move(s), std::move(c)});
+}
+
 }  // namespace qpinn::nn

@@ -30,13 +30,18 @@ Variable Linear::forward_act(const Variable& x, Activation act) {
   QPINN_CHECK_SHAPE(x.value().rank() == 2 && x.value().cols() == in_,
                     "Linear expects (N, " + std::to_string(in_) +
                         ") input, got " + shape_to_string(x.shape()));
-  const Variable y = autodiff::matmul(x, weight_);
-  if (bias_.defined()) {
-    if (act == Activation::kTanh) return autodiff::bias_tanh(y, bias_);
-    if (act == Activation::kSin) return autodiff::bias_sin(y, bias_);
-    return apply_activation(act, autodiff::add(y, bias_));
-  }
-  return apply_activation(act, y);
+  return apply_activation(act, autodiff::matmul(x, weight_), bias_);
+}
+
+Jet Linear::forward_act_jet(const Jet& x, Activation act) {
+  QPINN_CHECK_SHAPE(x.value.value().rank() == 2 &&
+                        x.value.value().cols() == in_,
+                    "Linear expects (N, " + std::to_string(in_) +
+                        ") input, got " + shape_to_string(x.value.shape()));
+  const auto times_weight = [&](const Variable& v) {
+    return autodiff::matmul(v, weight_);
+  };
+  return activation_jet(act, map_linear(x, times_weight), bias_);
 }
 
 std::vector<Variable> Linear::parameters() const {

@@ -23,6 +23,13 @@ class Linear : public Module {
   /// fall back to the unfused composition; results are identical either
   /// way.
   autodiff::Variable forward_act(const autodiff::Variable& x, Activation act);
+  /// The same W maps every jet component; the bias goes on the value only.
+  bool has_jet() const override { return true; }
+  Jet forward_jet(const Jet& x) override {
+    return forward_act_jet(x, Activation::kIdentity);
+  }
+  /// Jet of forward_act (see activation_jet).
+  Jet forward_act_jet(const Jet& x, Activation act);
   std::vector<autodiff::Variable> parameters() const override;
   std::vector<std::pair<std::string, autodiff::Variable>> named_parameters()
       const override;

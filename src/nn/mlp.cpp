@@ -62,6 +62,18 @@ Variable Mlp::forward(const Variable& x) {
   return layers_.back()->forward(h);  // linear output head
 }
 
+Jet Mlp::forward_jet(const Jet& x) {
+  QPINN_CHECK(has_jet(), "Mlp::forward_jet: no jet rule for activation " +
+                             to_string(config_.activation));
+  Jet h = x;
+  if (periodic_) h = periodic_->forward_jet(h);
+  if (fourier_) h = fourier_->forward_jet(h);
+  for (std::size_t i = 0; i + 1 < layers_.size(); ++i) {
+    h = layers_[i]->forward_act_jet(h, config_.activation);
+  }
+  return layers_.back()->forward_jet(h);
+}
+
 std::vector<Variable> Mlp::parameters() const {
   std::vector<Variable> params;
   for (const auto& layer : layers_) {

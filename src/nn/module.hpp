@@ -7,6 +7,8 @@
 #include <vector>
 
 #include "autodiff/variable.hpp"
+#include "nn/jet.hpp"
+#include "util/error.hpp"
 
 namespace qpinn::nn {
 
@@ -27,6 +29,17 @@ class Module {
   /// Stable (name, leaf) pairs, used for checkpoints and diagnostics.
   virtual std::vector<std::pair<std::string, autodiff::Variable>>
   named_parameters() const = 0;
+
+  /// True when forward_jet has a rule for this module's configuration.
+  /// Callers needing input derivatives use the jet when it does and
+  /// reverse-mode `partial` (nn::partial_jet) when it does not.
+  virtual bool has_jet() const { return false; }
+
+  /// Propagates a forward jet (nn/jet.hpp) of the input batch; the value
+  /// stream equals forward(x.value) bit for bit.
+  virtual Jet forward_jet(const Jet& /*x*/) {
+    throw ValueError("forward_jet: module has no jet rule");
+  }
 
   virtual std::int64_t input_dim() const = 0;
   virtual std::int64_t output_dim() const = 0;

@@ -543,6 +543,65 @@ TEST(PlanTrainer, ShardedReplayDispatchesOnlyTopLevelTasks) {
   set_global_threads(default_num_threads());
 }
 
+// --- plan shape --------------------------------------------------------------
+
+/// Sets QPINN_PLAN_OPT for the scope and restores (or clears) it after.
+class PlanOptOn {
+ public:
+  PlanOptOn() {
+    if (const char* value = std::getenv("QPINN_PLAN_OPT")) saved_ = value;
+    ::setenv("QPINN_PLAN_OPT", "on", 1);
+  }
+  ~PlanOptOn() {
+    if (saved_.empty()) {
+      ::unsetenv("QPINN_PLAN_OPT");
+    } else {
+      ::setenv("QPINN_PLAN_OPT", saved_.c_str(), 1);
+    }
+  }
+
+ private:
+  std::string saved_;
+};
+
+// The B1 fp64 training step (benchmark model, 900 points, one shard) takes
+// its residual derivatives from one forward jet instead of six nested
+// reverse sweeps. When every derivative was a `partial` sweep, its
+// optimized plan held 152 matmul thunks; the jet plan holds fewer than
+// half of that, and replay stays bit-identical to eager on every ISA.
+TEST(PlanTrainer, JetResidualPlanHalvesMatmulsEveryIsa) {
+  Fp64Guard precision_guard;
+  PlanOptOn plan_opt;
+  IsaGuard guard;
+  auto problem = make_free_packet_problem();
+  TrainConfig base = default_train_config(1, /*seed=*/7);
+  base.resample_every = 0;
+  for (simd::Isa isa : simd::available_isas()) {
+    SCOPED_TRACE(simd::isa_name(isa));
+    ASSERT_TRUE(simd::force_isa(isa));
+    std::vector<double> losses[2];
+    std::size_t matmuls = 0;
+    for (const GraphMode mode : {GraphMode::kOff, GraphMode::kOn}) {
+      TrainConfig config = base;
+      config.graph = mode;
+      Trainer trainer(problem, make_model_for(*problem, 3), config);
+      for (std::int64_t e = 0; e < 3; ++e) {
+        losses[mode == GraphMode::kOn].push_back(trainer.step(e).total_loss);
+      }
+      for (const plan::ExecutionPlan* p : trainer.captured_plans()) {
+        for (const plan::Thunk& t : p->thunks()) {
+          matmuls += t.k2 == &kernels::matmul_into ||
+                     t.k2 == &kernels::matmul_tn_into ||
+                     t.k2 == &kernels::matmul_nt_into;
+        }
+      }
+    }
+    expect_bit_identical(losses[0], losses[1]);
+    EXPECT_GT(matmuls, 0u);
+    EXPECT_LT(matmuls, 152u / 2);
+  }
+}
+
 // --- configuration ---------------------------------------------------------
 
 TEST(PlanEnv, GraphEnvParsing) {
