@@ -191,6 +191,15 @@ int main(int argc, char** argv) {
     results.push_back(time_op("tensor", "matmul_nt", "256x256x256", r_big,
                               [&] { k::matmul_nt(a, b); },
                               2.0 * 256.0 * n_elem));
+    // The B1 backward shapes: weight gradient x^T g and input gradient
+    // g W^T of a 64-wide hidden layer over 900 collocation points.
+    const Tensor x900 = Tensor::rand({900, 64}, rng, -1.0, 1.0);
+    const Tensor g900 = Tensor::rand({900, 64}, rng, -1.0, 1.0);
+    const double b1_flops = 2.0 * 900.0 * 64.0 * 64.0;
+    results.push_back(time_op("tensor", "matmul_tn", "900x64x64", r_mid,
+                              [&] { k::matmul_tn(x900, g900); }, b1_flops));
+    results.push_back(time_op("tensor", "matmul_nt", "900x64x64^T", r_mid,
+                              [&] { k::matmul_nt(g900, b64); }, b1_flops));
     results.push_back(time_op("tensor", "dot", "65536", r_small,
                               [&] { k::dot(v1, v2); }, 2.0 * n_vec));
     results.push_back(time_op("tensor", "axpy_inplace", "65536", r_small,

@@ -267,10 +267,32 @@ Variable matmul(const Variable& a, const Variable& b) {
             {a, b},
             [](const Variable& g, const Variable& self) {
               std::vector<Variable> grads(2);
-              if (needs(self, 0))
-                grads[0] = matmul(g, transpose(parent(self, 1)));
-              if (needs(self, 1))
-                grads[1] = matmul(transpose(parent(self, 0)), g);
+              if (needs(self, 0)) grads[0] = matmul_nt(g, parent(self, 1));
+              if (needs(self, 1)) grads[1] = matmul_tn(parent(self, 0), g);
+              return grads;
+            });
+}
+
+Variable matmul_tn(const Variable& a, const Variable& b) {
+  return op("matmul_tn",
+            run2(&k::matmul_tn, &k::matmul_tn_into, a.value(), b.value()),
+            {a, b},
+            [](const Variable& g, const Variable& self) {
+              std::vector<Variable> grads(2);
+              if (needs(self, 0)) grads[0] = matmul_nt(parent(self, 1), g);
+              if (needs(self, 1)) grads[1] = matmul(parent(self, 0), g);
+              return grads;
+            });
+}
+
+Variable matmul_nt(const Variable& a, const Variable& b) {
+  return op("matmul_nt",
+            run2(&k::matmul_nt, &k::matmul_nt_into, a.value(), b.value()),
+            {a, b},
+            [](const Variable& g, const Variable& self) {
+              std::vector<Variable> grads(2);
+              if (needs(self, 0)) grads[0] = matmul(g, parent(self, 1));
+              if (needs(self, 1)) grads[1] = matmul_tn(g, parent(self, 0));
               return grads;
             });
 }

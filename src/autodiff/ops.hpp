@@ -57,6 +57,10 @@ Variable abs(const Variable& a);
 
 // ---- linear algebra --------------------------------------------------------
 Variable matmul(const Variable& a, const Variable& b);
+/// a^T b for a (K,N), b (K,M), without materializing the transpose.
+Variable matmul_tn(const Variable& a, const Variable& b);
+/// a b^T for a (N,K), b (M,K), without materializing the transpose.
+Variable matmul_nt(const Variable& a, const Variable& b);
 Variable transpose(const Variable& a);
 
 // ---- reductions / broadcast management --------------------------------------

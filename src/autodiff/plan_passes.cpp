@@ -278,8 +278,8 @@ std::unordered_map<BufKey, BufInfo> analyze_buffers(
 // agree on kind, kernel, scalar bit pattern, output shape and each input's
 // value number and shape, because a structured kernel is a pure function of
 // exactly those (see Thunk). The autodiff backward of sin/cos re-derives
-// cos(a)/sin(a) at every derivative order and every matmul backward
-// re-transposes its weight; this pass computes each such value once.
+// cos(a)/sin(a) at every derivative order; this pass computes each such
+// value once.
 //
 // For a repeat at index l of the thunk at index e, one copy goes:
 //   - later output droppable -> erase thunk l, rename its readers to e's

@@ -27,8 +27,8 @@
 //      is private (the repeat feeds an opaque closure), the earlier thunk
 //      is retargeted onto the repeat's buffer instead. Sound by the purity
 //      premise on Thunk (plan.hpp). The autodiff backward of sin/cos
-//      re-derives cos(a)/sin(a) at every derivative order and each matmul
-//      backward re-transposes its weight; this pass computes each once.
+//      re-derives cos(a)/sin(a) at every derivative order; this pass
+//      computes each once.
 //   4. Liveness-based arena reuse — buffer live intervals over the thunk
 //      sequence are colored greedily (interval partitioning per buffer
 //      size class) so non-overlapping lifetimes share one pinned arena

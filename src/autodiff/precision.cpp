@@ -372,13 +372,24 @@ class Demoter {
     const Tensor& b = t.ins[1];
     const Tensor& o = t.out;
 
-    if (t.k2 == &k::matmul_into) {
+    if (t.k2 == &k::matmul_into || t.k2 == &k::matmul_tn_into ||
+        t.k2 == &k::matmul_nt_into) {
+      // Extents as each executor takes them: (n, k, m) for out[n,m].
+      void (*fn)(const float*, const float*, float*, std::int64_t,
+                 std::int64_t, std::int64_t) = &f32::matmul;
+      std::int64_t kk = a.cols();
+      if (t.k2 == &k::matmul_tn_into) {
+        fn = &f32::matmul_tn;
+        kk = a.rows();
+      } else if (t.k2 == &k::matmul_nt_into) {
+        fn = &f32::matmul_nt;
+      }
       const float* ap = read_f32(a);
       const float* bp = read_f32(b);
       float* op = write_f32(o);
-      const std::int64_t rows = a.rows(), kk = a.cols(), m = b.cols();
-      emit(o, t.ins, [ap, bp, op, rows, kk, m] {
-        f32::matmul(ap, bp, op, rows, kk, m);
+      const std::int64_t rows = o.rows(), m = o.cols();
+      emit(o, t.ins, [fn, ap, bp, op, rows, kk, m] {
+        fn(ap, bp, op, rows, kk, m);
       });
       wrote_f32(o);
       return true;

@@ -59,8 +59,10 @@ Tensor sign(const Tensor& a);
 /// (N,K) x (K,M) -> (N,M); rank-2 only.
 Tensor matmul(const Tensor& a, const Tensor& b);
 /// a^T b without materializing the transpose: (K,N)^T (K,M) -> (N,M).
+/// Bit-identical to matmul(transpose(a), b) under every SIMD table.
 Tensor matmul_tn(const Tensor& a, const Tensor& b);
-/// a b^T: (N,K) (M,K)^T -> (N,M).
+/// a b^T: (N,K) (M,K)^T -> (N,M). Bit-identical to matmul(a, transpose(b))
+/// under every SIMD table.
 Tensor matmul_nt(const Tensor& a, const Tensor& b);
 Tensor transpose(const Tensor& a);
 

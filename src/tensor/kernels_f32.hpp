@@ -43,7 +43,7 @@ using exec::add_scalar, exec::pow_scalar, exec::scale;
 using exec::bias_sin, exec::bias_tanh, exec::tanh_grad;
 using exec::axpy, exec::copy, exec::fill_value, exec::fill_zero,
     exec::sum_to_rows, exec::transpose;
-using exec::matmul;
+using exec::matmul, exec::matmul_nt, exec::matmul_tn;
 using exec::square_sum, exec::sum, exec::weighted_square_sum,
     exec::weighted_square_sum_rows;
 

@@ -46,7 +46,11 @@
 // chunking) produces identical bits. Reductions (dot, sum, square_sum,
 // weighted_square_sum) and the matmul micro-kernels reassociate and may
 // use FMA, so they agree across variants only to rounding; they stay
-// deterministic for a fixed variant. IEEE semantics are preserved
+// deterministic for a fixed variant. Within one table the three matmul
+// micro-kernels give every output element the same operation sequence, so
+// matmul_tn_rows / matmul_nt_rows equal matmul_rows on a materialized
+// transpose bit for bit (the autodiff matmul backward relies on this; it
+// is asserted in tests/kernels_test.cpp). IEEE semantics are preserved
 // everywhere: no operand value is skipped (0 * NaN stays NaN) and
 // comparisons are ordered/non-signaling, so NaN takes the "else" branch
 // exactly like the scalar ternaries.
@@ -1306,9 +1310,8 @@ inline constexpr std::int64_t kMmColTile = 8;
 
 /// Depth cap for the stack-packed panels of the transposed matmul variants
 /// (mm_tn_rows / mm_nt_rows). Panels are at most kMmPackK * 8 elements
-/// (32 KiB of doubles) of stack — no heap traffic — and every layer in
-/// this codebase has k far below the cap; larger k falls back to the
-/// unpacked tile loop.
+/// (32 KiB of doubles) of stack — no heap traffic. Deeper k runs mm_tn_rows
+/// on the unpacked tile loop and mm_nt_rows over several panels.
 inline constexpr std::int64_t kMmPackK = 512;
 
 template <class V>
@@ -1434,12 +1437,15 @@ void mm_tn_rows(const typename V::elem* pa, const typename V::elem* pb,
 }
 
 // a[n,k] * b[m,k]^T: output column j+c reads ROW j+c of `b`, so the
-// broadcast-A tile of mm_rows needs b transposed. The packed path
-// transposes an 8-row panel of `b` into a contiguous stack buffer once per
-// column tile — amortized over every row tile of `a` — and then runs the
-// mm_rows schedule (broadcast a, vector b, one FMA per element) instead of
-// per-element dot products ending in a horizontal sum. Fringes and
-// deeper-than-cap k fall back to vector dots with a scalar tail.
+// broadcast-A tile of mm_rows needs b transposed. Each full column tile
+// transposes a panel of at most kMmPackK rows of `b` into a contiguous
+// stack buffer — amortized over every row tile of `a` — and runs the
+// mm_rows schedule on it; deeper k takes several panels, carrying the
+// accumulators through the output rows between them (a store and reload
+// round nothing). Fringe elements run mm_rows' scalar loop. Every output
+// element therefore sees exactly the operation sequence mm_rows gives it
+// on a materialized b^T, so mm_nt_rows(a, b) == mm_rows(a, b^T) bit for
+// bit under every table.
 template <class V>
 void mm_nt_rows(const typename V::elem* pa, const typename V::elem* pb,
                 typename V::elem* po, std::int64_t i0, std::int64_t i1,
@@ -1449,34 +1455,36 @@ void mm_nt_rows(const typename V::elem* pa, const typename V::elem* pb,
   constexpr std::int64_t cv =
       kMmColTile / static_cast<std::int64_t>(V::kWidth);
   constexpr std::size_t w = V::kWidth;
-  const std::size_t kw = static_cast<std::size_t>(k);
   alignas(64) T bpack[static_cast<std::size_t>(kMmPackK * kMmColTile)];
   for (std::int64_t j = 0; j < m; j += kMmColTile) {
     const std::int64_t jb = std::min(kMmColTile, m - j);
-    const bool packed = jb == kMmColTile && k <= kMmPackK;
-    if (packed) {
+    for (std::int64_t k0 = 0; jb == kMmColTile && k0 < k; k0 += kMmPackK) {
+      const std::int64_t kb = std::min(kMmPackK, k - k0);
       for (std::int64_t c = 0; c < kMmColTile; ++c) {
-        const T* b_row = pb + (j + c) * k;
-        for (std::int64_t kk = 0; kk < k; ++kk) {
+        const T* b_row = pb + (j + c) * k + k0;
+        for (std::int64_t kk = 0; kk < kb; ++kk) {
           bpack[kk * kMmColTile + c] = b_row[kk];
         }
       }
-    }
-    for (std::int64_t i = i0; i < i1; i += rt) {
-      const std::int64_t ib = std::min(rt, i1 - i);
-      if (packed && ib == rt) {
+      for (std::int64_t i = i0; i + rt <= i1; i += rt) {
         typename V::reg acc[rt][cv];
         for (std::int64_t r = 0; r < rt; ++r) {
-          for (std::int64_t c = 0; c < cv; ++c) acc[r][c] = V::zero();
+          const T* out_row = po + (i + r) * m + j;
+          for (std::int64_t c = 0; c < cv; ++c) {
+            acc[r][c] = k0 == 0 ? V::zero()
+                                : V::load(out_row +
+                                          static_cast<std::size_t>(c) * w);
+          }
         }
-        for (std::int64_t kk = 0; kk < k; ++kk) {
+        for (std::int64_t kk = 0; kk < kb; ++kk) {
           const T* b_row = bpack + kk * kMmColTile;
           typename V::reg bv[cv];
           for (std::int64_t c = 0; c < cv; ++c) {
             bv[c] = V::load(b_row + static_cast<std::size_t>(c) * w);
           }
           for (std::int64_t r = 0; r < rt; ++r) {
-            const typename V::reg a_rk = V::set1(pa[(i + r) * k + kk]);
+            const typename V::reg a_rk =
+                V::set1(pa[(i + r) * k + k0 + kk]);
             for (std::int64_t c = 0; c < cv; ++c) {
               acc[r][c] = V::fma(a_rk, bv[c], acc[r][c]);
             }
@@ -1488,23 +1496,23 @@ void mm_nt_rows(const typename V::elem* pa, const typename V::elem* pb,
             V::store(out_row + static_cast<std::size_t>(c) * w, acc[r][c]);
           }
         }
-      } else {
-        // Fringe tile or k beyond the pack cap: per-element vector dot
-        // products with a scalar k-tail.
-        for (std::int64_t r = 0; r < ib; ++r) {
-          const T* a_row = pa + (i + r) * k;
-          T* out_row = po + (i + r) * m + j;
-          for (std::int64_t c = 0; c < jb; ++c) {
-            const T* b_row = pb + (j + c) * k;
-            typename V::reg acc = V::zero();
-            std::size_t kk = 0;
-            for (; kk + w <= kw; kk += w) {
-              acc = V::fma(V::load(a_row + kk), V::load(b_row + kk), acc);
-            }
-            T total = V::hsum(acc);
-            for (; kk < kw; ++kk) total += a_row[kk] * b_row[kk];
-            out_row[c] = total;
+      }
+    }
+    // Fringe: a partial column tile, or the rows past the last full row
+    // tile, accumulated in mm_rows' scalar order into the pre-zeroed rows.
+    for (std::int64_t i = i0; i < i1; i += rt) {
+      const std::int64_t ib = std::min(rt, i1 - i);
+      if (ib == rt && jb == kMmColTile) continue;
+      for (std::int64_t r = 0; r < ib; ++r) {
+        T* out_row = po + (i + r) * m + j;
+        const T* a_row = pa + (i + r) * k;
+        for (std::int64_t c = 0; c < jb; ++c) {
+          const T* b_row = pb + (j + c) * k;
+          T total = out_row[c];
+          for (std::int64_t kk = 0; kk < k; ++kk) {
+            total += a_row[kk] * b_row[kk];
           }
+          out_row[c] = total;
         }
       }
     }

@@ -3,12 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <functional>
+#include <string>
+#include <tuple>
 
 #include "autodiff/gradcheck.hpp"
 #include "autodiff/grad.hpp"
 #include "autodiff/ops.hpp"
 #include "autodiff/variable.hpp"
+#include "tensor/kernels.hpp"
+#include "tensor/simd.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -166,6 +171,45 @@ TEST(StructuralGrad, Matmul) {
   const Tensor b = random({3, 5}, 406);
   EXPECT_TRUE(check_gradients(f, {a, b}).ok);
   EXPECT_TRUE(check_second_gradients(f, {a, b}).ok);
+}
+
+// matmul's backward runs matmul_nt / matmul_tn on the untransposed
+// operands; it must reproduce the materialized-transpose products bit for
+// bit under every table, on shapes with row, column and depth fringes.
+TEST(StructuralGrad, MatmulBackwardMatchesMaterializedTransposeBitForBit) {
+  const simd::Isa original = simd::active_isa();
+  for (const simd::Isa isa : simd::available_isas()) {
+    ASSERT_TRUE(simd::force_isa(isa));
+    for (const auto& [n, k, m] : {std::tuple<std::int64_t, std::int64_t,
+                                             std::int64_t>{225, 64, 62},
+                                  {225, 62, 2},
+                                  {13, 513, 9},
+                                  {7, 3, 64}}) {
+      const Tensor a = random({n, k}, 408);
+      const Tensor b = random({k, m}, 409);
+      const Tensor g = random({n, m}, 410);
+      const Variable va = Variable::leaf(a);
+      const Variable vb = Variable::leaf(b);
+      const std::vector<Variable> grads =
+          grad(matmul(va, vb), {va, vb}, Variable::constant(g));
+      const Tensor want_a = kernels::matmul(g, kernels::transpose(b));
+      const Tensor want_b = kernels::matmul(kernels::transpose(a), g);
+      ASSERT_TRUE(grads[0].value().same_shape(want_a));
+      ASSERT_TRUE(grads[1].value().same_shape(want_b));
+      const std::string at = std::string(simd::isa_name(isa)) + " " +
+                             std::to_string(n) + "x" + std::to_string(k) +
+                             "x" + std::to_string(m);
+      EXPECT_EQ(std::memcmp(grads[0].value().data(), want_a.data(),
+                            sizeof(double) * want_a.numel()),
+                0)
+          << "dA " << at;
+      EXPECT_EQ(std::memcmp(grads[1].value().data(), want_b.data(),
+                            sizeof(double) * want_b.numel()),
+                0)
+          << "dB " << at;
+    }
+  }
+  ASSERT_TRUE(simd::force_isa(original));
 }
 
 TEST(StructuralGrad, Transpose) {

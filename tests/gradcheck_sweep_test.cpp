@@ -211,6 +211,18 @@ std::vector<OpCase> make_cases() {
                    [](const std::vector<Variable>& in) {
                      return to_scalar(square(column(in[0], 1)));
                    }});
+  cases.push_back({"matmul_tn",
+                   {bounded(rng, {3, 2}, -1.0, 1.0),
+                    bounded(rng, {3, 4}, -1.0, 1.0)},
+                   [](const std::vector<Variable>& in) {
+                     return to_scalar(matmul_tn(in[0], in[1]));
+                   }});
+  cases.push_back({"matmul_nt",
+                   {bounded(rng, {2, 3}, -1.0, 1.0),
+                    bounded(rng, {4, 3}, -1.0, 1.0)},
+                   [](const std::vector<Variable>& in) {
+                     return to_scalar(matmul_nt(in[0], in[1]));
+                   }});
 
   return cases;
 }
@@ -225,7 +237,8 @@ const std::set<std::string> kExpectedOps = {
     "matmul",     "transpose",  "sum_all",      "mean_all",   "sum_to",
     "broadcast_to", "reshape",  "slice_cols",   "concat_cols",
     "slice_rows", "concat_rows", "mse",         "column",     "bias_tanh",
-    "bias_sin",   "square_sum", "weighted_square_sum",
+    "bias_sin",   "square_sum", "weighted_square_sum", "matmul_tn",
+    "matmul_nt",
 };
 
 TEST(GradcheckSweep, TableCoversEveryDeclaredOp) {
@@ -280,6 +293,28 @@ TEST(GradcheckSweep, SecondDerivatives) {
     EXPECT_TRUE(report.ok) << c.name << ": " << report.detail
                            << " (max abs err " << report.max_abs_err << ")";
   }
+}
+
+// The double-backward sweep under every selectable SIMD variant: the matmul
+// trio's backward rules call one another (matmul_nt, matmul_tn, matmul), so
+// each second derivative runs all three micro-kernels of the forced table.
+TEST(GradcheckSweep, SecondDerivativesUnderEverySimdVariant) {
+  const simd::Isa original = simd::active_isa();
+  for (const simd::Isa isa : simd::available_isas()) {
+    ASSERT_TRUE(simd::force_isa(isa));
+    for (const OpCase& c : make_cases()) {
+      const ScalarFn fn = c.fn;
+      const ScalarFn squared = [fn](const std::vector<Variable>& in) {
+        return square(fn(in));
+      };
+      const GradcheckReport report =
+          check_second_gradients(squared, c.inputs);
+      EXPECT_TRUE(report.ok)
+          << c.name << " under " << simd::isa_name(isa) << ": "
+          << report.detail << " (max abs err " << report.max_abs_err << ")";
+    }
+  }
+  ASSERT_TRUE(simd::force_isa(original));
 }
 
 }  // namespace

@@ -784,5 +784,131 @@ TEST(Kernels, ChunkedKernelsInsidePoolChunkMatchTopLevelBitForBit) {
   set_global_threads(default_num_threads());
 }
 
+// ---- transposed matmuls against a materialized transpose ------------------
+
+/// exec::matmul_nt(a, b) and exec::matmul_tn(c, d) against exec::matmul
+/// on a copied transpose, compared bytewise; a [n,k], b [m,k], c [k,n],
+/// d [k,m].
+template <class T>
+void expect_transposed_matmuls_exact(const T* a, const T* b, const T* c,
+                                     const T* d, std::int64_t n,
+                                     std::int64_t k, std::int64_t m,
+                                     const std::string& at) {
+  std::vector<T> bt(static_cast<std::size_t>(m * k));
+  std::vector<T> ct(static_cast<std::size_t>(k * n));
+  std::vector<T> got(static_cast<std::size_t>(n * m));
+  std::vector<T> want(got.size());
+  exec::transpose(b, bt.data(), m, k);
+  exec::transpose(c, ct.data(), k, n);
+  exec::matmul_nt(a, b, got.data(), n, k, m);
+  exec::matmul(a, bt.data(), want.data(), n, k, m);
+  EXPECT_EQ(bytes_of(got.data(), got.size()),
+            bytes_of(want.data(), want.size()))
+      << "matmul_nt " << at;
+  exec::matmul_tn(c, d, got.data(), n, k, m);
+  exec::matmul(ct.data(), d, want.data(), n, k, m);
+  EXPECT_EQ(bytes_of(got.data(), got.size()),
+            bytes_of(want.data(), want.size()))
+      << "matmul_tn " << at;
+}
+
+// The contract autodiff's matmul backward rests on: matmul_nt(a, b) is
+// matmul(a, transpose(b)) and matmul_tn(a, b) is matmul(transpose(a), b)
+// to the last bit, under every table, fp64 and fp32, at 1 and 4 threads.
+// n = 225 leaves a row fringe under every chunk partition, m = 2 and 62
+// leave column fringes, and k = 513 and 900 run past the kMmPackK panel
+// depth.
+TEST(Kernels, TransposedMatmulsMatchMaterializedTransposeBitForBit) {
+  const simd::Isa original = simd::active_isa();
+  const std::int64_t n = 225;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    set_global_threads(threads);
+    for (const simd::Isa isa : simd::available_isas()) {
+      ASSERT_TRUE(simd::force_isa(isa));
+      for (const std::int64_t m : {2, 62, 64}) {
+        for (const std::int64_t k : {2, 64, 513, 900}) {
+          const std::string at = std::string(simd::isa_name(isa)) + " " +
+                                 std::to_string(threads) + "t n=225 k=" +
+                                 std::to_string(k) +
+                                 " m=" + std::to_string(m);
+          const Tensor a = random({n, k}, 970);
+          const Tensor b = random({m, k}, 971);
+          const Tensor c = random({k, n}, 972);
+          const Tensor d = random({k, m}, 973);
+          EXPECT_EQ(bytes_of(matmul_nt(a, b)),
+                    bytes_of(matmul(a, transpose(b))))
+              << "matmul_nt " << at;
+          EXPECT_EQ(bytes_of(matmul_tn(c, d)),
+                    bytes_of(matmul(transpose(c), d)))
+              << "matmul_tn " << at;
+          expect_transposed_matmuls_exact(
+              to_f32(a).data(), to_f32(b).data(), to_f32(c).data(),
+              to_f32(d).data(), n, k, m, "f32 " + at);
+        }
+      }
+    }
+  }
+  ASSERT_TRUE(simd::force_isa(original));
+  set_global_threads(default_num_threads());
+}
+
+/// The table's row micro-kernels on rows [i0, i1) of pre-zeroed outputs:
+/// matmul_nt_rows / matmul_tn_rows against matmul_rows on a transpose.
+template <class T>
+void expect_transposed_row_kernels_exact(const std::vector<T>& a,
+                                         const std::vector<T>& b,
+                                         std::int64_t n, std::int64_t k,
+                                         std::int64_t m, std::int64_t i0,
+                                         std::int64_t i1,
+                                         const std::string& at) {
+  const simd::KernelTableT<T>& t = simd::table<T>();
+  std::vector<T> a_t(static_cast<std::size_t>(k * n));
+  std::vector<T> b_t(static_cast<std::size_t>(m * k));
+  exec::transpose(a.data(), a_t.data(), n, k);
+  exec::transpose(b.data(), b_t.data(), m, k);
+  std::vector<T> got(static_cast<std::size_t>(n * m), T{0});
+  std::vector<T> want(got.size(), T{0});
+  t.matmul_nt_rows(a.data(), b.data(), got.data(), i0, i1, k, m);
+  t.matmul_rows(a.data(), b_t.data(), want.data(), i0, i1, k, m);
+  EXPECT_EQ(bytes_of(got.data(), got.size()),
+            bytes_of(want.data(), want.size()))
+      << "matmul_nt_rows " << at;
+  std::fill(got.begin(), got.end(), T{0});
+  // tn on the transposed operands computes the same a * b^T.
+  t.matmul_tn_rows(a_t.data(), b_t.data(), got.data(), i0, i1, k, n, m);
+  EXPECT_EQ(bytes_of(got.data(), got.size()),
+            bytes_of(want.data(), want.size()))
+      << "matmul_tn_rows " << at;
+}
+
+// A pool chunk hands the micro-kernels a row range whose start need not
+// sit on the kMmRowTile grid, which shifts which rows form full tiles.
+TEST(Kernels, TransposedMatmulRowRangesMatchMaterializedTransposeBitForBit) {
+  const simd::Isa original = simd::active_isa();
+  const std::int64_t n = 225;
+  const std::int64_t m = 62;
+  for (const simd::Isa isa : simd::available_isas()) {
+    ASSERT_TRUE(simd::force_isa(isa));
+    for (const std::int64_t k : {64, 513}) {
+      const Tensor a = random({n, k}, 974);
+      const Tensor b = random({m, k}, 975);
+      const std::vector<double> a64(a.data(), a.data() + a.numel());
+      const std::vector<double> b64(b.data(), b.data() + b.numel());
+      for (const auto& [i0, i1] :
+           {std::pair<std::int64_t, std::int64_t>{1, 225}, {3, 114}, {5, 7},
+            {113, 225}}) {
+        const std::string at = std::string(simd::isa_name(isa)) + " k=" +
+                               std::to_string(k) + " rows [" +
+                               std::to_string(i0) + ", " +
+                               std::to_string(i1) + ")";
+        expect_transposed_row_kernels_exact(a64, b64, n, k, m, i0, i1, at);
+        expect_transposed_row_kernels_exact(to_f32(a), to_f32(b), n, k, m,
+                                            i0, i1, "f32 " + at);
+      }
+    }
+  }
+  ASSERT_TRUE(simd::force_isa(original));
+}
+
 }  // namespace
 }  // namespace qpinn::kernels

@@ -602,6 +602,67 @@ TEST(PlanTrainer, JetResidualPlanHalvesMatmulsEveryIsa) {
   }
 }
 
+// Matmul backward runs matmul_nt / matmul_tn on the untransposed operands,
+// so the B1 fp64 training plan copies no transpose. When the backward
+// materialized them, the optimized plan held 28 transpose_into thunks
+// among 471. Replay stays bit-identical to eager on every ISA, and the
+// 4-shard mixed plan runs every transposed matmul in fp32.
+TEST(PlanTrainer, MatmulBackwardPlanCopiesNoTransposeEveryIsa) {
+  Fp64Guard precision_guard;
+  PlanOptOn plan_opt;
+  IsaGuard guard;
+  auto problem = make_free_packet_problem();
+  TrainConfig base = default_train_config(1, /*seed=*/7);
+  base.resample_every = 0;
+  const auto count = [](const Trainer& trainer, auto pred) {
+    std::size_t n = 0;
+    for (const plan::ExecutionPlan* p : trainer.captured_plans()) {
+      for (const plan::Thunk& t : p->thunks()) n += pred(t) ? 1 : 0;
+    }
+    return n;
+  };
+  const auto transposes = [](const plan::Thunk& t) {
+    return t.k1 == &kernels::transpose_into;
+  };
+  const auto transposed_matmuls = [](const plan::Thunk& t) {
+    return t.k2 == &kernels::matmul_tn_into ||
+           t.k2 == &kernels::matmul_nt_into;
+  };
+  for (simd::Isa isa : simd::available_isas()) {
+    SCOPED_TRACE(simd::isa_name(isa));
+    ASSERT_TRUE(simd::force_isa(isa));
+    std::vector<double> losses[2];
+    for (const GraphMode mode : {GraphMode::kOff, GraphMode::kOn}) {
+      TrainConfig config = base;
+      config.graph = mode;
+      Trainer trainer(problem, make_model_for(*problem, 3), config);
+      for (std::int64_t e = 0; e < 3; ++e) {
+        losses[mode == GraphMode::kOn].push_back(trainer.step(e).total_loss);
+      }
+      if (mode == GraphMode::kOff) continue;
+      EXPECT_EQ(count(trainer, transposes), 0u);
+      EXPECT_GT(count(trainer, transposed_matmuls), 0u);
+      EXPECT_LT(count(trainer, [](const plan::Thunk&) { return true; }),
+                471u);
+    }
+    expect_bit_identical(losses[0], losses[1]);
+  }
+
+  ad::set_precision_mode(ad::Precision::kMixed);
+  set_global_threads(4);
+  TrainConfig config = base;
+  config.graph = GraphMode::kOn;
+  config.threads = 4;
+  Trainer trainer(problem, make_model_for(*problem, 3), config);
+  trainer.step(0);
+  trainer.step(1);
+  ASSERT_EQ(trainer.captured_plans().size(), 4u);
+  EXPECT_EQ(count(trainer, transposes), 0u);
+  EXPECT_EQ(count(trainer, transposed_matmuls), 0u)
+      << "a transposed matmul stayed on its fp64 kernel";
+  set_global_threads(default_num_threads());
+}
+
 // --- configuration ---------------------------------------------------------
 
 TEST(PlanEnv, GraphEnvParsing) {
