@@ -795,6 +795,47 @@ int main(int argc, char** argv) {
       replay_ns > 0.0 ? ns_of("train_step", "mlp-2-64-64-1") / replay_ns : 1.0;
   const plan::PlanStats pstats = plan::plan_stats();
 
+  // Capture memory: the pool high-water of one B1 fp64 training step,
+  // captured against eager, at one thread where the gauges are exact. It
+  // runs after the plan counters above are read, so they keep covering
+  // the suites' plans only.
+  // Two-phase capture frees the step's intermediates as eager does and
+  // binds the arena afterwards, so the capture step peaks at the eager
+  // step's high-water plus the host-built constants the plan keeps.
+  std::uint64_t capture_hw = 0, eager_hw = 0, capture_constants = 0;
+  {
+    namespace core = qpinn::core;
+    const std::size_t saved_threads = qpinn::global_pool().size();
+    const ad::Precision saved_precision = ad::precision_mode();
+    qpinn::set_global_threads(1);
+    ad::set_precision_mode(ad::Precision::kFp64);
+    pool.set_enabled(true);
+    auto problem = core::make_free_packet_problem();
+    core::TrainConfig tc = core::default_train_config(/*epochs=*/1,
+                                                      /*seed=*/7);
+    tc.resample_every = 0;
+    tc.threads = 1;
+    const auto first_step_high_water = [&](core::GraphMode mode) {
+      tc.graph = mode;
+      core::Trainer trainer(problem, core::make_model_for(*problem, 3), tc);
+      pool.reset_high_water();
+      const std::uint64_t live0 = pool.stats().live_bytes;
+      trainer.step(0);
+      for (const plan::ExecutionPlan* p : trainer.captured_plans()) {
+        capture_constants += p->constant_bytes();
+      }
+      return pool.stats().live_high_water_bytes - live0;
+    };
+    eager_hw = first_step_high_water(core::GraphMode::kOff);
+    capture_hw = first_step_high_water(core::GraphMode::kOn);
+    pool.set_enabled(was_enabled);
+    ad::set_precision_mode(saved_precision);
+    qpinn::set_global_threads(saved_threads);
+  }
+  const auto mib = [](std::uint64_t bytes) {
+    return static_cast<double>(bytes) / (1024.0 * 1024.0);
+  };
+
   // Mixed-precision win on the replayed training step (>1 means the
   // demoted fp32 schedule is faster than the fp64 one; bench_compare
   // gates this at >= 1.3).
@@ -889,6 +930,9 @@ int main(int argc, char** argv) {
        << tdse_pass.arena_bytes_after << ",\n";
   json << "    \"tdse_plan_cse_eliminated\": " << tdse_pass.cse_eliminated
        << ",\n";
+  json << "    \"capture_high_water_mb\": " << fmt(mib(capture_hw)) << ",\n";
+  json << "    \"eager_high_water_mb\": " << fmt(mib(eager_hw)) << ",\n";
+  json << "    \"capture_constant_bytes\": " << capture_constants << ",\n";
   json << "    \"time_to_target_l2_ns\": " << fmt(time_to_target_ns)
        << ",\n";
   json << "    \"time_to_target_l2_goal\": " << fmt(target_l2) << ",\n";
@@ -933,6 +977,12 @@ int main(int argc, char** argv) {
   if (serve_allocs_per_query > 0.0) {
     std::cout << "WARNING: serving did " << fmt(serve_allocs_per_query)
               << " pool allocations per query; steady state must be 0\n";
+  }
+  if (capture_hw > eager_hw + capture_constants) {
+    std::cout << "WARNING: the B1 fp64 capture step peaked at "
+              << fmt(mib(capture_hw)) << " MiB of pool buffers, above the "
+              << "eager step's " << fmt(mib(eager_hw)) << " MiB plus "
+              << capture_constants << " bytes of plan constants\n";
   }
   if (plan_opt &&
       (tdse_pass.thunks_after >= tdse_pass.thunks_before ||

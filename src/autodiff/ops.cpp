@@ -430,9 +430,10 @@ void pad_cols_tensor_into(Tensor& out, const Tensor& g, std::int64_t c0) {
 Tensor pad_cols_tensor(const Tensor& g, std::int64_t c0, std::int64_t cols) {
   Tensor out = Tensor::uninitialized(Shape{g.rows(), cols});
   pad_cols_tensor_into(out, g, c0);
-  plan::record_opaque(out, {g}, [o = out, g, c0]() mutable {
-    pad_cols_tensor_into(o, g, c0);
-  });
+  plan::record_opaque(out, {g},
+                      [c0](Tensor& o, const std::vector<Tensor>& in) {
+                        pad_cols_tensor_into(o, in[0], c0);
+                      });
   return out;
 }
 
@@ -446,9 +447,10 @@ void pad_rows_tensor_into(Tensor& out, const Tensor& g, std::int64_t r0) {
 Tensor pad_rows_tensor(const Tensor& g, std::int64_t r0, std::int64_t rows) {
   Tensor out = Tensor::uninitialized(Shape{rows, g.cols()});
   pad_rows_tensor_into(out, g, r0);
-  plan::record_opaque(out, {g}, [o = out, g, r0]() mutable {
-    pad_rows_tensor_into(o, g, r0);
-  });
+  plan::record_opaque(out, {g},
+                      [r0](Tensor& o, const std::vector<Tensor>& in) {
+                        pad_rows_tensor_into(o, in[0], r0);
+                      });
   return out;
 }
 
@@ -458,8 +460,8 @@ Variable pad_rows(const Variable& g, std::int64_t r0, std::int64_t rows);
 Variable slice_cols(const Variable& a, std::int64_t c0, std::int64_t c1) {
   Tensor value = k::slice_cols(a.value(), c0, c1);
   plan::record_opaque(value, {a.value()},
-                      [o = value, src = a.value(), c0, c1]() mutable {
-                        k::slice_cols_into(o, src, c0, c1);
+                      [c0, c1](Tensor& o, const std::vector<Tensor>& in) {
+                        k::slice_cols_into(o, in[0], c0, c1);
                       });
   return op("slice_cols", std::move(value), {a},
             [c0](const Variable& g, const Variable& self) {
@@ -493,9 +495,7 @@ Variable concat_cols(const std::vector<Variable>& parts) {
   values.reserve(parts.size());
   for (const Variable& p : parts) values.push_back(p.value());
   Tensor value = k::concat_cols(values);
-  plan::record_opaque(value, values, [o = value, values]() mutable {
-    k::concat_cols_into(o, values);
-  });
+  plan::record_opaque(value, values, &k::concat_cols_into);
   return op("concat_cols", std::move(value), parts,
             [](const Variable& g, const Variable& self) {
               std::vector<Variable> grads;
@@ -516,8 +516,8 @@ Variable concat_cols(const std::vector<Variable>& parts) {
 Variable slice_rows(const Variable& a, std::int64_t r0, std::int64_t r1) {
   Tensor value = k::slice_rows(a.value(), r0, r1);
   plan::record_opaque(value, {a.value()},
-                      [o = value, src = a.value(), r0, r1]() mutable {
-                        k::slice_rows_into(o, src, r0, r1);
+                      [r0, r1](Tensor& o, const std::vector<Tensor>& in) {
+                        k::slice_rows_into(o, in[0], r0, r1);
                       });
   return op("slice_rows", std::move(value), {a},
             [r0](const Variable& g, const Variable& self) {
@@ -533,9 +533,7 @@ Variable concat_rows(const std::vector<Variable>& parts) {
   values.reserve(parts.size());
   for (const Variable& p : parts) values.push_back(p.value());
   Tensor value = k::concat_rows(values);
-  plan::record_opaque(value, values, [o = value, values]() mutable {
-    k::concat_rows_into(o, values);
-  });
+  plan::record_opaque(value, values, &k::concat_rows_into);
   return op("concat_rows", std::move(value), parts,
             [](const Variable& g, const Variable& self) {
               std::vector<Variable> grads;

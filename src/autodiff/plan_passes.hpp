@@ -1,9 +1,10 @@
 // Optimizer passes over a captured ExecutionPlan.
 //
-// A finalized capture is a flat, topologically-ordered thunk array — an IR.
-// The pipeline here runs ONCE at capture finalization (training plans and
-// forward-only serving plans alike) and rewrites that IR without changing
-// any replayed value:
+// A finalized capture is a flat, topologically-ordered array of recorded
+// thunks over symbolic buffer ids — an IR. The pipeline here runs ONCE at
+// capture finalization (training plans and forward-only serving plans
+// alike), rewrites that IR without changing any replayed value, and then
+// binds storage (ExecutionPlan::bind_buffers):
 //
 //   1. Dead-thunk elimination — a thunk whose output buffer is never read
 //      by a later thunk and is not a bound plan output computes a value
@@ -22,21 +23,23 @@
 //   3. Common-subexpression elimination — value numbering over the
 //      structured thunks: a thunk that repeats an earlier one (same kind,
 //      kernel, scalar bits, output shape, and the same value and shape of
-//      every input) computes nothing new. The repeat is erased and its
-//      readers renamed to the earlier output; when only the earlier output
-//      is private (the repeat feeds an opaque closure), the earlier thunk
-//      is retargeted onto the repeat's buffer instead. Sound by the purity
-//      premise on Thunk (plan.hpp). The autodiff backward of sin/cos
-//      re-derives cos(a)/sin(a) at every derivative order; this pass
-//      computes each once.
+//      every input) computes nothing new. A repeat whose buffer is
+//      plan-owned and written once is erased and its readers, opaque
+//      closures included, renamed to the earlier output. Sound by the
+//      purity premise on ThunkOp (plan.hpp). The autodiff backward of
+//      sin/cos re-derives cos(a)/sin(a) at every derivative order; this
+//      pass computes each once.
 //   4. Liveness-based arena reuse — buffer live intervals over the thunk
 //      sequence are colored greedily (interval partitioning per buffer
-//      size class) so non-overlapping lifetimes share one pinned arena
-//      slot, shrinking arena_bytes(). Only buffers proven plan-private are
-//      re-bound: produced by a structured thunk, not a declared output,
-//      never read before their first write, untouched by opaque closures,
-//      and with no storage owners outside the plan (storage_use_count()
-//      equals the plan-internal reference count).
+//      size class) so non-overlapping lifetimes share one arena slot.
+//      Binding then allocates one pooled storage per slot.
+//
+// Ownership is explicit: a buffer is plan-owned when a thunk writes it
+// before any thunk reads it, it is not a declared output, and the host
+// does not hold it (ExecutionPlan::host_holds: no external-input tensor
+// pinned by the plan, and no live storage outside the plan when the
+// passes start). Only plan-owned buffers are dropped by CSE or colored
+// onto shared slots; every other buffer keeps its own storage at binding.
 //
 // Ordering matters. Dead-thunk elimination runs first so no later pass
 // spends work on values nobody reads. CSE follows fusion: a merged output
@@ -44,9 +47,8 @@
 // first would share the square(t) of repeated tanh-backward chains and
 // leave them as four sweeps instead of one tanh_grad. Liveness runs last
 // because fusion and CSE shorten live ranges (intermediates disappear),
-// which is exactly what makes interval coloring effective, and because
-// re-binding invalidates the buffer-identity facts the earlier passes key
-// on.
+// which is exactly what makes interval coloring effective; binding comes
+// after all four, so the arena is allocated once, at its final size.
 //
 // The pipeline is gated by QPINN_PLAN_OPT (same grammar as QPINN_GRAPH);
 // with the knob off, plan owners skip optimize_plan() and replay the
@@ -65,15 +67,16 @@ namespace qpinn::autodiff::plan {
 /// else throws ConfigError.
 bool plan_opt_env_enabled();
 
-/// Runs the pass pipeline over `plan`. `outputs` are the buffers the host
-/// reads after replay (loss/gradient/aux tensors, the serving output) —
-/// they keep their identity and final value. Buffers the host refreshes in
-/// place before replay (batch points, curriculum weights, parameters, the
-/// serving input) need no declaration: the passes detect them as external
-/// inputs because the plan reads them before writing them. Returns the
-/// per-plan statistics, which are also stored on the plan and aggregated
-/// into plan_stats(). Callers gate on plan_opt_env_enabled(); this
-/// function itself always runs.
+/// Runs the pass pipeline over `plan`'s recorded thunks and binds its
+/// storage; the plan must not be bound yet. `outputs` are the buffers the
+/// host reads after replay (loss/gradient/aux tensors, the serving output)
+/// — they keep their identity and final value. Buffers the host refreshes
+/// in place before replay (batch points, curriculum weights, parameters,
+/// the serving input) need no declaration: the recorder pinned them as
+/// external inputs because the plan reads them before writing them.
+/// Returns the per-plan statistics, which are also stored on the plan and
+/// aggregated into plan_stats(). Callers gate on plan_opt_env_enabled();
+/// this function itself always runs.
 PassStats optimize_plan(ExecutionPlan& plan,
                         const std::vector<Tensor>& outputs);
 

@@ -125,7 +125,7 @@ class Demoter {
   }
 
   void emit(const Tensor& out, std::vector<Tensor> ins,
-            std::function<void()> run) {
+            plan::OpaqueKernel run) {
     Thunk t;
     t.kind = ThunkKind::kOpaque;
     t.out = out;
@@ -145,9 +145,10 @@ class Demoter {
       if (r.shadow.buf) owned.push_back(r.shadow.buf);
     }
     Thunk& t = out_[last_emitted_];
-    t.run = [owned = std::move(owned), fn = std::move(t.run)] {
+    t.run = [owned = std::move(owned), fn = std::move(t.run)](
+                Tensor& out, const std::vector<Tensor>& ins) {
       (void)owned;
-      fn();
+      fn(out, ins);
     };
   }
 
@@ -155,7 +156,7 @@ class Demoter {
     float* dst = shadow(t).p;
     const double* src = t.data();
     const auto n = static_cast<std::size_t>(t.numel());
-    emit(t, {t}, [dst, src, n] { f32::downcast(dst, src, n); });
+    emit(t, {t}, [dst, src, n](auto&&...) { f32::downcast(dst, src, n); });
     r.v32 = true;
     ++stats_.downcasts;
   }
@@ -164,7 +165,7 @@ class Demoter {
     const float* src = shadow(t).p;
     double* dst = const_cast<Tensor&>(t).data();
     const auto n = static_cast<std::size_t>(t.numel());
-    emit(t, {t}, [dst, src, n] { f32::upcast(dst, src, n); });
+    emit(t, {t}, [dst, src, n](auto&&...) { f32::upcast(dst, src, n); });
     r.v64 = true;
     ++stats_.upcasts;
   }
@@ -234,7 +235,8 @@ class Demoter {
         const float* sp = read_f32(t.ins[0]);
         const auto n = static_cast<std::size_t>(t.out.numel());
         const double s = t.scalar;
-        emit(t.out, t.ins, [op, s, sp, n] { f32::axpy(op, s, sp, n); });
+        emit(t.out, t.ins,
+             [op, s, sp, n](auto&&...) { f32::axpy(op, s, sp, n); });
         wrote_f32(t.out);
         break;
       }
@@ -244,7 +246,7 @@ class Demoter {
         float* op = write_f32(t.out);
         const auto n = static_cast<std::size_t>(t.out.numel());
         const double s = t.scalar;
-        emit(t.out, t.ins, [op, fp, s, sp, n] {
+        emit(t.out, t.ins, [op, fp, s, sp, n](auto&&...) {
           f32::copy(op, fp, n);
           f32::axpy(op, s, sp, n);
         });
@@ -254,7 +256,7 @@ class Demoter {
       case ThunkKind::kZero: {
         float* op = write_f32(t.out);
         const auto n = static_cast<std::size_t>(t.out.numel());
-        emit(t.out, {}, [op, n] { f32::fill_zero(op, n); });
+        emit(t.out, {}, [op, n](auto&&...) { f32::fill_zero(op, n); });
         wrote_f32(t.out);
         break;
       }
@@ -288,7 +290,7 @@ class Demoter {
     if (fn != nullptr) {
       const float* ap = read_f32(a);
       float* op = write_f32(o);
-      emit(o, t.ins, [fn, ap, op, n] { fn(ap, op, n); });
+      emit(o, t.ins, [fn, ap, op, n](auto&&...) { fn(ap, op, n); });
       wrote_f32(o);
       return true;
     }
@@ -297,8 +299,9 @@ class Demoter {
       const float* ap = read_f32(a);
       float* op = write_f32(o);
       const std::int64_t rows = a.rows(), cols = a.cols();
-      emit(o, t.ins,
-           [ap, op, rows, cols] { f32::transpose(ap, op, rows, cols); });
+      emit(o, t.ins, [ap, op, rows, cols](auto&&...) {
+        f32::transpose(ap, op, rows, cols);
+      });
       wrote_f32(o);
       return true;
     }
@@ -307,7 +310,7 @@ class Demoter {
       if (a.same_shape(o)) {
         const float* ap = read_f32(a);
         float* op = write_f32(o);
-        emit(o, t.ins, [ap, op, n] { f32::copy(op, ap, n); });
+        emit(o, t.ins, [ap, op, n](auto&&...) { f32::copy(op, ap, n); });
         wrote_f32(o);
         return true;
       }
@@ -316,8 +319,9 @@ class Demoter {
         float* op = write_f32(o);
         const auto rows = static_cast<std::size_t>(a.rows());
         const auto cols = static_cast<std::size_t>(a.cols());
-        emit(o, t.ins,
-             [ap, op, rows, cols] { f32::sum_to_rows(ap, op, rows, cols); });
+        emit(o, t.ins, [ap, op, rows, cols](auto&&...) {
+          f32::sum_to_rows(ap, op, rows, cols);
+        });
         wrote_f32(o);
         return true;
       }
@@ -327,7 +331,8 @@ class Demoter {
         const double* av = read_f64(a);
         float* op = write_f32(o);
         const auto on = static_cast<std::size_t>(o.numel());
-        emit(o, t.ins, [av, op, on] { f32::fill_value(op, av[0], on); });
+        emit(o, t.ins,
+             [av, op, on](auto&&...) { f32::fill_value(op, av[0], on); });
         wrote_f32(o);
         return true;
       }
@@ -338,7 +343,7 @@ class Demoter {
       const bool square = t.k1 == &k::square_sum_all_into;
       const float* ap = read_f32(a);
       double* po = const_cast<Tensor&>(o).data();
-      emit(o, t.ins, [square, ap, po, n] {
+      emit(o, t.ins, [square, ap, po, n](auto&&...) {
         po[0] = square ? f32::square_sum(ap, n) : f32::sum(ap, n);
       });
       wrote_f64_reduction(o);
@@ -362,7 +367,7 @@ class Demoter {
 
     const float* ap = read_f32(a);
     float* op = write_f32(o);
-    emit(o, t.ins, [fn, ap, s, op, n] { fn(ap, s, op, n); });
+    emit(o, t.ins, [fn, ap, s, op, n](auto&&...) { fn(ap, s, op, n); });
     wrote_f32(o);
     return true;
   }
@@ -388,7 +393,7 @@ class Demoter {
       const float* bp = read_f32(b);
       float* op = write_f32(o);
       const std::int64_t rows = o.rows(), m = o.cols();
-      emit(o, t.ins, [fn, ap, bp, op, rows, kk, m] {
+      emit(o, t.ins, [fn, ap, bp, op, rows, kk, m](auto&&...) {
         fn(ap, bp, op, rows, kk, m);
       });
       wrote_f32(o);
@@ -403,7 +408,7 @@ class Demoter {
       float* op = write_f32(o);
       const auto rows = static_cast<std::size_t>(a.rows());
       const auto cols = static_cast<std::size_t>(a.cols());
-      emit(o, t.ins, [is_tanh, ap, bp, op, rows, cols] {
+      emit(o, t.ins, [is_tanh, ap, bp, op, rows, cols](auto&&...) {
         if (is_tanh) {
           f32::bias_tanh(ap, bp, op, rows, cols);
         } else {
@@ -419,7 +424,8 @@ class Demoter {
       const float* tp = read_f32(b);
       float* op = write_f32(o);
       const auto n = static_cast<std::size_t>(o.numel());
-      emit(o, t.ins, [gp, tp, op, n] { f32::tanh_grad(gp, tp, op, n); });
+      emit(o, t.ins,
+           [gp, tp, op, n](auto&&...) { f32::tanh_grad(gp, tp, op, n); });
       wrote_f32(o);
       return true;
     }
@@ -435,7 +441,7 @@ class Demoter {
       const auto n = static_cast<std::size_t>(b.numel());
       const auto rows = static_cast<std::size_t>(roww ? b.rows() : 0);
       const auto cols = static_cast<std::size_t>(roww ? b.cols() : 0);
-      emit(o, t.ins, [roww, wp, ap, po, n, rows, cols] {
+      emit(o, t.ins, [roww, wp, ap, po, n, rows, cols](auto&&...) {
         po[0] = roww ? f32::weighted_square_sum_rows(wp, ap, rows, cols)
                      : f32::weighted_square_sum(wp, ap, n);
       });
@@ -455,7 +461,7 @@ class Demoter {
       const float* bp = read_f32(b);
       float* op = write_f32(o);
       const auto n = static_cast<std::size_t>(o.numel());
-      emit(o, t.ins, [bop, ap, bp, op, n] {
+      emit(o, t.ins, [bop, ap, bp, op, n](auto&&...) {
         f32::bin_same(bop, ap, bp, op, n);
       });
       wrote_f32(o);
@@ -466,7 +472,7 @@ class Demoter {
       const double* bv = read_f64(b);
       float* op = write_f32(o);
       const auto n = static_cast<std::size_t>(o.numel());
-      emit(o, t.ins, [bop, ap, bv, op, n] {
+      emit(o, t.ins, [bop, ap, bv, op, n](auto&&...) {
         f32::bin_scalar_rhs(bop, ap, bv[0], op, n);
       });
       wrote_f32(o);
@@ -477,7 +483,7 @@ class Demoter {
       const float* bp = read_f32(b);
       float* op = write_f32(o);
       const auto n = static_cast<std::size_t>(o.numel());
-      emit(o, t.ins, [bop, av, bp, op, n] {
+      emit(o, t.ins, [bop, av, bp, op, n](auto&&...) {
         f32::bin_scalar_lhs(bop, av[0], bp, op, n);
       });
       wrote_f32(o);
@@ -489,7 +495,7 @@ class Demoter {
       float* op = write_f32(o);
       const auto rows = static_cast<std::size_t>(o.rows());
       const auto cols = static_cast<std::size_t>(o.cols());
-      emit(o, t.ins, [bop, ap, bp, op, rows, cols] {
+      emit(o, t.ins, [bop, ap, bp, op, rows, cols](auto&&...) {
         f32::bin_row(bop, ap, bp, op, rows, cols);
       });
       wrote_f32(o);
@@ -510,6 +516,7 @@ class Demoter {
 
 DemoteStats demote_plan(plan::ExecutionPlan& plan,
                         const std::vector<Tensor>& outputs) {
+  plan.ensure_bound();
   Demoter d(plan.take_thunks());
   plan.set_thunks(d.run(outputs));
   return d.stats();
@@ -518,6 +525,8 @@ DemoteStats demote_plan(plan::ExecutionPlan& plan,
 FinalizeStats finalize_plan(plan::ExecutionPlan& plan,
                             const std::vector<Tensor>& outputs) {
   FinalizeStats stats;
+  // The passes run over the recorded buffer ids and bind storage last;
+  // demotion rewrites bound thunks, so it binds a plan the passes skipped.
   if (plan::plan_opt_env_enabled()) {
     stats.passes = plan::optimize_plan(plan, outputs);
   }

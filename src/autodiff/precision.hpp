@@ -74,7 +74,8 @@ struct DemoteStats {
 /// are the tensors the plan's consumers read after replay() (loss, grads,
 /// aux) — each is guaranteed fp64-resident when replay returns. Safe to
 /// call on any finalized captured plan, including one already processed
-/// by plan::optimize_plan; must be the LAST pass applied.
+/// by plan::optimize_plan; binds the plan's storage (one slot per buffer)
+/// if no pass did, and must be the LAST pass applied.
 DemoteStats demote_plan(plan::ExecutionPlan& plan,
                         const std::vector<Tensor>& outputs);
 
@@ -86,11 +87,14 @@ struct FinalizeStats {
 };
 
 /// The finalize policy of every captured plan (trainer shards, serving
-/// lanes): plan::optimize_plan when plan::plan_opt_env_enabled(), then
-/// demote_plan when precision_mode() is kMixed — demotion last, because a
-/// demoted plan is terminal. `outputs` are the host-read buffers, declared
-/// to both passes. Call once the eager Variable graph of the capture is
-/// destroyed, so the passes see plan-private intermediates.
+/// lanes): plan::optimize_plan (the passes over recorded buffer ids, then
+/// storage binding) when plan::plan_opt_env_enabled(), then demote_plan
+/// when precision_mode() is kMixed — demotion last, on the bound plan,
+/// because a demoted plan is terminal. A plan neither step touches binds
+/// at its first replay. `outputs` are the host-read buffers, declared to
+/// both passes. Call once the eager Variable graph of the capture is
+/// destroyed, so its intermediates are plan-owned and bind onto arena
+/// slots instead of keeping their storage.
 FinalizeStats finalize_plan(plan::ExecutionPlan& plan,
                             const std::vector<Tensor>& outputs);
 

@@ -240,7 +240,6 @@ void Trainer::run_shard(ShardMode mode, Shard& shard,
   if (mode == ShardMode::kCapture) {
     shard.points = points;
     shard.weights = shard_weights;
-    finalize_shard_plan(shard);
   }
 }
 
@@ -343,6 +342,13 @@ Trainer::LossAndGrads Trainer::compute(std::int64_t epoch) {
     global_pool().for_each_index(shards.size(), [&](std::size_t s) {
       run_shard(mode, shards[s], weights);
     });
+    if (mode == ShardMode::kCapture) {
+      // Binding waits for every shard's step, so no shard's arena is
+      // allocated while another shard's capture is at its peak.
+      global_pool().for_each_index(shards.size(), [&](std::size_t s) {
+        finalize_shard_plan(shards[s]);
+      });
+    }
     result = reduce_shards(shards);
   } catch (...) {
     // A failed capture (e.g. non-finite loss mid-step) leaves a partial

@@ -262,8 +262,9 @@ class Trainer {
   /// This process's shards of the threads/dist interior partition.
   std::vector<Shard> local_shards() const;
   /// One shard's step. Eager runs shard_loss and grad; capture does the
-  /// same under plan::CaptureScope and then finalizes the plan; replay
-  /// refreshes the pinned point and weight slices and replays the plan.
+  /// same under plan::CaptureScope (compute() finalizes the plans once
+  /// every shard's step is done); replay refreshes the pinned point and
+  /// weight slices and replays the plan.
   void run_shard(ShardMode mode, Shard& shard,
                  const std::optional<Tensor>& weights);
   /// Shard-order sum of losses and gradients (into shard 0's gradient
@@ -303,9 +304,9 @@ class Trainer {
 
   /// Finalizes one shard's capture through autodiff::finalize_plan with
   /// the host-read buffers (loss, grads, aux) as plan outputs, and logs
-  /// what the passes did. Called after the CaptureScope block, once the
-  /// eager Variable graph is destroyed; thread-safe (per-shard state
-  /// only).
+  /// what the passes did. Called once every shard's capture step is done,
+  /// so its eager Variable graph is destroyed; thread-safe (per-shard
+  /// state only).
   void finalize_shard_plan(Shard& sp);
 
   /// The only way points_.interior is rebound to a different tensor: bumps

@@ -5,7 +5,7 @@
 // forward-only CaptureScope armed (autodiff/plan.hpp), so the recorded
 // schedule contains value-producing kernels only — no tape, no optimizer,
 // no gradient buffers. Every query batch afterwards is one replay against
-// buffers pinned at compile time: zero Node allocations, zero pool
+// buffers bound at compile time: zero Node allocations, zero pool
 // traffic, zero refcount churn.
 //
 // Partial batches ride the same plan. All forward ops are row-independent
@@ -19,7 +19,7 @@
 // count; the difference is confined to the last ulp. The stale tail rows
 // compute garbage that is never read.
 //
-// Replay lanes: a plan replays against buffers pinned at capture time, so
+// Replay lanes: a plan replays against buffers bound at compile time, so
 // one plan admits one replay at a time. Compiling a single plan would
 // serialize every QPINN_SERVE_WORKERS thread on one mutex — the workers
 // would scale queueing, not throughput. Instead compile() captures `lanes`
@@ -103,7 +103,7 @@ class CompiledModel {
 
  private:
   /// One independent replay context: a forward plan plus the input/output
-  /// buffers it pinned at capture. The mutex serializes replays on this
+  /// buffers it keeps bound. The mutex serializes replays on this
   /// lane only.
   struct Lane {
     mutable Mutex mu;

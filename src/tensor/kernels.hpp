@@ -111,9 +111,9 @@ Tensor weighted_square_sum_all(const Tensor& w, const Tensor& a);
 // tensor whose shape must already match the result (checked). This holds
 // by construction: every value-returning X allocates its result shape
 // uninitialized and calls X_into. The autodiff execution plan
-// (autodiff/plan.hpp) records these against the buffers pinned at capture
-// so steady-state replay performs zero allocations and is bit-identical to
-// eager execution.
+// (autodiff/plan.hpp) records these and replays them against the buffers
+// it binds once after capture, so steady-state replay performs zero
+// allocations and is bit-identical to eager execution.
 void add_into(Tensor& out, const Tensor& a, const Tensor& b);
 void sub_into(Tensor& out, const Tensor& a, const Tensor& b);
 void mul_into(Tensor& out, const Tensor& a, const Tensor& b);

@@ -56,6 +56,23 @@ struct PoolCore {
   std::atomic<std::uint64_t> adopted{0};
   std::atomic<std::uint64_t> returns{0};
   std::atomic<std::uint64_t> discards{0};
+  std::atomic<std::uint64_t> live_bytes{0};
+  std::atomic<std::uint64_t> live_high_water{0};
+
+  /// Counts a buffer of `bytes` payload handed out by the pool.
+  void note_acquired(std::size_t bytes) {
+    const std::uint64_t live =
+        live_bytes.fetch_add(bytes, std::memory_order_relaxed) + bytes;
+    std::uint64_t high = live_high_water.load(std::memory_order_relaxed);
+    while (high < live && !live_high_water.compare_exchange_weak(
+                              high, live, std::memory_order_relaxed)) {
+    }
+  }
+
+  /// Counts a pooled buffer of `bytes` payload coming back.
+  void note_released(std::size_t bytes) {
+    live_bytes.fetch_sub(bytes, std::memory_order_relaxed);
+  }
 
   /// Pops a parked buffer of class `cls` into `out`; false when none.
   bool take(std::size_t cls, std::vector<double>& out) {
@@ -74,6 +91,7 @@ struct PoolCore {
   void give(std::vector<double>&& v) {
     const std::size_t cls = class_floor(v.capacity());
     const std::size_t bytes = v.capacity() * sizeof(double);
+    note_released(v.size() * sizeof(double));
     if (cls == 0 || !enabled.load(std::memory_order_relaxed)) {
       discards.fetch_add(1, std::memory_order_relaxed);
       return;
@@ -107,6 +125,7 @@ struct PoolCore {
   void give_f32(std::vector<float>&& v) {
     const std::size_t cls = class_floor(v.capacity());
     const std::size_t bytes = v.capacity() * sizeof(float);
+    note_released(v.size() * sizeof(float));
     if (cls == 0 || !enabled.load(std::memory_order_relaxed)) {
       discards.fetch_add(1, std::memory_order_relaxed);
       return;
@@ -190,6 +209,7 @@ std::shared_ptr<std::vector<double>> StoragePool::acquire(std::size_t n,
     holder->v.reserve(cls);
     holder->v.resize(n, 0.0);
   }
+  core.note_acquired(n * sizeof(double));
   holder->core = core_;
   return std::shared_ptr<std::vector<double>>(holder, &holder->v);
 }
@@ -215,6 +235,7 @@ std::shared_ptr<std::vector<float>> StoragePool::acquire_f32(std::size_t n,
     holder->v.reserve(cls);
     holder->v.resize(n, 0.0F);
   }
+  core.note_acquired(n * sizeof(float));
   holder->core = core_;
   return std::shared_ptr<std::vector<float>>(holder, &holder->v);
 }
@@ -228,6 +249,7 @@ std::shared_ptr<std::vector<double>> StoragePool::adopt(
   }
   auto holder = std::make_shared<detail::PooledHolder>();
   holder->v = std::move(values);
+  core.note_acquired(holder->v.size() * sizeof(double));
   holder->core = core_;
   return std::shared_ptr<std::vector<double>>(holder, &holder->v);
 }
@@ -249,6 +271,9 @@ StoragePoolStats StoragePool::stats() const {
   s.adopted = core.adopted.load(std::memory_order_relaxed);
   s.returns = core.returns.load(std::memory_order_relaxed);
   s.discards = core.discards.load(std::memory_order_relaxed);
+  s.live_bytes = core.live_bytes.load(std::memory_order_relaxed);
+  s.live_high_water_bytes =
+      core.live_high_water.load(std::memory_order_relaxed);
   MutexLock lock(core.mutex);
   s.free_buffers = core.free_buffers;
   s.free_bytes = core.free_bytes;
@@ -262,6 +287,12 @@ void StoragePool::reset_stats() {
   core.adopted.store(0, std::memory_order_relaxed);
   core.returns.store(0, std::memory_order_relaxed);
   core.discards.store(0, std::memory_order_relaxed);
+}
+
+void StoragePool::reset_high_water() {
+  detail::PoolCore& core = *core_;
+  core.live_high_water.store(core.live_bytes.load(std::memory_order_relaxed),
+                             std::memory_order_relaxed);
 }
 
 void StoragePool::trim() {

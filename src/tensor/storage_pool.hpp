@@ -38,6 +38,11 @@ struct StoragePoolStats {
   std::uint64_t discards = 0;          ///< releases freed (cap hit/pool off)
   std::uint64_t free_buffers = 0;      ///< buffers currently parked
   std::uint64_t free_bytes = 0;        ///< capacity bytes currently parked
+  /// Payload bytes of pooled buffers handed out (acquired or adopted while
+  /// the pool is on) and not yet released, fp64 and fp32 alike.
+  std::uint64_t live_bytes = 0;
+  /// Highest live_bytes since startup or the last reset_high_water().
+  std::uint64_t live_high_water_bytes = 0;
 };
 
 namespace detail {
@@ -77,9 +82,12 @@ class StoragePool {
   void set_enabled(bool on);
 
   StoragePoolStats stats() const;
-  /// Zeroes the monotonic counters (free_buffers/free_bytes reflect the
-  /// actual free lists and are unaffected).
+  /// Zeroes the monotonic counters (free_buffers/free_bytes and the live
+  /// gauges reflect actual buffers and are unaffected).
   void reset_stats();
+  /// Restarts the live high-water mark at the current live_bytes, so a
+  /// caller can read the peak of one phase (e.g. one training step).
+  void reset_high_water();
   /// Frees every parked buffer.
   void trim();
 

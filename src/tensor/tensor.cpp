@@ -59,6 +59,18 @@ Tensor::Tensor(std::shared_ptr<std::vector<double>> storage, Shape shape)
       shape_(std::move(shape)),
       numel_(qpinn::numel(shape_)) {}
 
+std::optional<Tensor> Tensor::from_handle(const StorageHandle& h,
+                                          Shape shape) {
+  std::shared_ptr<std::vector<double>> storage = h.lock();
+  if (!storage) return std::nullopt;
+  QPINN_CHECK_SHAPE(
+      qpinn::numel(shape) == static_cast<std::int64_t>(storage->size()),
+      "from_handle: shape " + shape_to_string(shape) +
+          " does not cover a storage of " + std::to_string(storage->size()) +
+          " elements");
+  return Tensor(std::move(storage), std::move(shape));
+}
+
 Tensor Tensor::rand(Shape shape, Rng& rng, double lo, double hi) {
   Tensor t(std::move(shape));
   for (auto& v : *t.storage_) v = rng.uniform(lo, hi);

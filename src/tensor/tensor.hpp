@@ -12,6 +12,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -80,11 +81,20 @@ class Tensor {
   bool shares_storage(const Tensor& other) const {
     return storage_ == other.storage_;
   }
-  /// Number of owners of this tensor's storage (shared_ptr use count). The
-  /// plan optimizer (autodiff/plan_passes.cpp) compares it against the
-  /// plan-internal reference count to prove a buffer has no outside
-  /// observers before re-binding it onto a shared arena slot.
-  long storage_use_count() const { return storage_.use_count(); }
+  /// Non-owning handle on this tensor's storage. It never keeps the storage
+  /// alive, and a buffer the pool recycles into a new tensor is a new
+  /// storage with a new handle, so the plan recorder (autodiff/plan.cpp)
+  /// can tell a recycled data pointer apart from the buffer it recorded.
+  using StorageHandle = std::weak_ptr<std::vector<double>>;
+  StorageHandle storage_handle() const { return storage_; }
+  /// True when `h` was taken from this tensor's storage.
+  bool has_storage(const StorageHandle& h) const {
+    return !h.owner_before(storage_) && !storage_.owner_before(h);
+  }
+  /// A tensor of `shape` over the storage behind `h`, or nullopt once that
+  /// storage has been released. numel(shape) must equal the storage size.
+  static std::optional<Tensor> from_handle(const StorageHandle& h,
+                                           Shape shape);
 
   // ---- diagnostics ------------------------------------------------------
   /// Storage/shape/stride agreement: storage present, every extent

@@ -447,13 +447,15 @@ TEST(PlanPassesCse, ObservableDuplicatesAreKept) {
   }
 }
 
-// A repeat read by an opaque closure is pinned (the closure holds the
-// original tensor), so it cannot be dropped. When the earlier copy is
-// private the earlier thunk is retargeted onto the pinned buffer instead;
-// when both copies feed opaque closures nothing merges.
-TEST(PlanPassesCse, OpaqueReaderRetargetsTheEarlierCopy) {
-  for (const bool earlier_pinned : {false, true}) {
-    SCOPED_TRACE(earlier_pinned ? "both pinned" : "later pinned");
+// Opaque closures receive their operands when they run, so a repeat read
+// by one is as droppable as any other plan-owned buffer: whether the
+// earlier copy feeds a structured kernel or a concat too, the two sins
+// merge onto one, the concat reads the surviving copy, and replay stays
+// bit-identical to the eager kernels.
+TEST(PlanPassesCse, OpaqueReadersMergeRepeatsToOneSin) {
+  for (const bool earlier_opaque : {false, true}) {
+    SCOPED_TRACE(earlier_opaque ? "both read by concat"
+                                : "later read by concat");
     Rng rng(31);
     Tensor x = Tensor::randn({8, 4}, rng);
     Tensor first, second;
@@ -463,27 +465,23 @@ TEST(PlanPassesCse, OpaqueReaderRetargetsTheEarlierCopy) {
       ad::NoGradGuard no_grad;
       const ad::Variable xv = ad::Variable::constant(x);
       const ad::Variable a = ad::sin(xv);
-      first = earlier_pinned ? ad::concat_cols({a, xv}).value()
+      first = earlier_opaque ? ad::concat_cols({a, xv}).value()
                              : ad::mul(a, xv).value();
       second = ad::concat_cols({ad::sin(xv), xv}).value();
     }
     const plan::PassStats stats = plan::optimize_plan(p, {first, second});
-    EXPECT_EQ(stats.cse_eliminated, earlier_pinned ? 0u : 1u);
-    EXPECT_EQ(count_unary(p, &kernels::sin_into), earlier_pinned ? 2u : 1u);
-    if (!earlier_pinned) {
-      // The surviving sin is the earlier thunk, now writing the buffer the
-      // second concat reads.
-      const auto& ts = p.thunks();
-      ASSERT_EQ(ts.size(), 3u);
-      EXPECT_EQ(ts[0].k1, &kernels::sin_into);
-      EXPECT_EQ(ts[0].out.data(), ts[2].ins[0].data());
-      EXPECT_EQ(ts[1].ins[0].data(), ts[0].out.data());
-    }
+    EXPECT_EQ(stats.cse_eliminated, 1u);
+    EXPECT_EQ(count_unary(p, &kernels::sin_into), 1u);
+    const auto& ts = p.thunks();
+    ASSERT_EQ(ts.size(), 3u);
+    EXPECT_EQ(ts[0].k1, &kernels::sin_into);
+    EXPECT_EQ(ts[1].ins[0].data(), ts[0].out.data());
+    EXPECT_EQ(ts[2].ins[0].data(), ts[0].out.data());
 
     kernels::copy_into(x, Tensor::randn({8, 4}, rng));
     p.replay();
     const Tensor s = kernels::sin(x);
-    expect_same_bits(first, earlier_pinned ? kernels::concat_cols({s, x})
+    expect_same_bits(first, earlier_opaque ? kernels::concat_cols({s, x})
                                            : kernels::mul(s, x));
     expect_same_bits(second, kernels::concat_cols({s, x}));
   }

@@ -8,6 +8,7 @@
 // the premise (batch shape, thread count) must invalidate the plan.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <memory>
@@ -18,6 +19,7 @@
 #include "autodiff/grad.hpp"
 #include "autodiff/ops.hpp"
 #include "autodiff/plan.hpp"
+#include "autodiff/plan_passes.hpp"
 #include "autodiff/precision.hpp"
 #include "core/benchmarks.hpp"
 #include "core/trainer.hpp"
@@ -661,6 +663,146 @@ TEST(PlanTrainer, MatmulBackwardPlanCopiesNoTransposeEveryIsa) {
   EXPECT_EQ(count(trainer, transposed_matmuls), 0u)
       << "a transposed matmul stayed on its fp64 kernel";
   set_global_threads(default_num_threads());
+}
+
+// --- capture memory ---------------------------------------------------------
+
+/// Turns the storage pool on for a test (its gauges count pooled buffers
+/// only) and restores the previous setting.
+class PoolOn {
+ public:
+  PoolOn() : saved_(StoragePool::instance().enabled()) {
+    StoragePool::instance().set_enabled(true);
+  }
+  ~PoolOn() { StoragePool::instance().set_enabled(saved_); }
+
+ private:
+  bool saved_;
+};
+
+/// Pool gauges around the first step of a fresh B1 trainer, in bytes: the
+/// high-water over the live bytes before the step, what the step leaves
+/// live, and the host-built constants its captured plans keep.
+struct StepMemory {
+  std::int64_t high_water = 0;
+  std::int64_t live_after = 0;
+  std::int64_t constants = 0;
+};
+
+StepMemory first_step_memory(const std::shared_ptr<SchrodingerProblem>& problem,
+                             const TrainConfig& config) {
+  StoragePool& pool = StoragePool::instance();
+  Trainer trainer(problem, make_model_for(*problem, 3), config);
+  pool.reset_high_water();
+  const auto live0 = static_cast<std::int64_t>(pool.stats().live_bytes);
+  trainer.step(0);
+  const StoragePoolStats s = pool.stats();
+  StepMemory m;
+  m.high_water = static_cast<std::int64_t>(s.live_high_water_bytes) - live0;
+  m.live_after = static_cast<std::int64_t>(s.live_bytes) - live0;
+  for (const plan::ExecutionPlan* p : trainer.captured_plans()) {
+    m.constants += static_cast<std::int64_t>(p->constant_bytes());
+  }
+  return m;
+}
+
+// Two-phase capture: the capture step frees its intermediates as the eager
+// step does, and storage is bound only once the step is done, from the
+// buffers it returned to the pool. So the capture step's pool high-water is
+// the eager step's or what the plans keep after it, whichever is higher,
+// plus the host-built constants a plan must keep for replay (eager frees
+// them after their last use). The gauges are exact at one pool thread.
+// When recorded tensors pinned every buffer of the step, the B1 fp64
+// capture step peaked at 89.1 MiB against eager's 56.0 MiB.
+TEST(PlanTrainer, CaptureStepPeaksAtEagerPoolHighWater) {
+  Fp64Guard precision_guard;
+  PlanOptOn plan_opt;
+  PoolOn pool_on;
+  set_global_threads(1);
+  auto problem = make_free_packet_problem();
+  TrainConfig base = default_train_config(1, /*seed=*/7);
+  base.resample_every = 0;
+  const auto measure = [&](std::size_t shards) {
+    TrainConfig config = base;
+    config.threads = shards;
+    config.graph = GraphMode::kOff;
+    const StepMemory eager = first_step_memory(problem, config);
+    config.graph = GraphMode::kOn;
+    const StepMemory capture = first_step_memory(problem, config);
+    EXPECT_GT(eager.high_water, 0);
+    EXPECT_LE(capture.high_water,
+              std::max(eager.high_water, capture.live_after) +
+                  capture.constants);
+    return std::pair{eager, capture};
+  };
+
+  // B1 fp64, one shard: the bound plan fits under the eager peak, so the
+  // capture step peaks at eager's.
+  {
+    SCOPED_TRACE("fp64, one shard");
+    const auto [eager, capture] = measure(1);
+    EXPECT_LT(capture.live_after, eager.high_water);
+    EXPECT_LE(capture.high_water, eager.high_water + capture.constants);
+  }
+  // Mixed, four shards one after another: each shard captures on top of
+  // the others' outputs only, because the arenas and fp32 shadows are
+  // bound once every shard is done; binding them is the step's peak.
+  {
+    SCOPED_TRACE("mixed, four shards");
+    ad::set_precision_mode(ad::Precision::kMixed);
+    const auto [eager, capture] = measure(4);
+    EXPECT_LE(capture.high_water, capture.live_after + capture.constants);
+  }
+  set_global_threads(default_num_threads());
+}
+
+// Recorder ABA: the captured step drops an intermediate, the pool hands the
+// same storage to a host-filled constant, and a later op reads the
+// constant. The recorder must see a new external input there, not the
+// dropped buffer; one keyed by data pointer alone would replay the
+// intermediate's value in the constant's place.
+TEST(PlanCore, RecycledStorageReadAsConstantReplaysTheConstant) {
+  PoolOn pool_on;
+  for (const bool optimize : {false, true}) {
+    SCOPED_TRACE(optimize ? "optimized" : "verbatim");
+    Rng rng(41);
+    Tensor x = Tensor::randn({16, 8}, rng);
+    Tensor out;
+    plan::ExecutionPlan p;
+    {
+      plan::CaptureScope scope(p);
+      ad::NoGradGuard no_grad;
+      const ad::Variable xv = ad::Variable::constant(x);
+      const double* dropped = nullptr;
+      ad::Variable s;
+      {
+        const ad::Variable e = ad::exp(xv);
+        dropped = e.value().data();
+        s = ad::sin(e);
+      }
+      const Tensor c = Tensor::full({16, 8}, 0.5);
+      ASSERT_EQ(c.data(), dropped) << "the pool did not recycle the storage";
+      out = ad::mul(ad::Variable::constant(c), s).value();
+    }
+    const Tensor captured = out.clone();
+    if (optimize) plan::optimize_plan(p, {out});
+
+    for (int round = 0; round < 2; ++round) {
+      p.replay();
+      const Tensor want =
+          kernels::mul(Tensor::full({16, 8}, 0.5),
+                       kernels::sin(kernels::exp(x)));
+      if (round == 0) {
+        for (std::int64_t i = 0; i < want.numel(); ++i) {
+          ASSERT_EQ(captured[i], want[i]) << "eager element " << i;
+        }
+      }
+      for (std::int64_t i = 0; i < want.numel(); ++i) {
+        ASSERT_EQ(out[i], want[i]) << "round " << round << " element " << i;
+      }
+      kernels::copy_into(x, Tensor::randn({16, 8}, rng));
+    }
+  }
 }
 
 // --- configuration ---------------------------------------------------------

@@ -63,11 +63,12 @@ Rules (exit 1 if any finding survives suppression):
                   raw ops, or calling ``grad()`` there would silently grow
                   a tape on the query path.
   plan-thunk-mutation
-                  no ``set_thunks(``/``take_thunks(`` outside
-                  src/autodiff/ — ExecutionPlan thunk arrays are rewritten
-                  only by the pass pipeline (plan_passes.hpp), which is
-                  what keeps replay bit-identical and the arena index
-                  consistent with the thunk list.
+                  no ``set_thunks(``/``take_thunks(``/``take_recorded(``/
+                  ``bind_buffers(`` outside src/autodiff/ — ExecutionPlan
+                  thunk arrays are rewritten, and their storage bound, only
+                  by the pass pipeline (plan_passes.hpp) and demotion,
+                  which is what keeps replay bit-identical and the arena
+                  index consistent with the thunk list.
   banned-unordered-float-reduce
                   no ``unordered_map``/``unordered_set`` whose element or
                   mapped type is directly ``float``/``double`` — iteration
@@ -435,11 +436,12 @@ def build_rules(src: pathlib.Path, tests: pathlib.Path,
             "plan-thunk-mutation",
             "ExecutionPlan thunk arrays are rewritten only inside "
             "src/autodiff/",
-            "direct ExecutionPlan thunk-array mutation is banned outside "
-            "src/autodiff/; rewrite plans through the pass pipeline "
-            "(plan_passes.hpp optimize_plan) so the bit-identity contract "
-            "and arena accounting stay intact",
-            [r"\b(?:set_thunks|take_thunks)\s*\("],
+            "direct ExecutionPlan thunk-array mutation or storage binding "
+            "is banned outside src/autodiff/; rewrite plans through the "
+            "pass pipeline (plan_passes.hpp optimize_plan) so the "
+            "bit-identity contract and arena accounting stay intact",
+            [r"\b(?:set_thunks|take_thunks|take_recorded|bind_buffers)"
+             r"\s*\("],
             exempt_prefixes=["src/autodiff/"]),
         RegexRule(
             "banned-unordered-float-reduce",

@@ -150,10 +150,22 @@ class PlanThunkMutationTest(unittest.TestCase):
             self.assertIn("plan-thunk-mutation", rules_hit(report),
                           f"should fire on: {snippet!r}")
 
+    def test_fires_on_storage_binding_outside_autodiff(self):
+        for snippet in ("auto ts = plan.take_recorded();\n",
+                        "plan.bind_buffers(std::move(ts), slots);\n"):
+            report = lint({"src/serve/compiled_model.cpp": snippet})
+            self.assertIn("plan-thunk-mutation", rules_hit(report),
+                          f"should fire on: {snippet!r}")
+
     def test_exempts_autodiff_pass_pipeline(self):
         snippet = ("auto ts = plan.take_thunks();\n"
-                   "plan.set_thunks(std::move(ts));\n")
+                   "plan.set_thunks(std::move(ts));\n"
+                   "plan.bind_buffers(plan.take_recorded(), {});\n")
         report = lint({"src/autodiff/plan_passes.cpp": snippet})
+        self.assertNotIn("plan-thunk-mutation", rules_hit(report))
+
+    def test_binding_on_demand_is_clean(self):
+        report = lint({"src/core/trainer.cpp": "plan.ensure_bound();\n"})
         self.assertNotIn("plan-thunk-mutation", rules_hit(report))
 
     def test_reading_thunks_is_clean(self):
