@@ -928,8 +928,6 @@ int main(int argc, char** argv) {
        << tdse_pass.arena_bytes_before << ",\n";
   json << "    \"tdse_plan_arena_bytes_after\": "
        << tdse_pass.arena_bytes_after << ",\n";
-  json << "    \"tdse_plan_cse_eliminated\": " << tdse_pass.cse_eliminated
-       << ",\n";
   json << "    \"capture_high_water_mb\": " << fmt(mib(capture_hw)) << ",\n";
   json << "    \"eager_high_water_mb\": " << fmt(mib(eager_hw)) << ",\n";
   json << "    \"capture_constant_bytes\": " << capture_constants << ",\n";

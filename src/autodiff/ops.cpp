@@ -245,10 +245,12 @@ Variable relu(const Variable& a) {
             [](const Variable& g, const Variable& self) {
               // Step factor is locally constant: correct a.e., and its
               // second derivative is identically zero.
-              const Variable mask = Variable::constant(
-                  run1(&k::step, &k::step_into, parent(self, 0).value()));
-              return std::vector<Variable>{mul(g, mask)};
+              return std::vector<Variable>{mul(g, step(parent(self, 0)))};
             });
+}
+
+Variable step(const Variable& a) {
+  return Variable::constant(run1(&k::step, &k::step_into, a.value()));
 }
 
 Variable abs(const Variable& a) {

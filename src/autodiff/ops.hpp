@@ -54,6 +54,9 @@ Variable pow_scalar(const Variable& a, double p);
 /// step/sign factor as locally constant (zero second derivative a.e.).
 Variable relu(const Variable& a);
 Variable abs(const Variable& a);
+/// The Heaviside step 1[a > 0] — relu's derivative — as a constant: its
+/// own derivative is zero a.e.
+Variable step(const Variable& a);
 
 // ---- linear algebra --------------------------------------------------------
 Variable matmul(const Variable& a, const Variable& b);

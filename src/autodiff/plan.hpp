@@ -34,11 +34,11 @@
 // output operand, and its input operands. That metadata is what makes the
 // plan an analyzable IR — the optimizer passes walk the recorded thunks to
 // eliminate dead thunks, fuse adjacent elementwise sequences into the
-// fused kernels, compute repeated values once, and color non-overlapping
-// buffer lifetimes onto shared arena slots. Structural kernels that need
-// extra immediates (pad/slice/concat) record an opaque closure that
-// receives its bound operands when it runs, and declare their read/write
-// sets so the analyses stay sound.
+// fused kernels, and color non-overlapping buffer lifetimes onto shared
+// arena slots. Structural kernels that need extra immediates
+// (pad/slice/concat) record an opaque closure that receives its bound
+// operands when it runs, and declare their read/write sets so the analyses
+// stay sound.
 //
 // Bit-identity contract: replay calls the identical kernel entry points in
 // the identical order as the eager step that was captured, on operands that
@@ -109,13 +109,6 @@ struct Operand {
 };
 
 /// What a thunk executes, whatever names its operands.
-///
-/// Purity premise: a structured kernel (kUnary, kUnaryScalar, kBinary)
-/// reads only `ins` and `scalar` and fully overwrites `out`, so for a fixed
-/// thread count and ISA its result is a deterministic function of its
-/// operand values and shapes. Common-subexpression elimination
-/// (plan_passes.hpp) relies on this to compute a repeated value once; a
-/// kernel that reads any other state must be recorded as kOpaque.
 struct ThunkOp {
   ThunkKind kind = ThunkKind::kOpaque;
   UnaryKernel k1 = nullptr;
@@ -149,8 +142,7 @@ struct PassStats {
   std::size_t thunks_after = 0;
   std::size_t dead_eliminated = 0;  ///< pass 1: dead-thunk elimination
   std::size_t fused = 0;            ///< pass 2: thunks removed by fusion
-  std::size_t cse_eliminated = 0;   ///< pass 3: repeated computations removed
-  std::size_t buffers_rebound = 0;  ///< pass 4: buffers moved onto shared slots
+  std::size_t buffers_rebound = 0;  ///< pass 3: buffers moved onto shared slots
   std::size_t arena_buffers_before = 0;
   std::size_t arena_buffers_after = 0;
   std::size_t arena_bytes_before = 0;
@@ -328,7 +320,7 @@ struct PlanStats {
   std::uint64_t replays = 0;
   std::uint64_t fallbacks = 0;
   std::uint64_t plans_optimized = 0;
-  std::uint64_t thunks_eliminated = 0;  ///< dead + fused + CSE, all plans
+  std::uint64_t thunks_eliminated = 0;  ///< dead + fused, all plans
   std::uint64_t arena_bytes_saved = 0;
 };
 PlanStats plan_stats();

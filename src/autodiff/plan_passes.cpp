@@ -1,7 +1,6 @@
 #include "autodiff/plan_passes.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cctype>
 #include <cstddef>
 #include <cstdint>
@@ -203,11 +202,19 @@ std::size_t fuse_elementwise(Thunks& ts, const BufFlags& outputs) {
   return fused_total;
 }
 
-// ---- buffer facts shared by CSE and arena reuse ---------------------------
+// ---- pass 3: liveness-based arena reuse -----------------------------------
+//
+// Computes each buffer's live interval [first write, last access] over the
+// thunk sequence and greedily colors the interval graph per buffer-size
+// class (interval partitioning: sorted by start, first free slot wins), so
+// buffers whose lifetimes never overlap share one arena slot. Only
+// plan-owned buffers (BufInfo::plan_owned) are colored. Returns the slot of
+// every buffer id (itself unless it shares another's), which is what
+// ExecutionPlan::bind_buffers allocates from.
 
 /// One buffer's accesses over the thunk sequence.
 struct BufInfo {
-  std::size_t writes = 0;
+  bool written = false;
   bool read_before_write = false;
   bool plan_owned = false;
   std::size_t first_def = 0;
@@ -225,123 +232,22 @@ std::vector<BufInfo> analyze_buffers(const Thunks& ts, const BufFlags& outputs,
     const RecordedThunk& t = ts[i];
     for (const Operand& in : t.ins) {
       BufInfo& b = bufs[in.buf];
-      if (b.writes == 0) b.read_before_write = true;
+      if (!b.written) b.read_before_write = true;
       b.last_use = i;
     }
     BufInfo& b = bufs[t.out.buf];
-    if (t.reads_out() && b.writes == 0) b.read_before_write = true;
-    if (b.writes == 0) b.first_def = i;
-    b.writes += 1;
+    if (t.reads_out() && !b.written) b.read_before_write = true;
+    if (!b.written) b.first_def = i;
+    b.written = true;
     b.last_use = i;
   }
   for (std::size_t id = 0; id < bufs.size(); ++id) {
     BufInfo& b = bufs[id];
-    b.plan_owned = b.writes > 0 && !b.read_before_write &&
-                   outputs[id] == 0 && held[id] == 0;
+    b.plan_owned = b.written && !b.read_before_write && outputs[id] == 0 &&
+                   held[id] == 0;
   }
   return bufs;
 }
-
-// ---- pass 3: common-subexpression elimination -----------------------------
-//
-// Value numbering over the structured thunks. Every write gives its buffer a
-// fresh value number; two structured thunks compute the same value when they
-// agree on kind, kernel, scalar bit pattern, output shape and each input's
-// value number and shape, because a structured kernel is a pure function of
-// exactly those (see ThunkOp). The autodiff backward of sin/cos re-derives
-// cos(a)/sin(a) at every derivative order; this pass computes each such
-// value once.
-//
-// A repeat is erased and its readers renamed to the earlier output when the
-// repeat's buffer is droppable: plan-owned and written once, so nothing but
-// the renamed readers can observe it. The match itself requires the earlier
-// output written once, so it still holds its value for every renamed reader.
-
-bool is_structured(const RecordedThunk& t) {
-  return t.kind == ThunkKind::kUnary || t.kind == ThunkKind::kUnaryScalar ||
-         t.kind == ThunkKind::kBinary;
-}
-
-std::size_t eliminate_common_subexpressions(Thunks& ts,
-                                            const std::vector<BufInfo>& bufs) {
-  constexpr std::size_t kNoValue = static_cast<std::size_t>(-1);
-  std::vector<std::size_t> value(bufs.size(), kNoValue);
-  std::size_t next_value = 0;
-  const auto value_of = [&](BufId id) {
-    if (value[id] == kNoValue) value[id] = next_value++;
-    return value[id];
-  };
-  const auto append_shape = [](std::vector<std::int64_t>& key,
-                               const Shape& shape) {
-    key.push_back(static_cast<std::int64_t>(shape.size()));
-    key.insert(key.end(), shape.begin(), shape.end());
-  };
-
-  std::map<std::vector<std::int64_t>, std::size_t> seen;  // key -> thunk
-  std::vector<BufId> rename(bufs.size(), kNoBuffer);
-  std::vector<char> erased(ts.size(), 0);
-  std::size_t removed = 0;
-  std::vector<std::int64_t> key;
-  for (std::size_t i = 0; i < ts.size(); ++i) {
-    const RecordedThunk& t = ts[i];
-    const BufId out = t.out.buf;
-    if (!is_structured(t)) {
-      value[out] = next_value++;
-      continue;
-    }
-    const auto kernel =
-        t.kind == ThunkKind::kUnary ? reinterpret_cast<std::intptr_t>(t.k1)
-        : t.kind == ThunkKind::kUnaryScalar
-            ? reinterpret_cast<std::intptr_t>(t.k1s)
-            : reinterpret_cast<std::intptr_t>(t.k2);
-    // The scalar is an operand of kUnaryScalar only; other kinds may carry
-    // a leftover from a fusion rewrite.
-    const double scalar = t.kind == ThunkKind::kUnaryScalar ? t.scalar : 0.0;
-    key.assign({static_cast<std::int64_t>(t.kind), kernel,
-                std::bit_cast<std::int64_t>(scalar)});
-    append_shape(key, t.out.shape);
-    for (const Operand& in : t.ins) {
-      key.push_back(static_cast<std::int64_t>(value_of(in.buf)));
-      append_shape(key, in.shape);
-    }
-    const auto [it, fresh] = seen.try_emplace(key, i);
-    if (!fresh && bufs[out].plan_owned && bufs[out].writes == 1) {
-      const BufId earlier = ts[it->second].out.buf;
-      rename[out] = earlier;
-      value[out] = value[earlier];
-      erased[i] = 1;
-      removed += 1;
-      continue;
-    }
-    value[out] = next_value++;
-    // Only a written-once output keeps its value for later matches.
-    if (fresh && bufs[out].writes != 1) seen.erase(it);
-  }
-  if (removed == 0) return 0;
-
-  // A rename target is the first copy of its value, never itself renamed.
-  Thunks kept;
-  kept.reserve(ts.size() - removed);
-  for (std::size_t i = 0; i < ts.size(); ++i) {
-    if (erased[i] != 0) continue;
-    for (Operand& in : ts[i].ins) {
-      if (rename[in.buf] != kNoBuffer) in.buf = rename[in.buf];
-    }
-    kept.push_back(std::move(ts[i]));
-  }
-  ts = std::move(kept);
-  return removed;
-}
-
-// ---- pass 4: liveness-based arena reuse -----------------------------------
-//
-// Computes each buffer's live interval [first write, last access] over the
-// thunk sequence and greedily colors the interval graph per buffer-size
-// class (interval partitioning: sorted by start, first free slot wins), so
-// buffers whose lifetimes never overlap share one arena slot. Only
-// plan-owned buffers (BufInfo::plan_owned) are colored. Returns the slot of
-// every buffer id (itself unless it shares another's), which is what
-// ExecutionPlan::bind_buffers allocates from.
 
 std::vector<BufId> reuse_arena(const std::vector<BufInfo>& bufs,
                                const ExecutionPlan& plan) {
@@ -422,8 +328,6 @@ PassStats optimize_plan(ExecutionPlan& plan,
   Thunks ts = plan.take_recorded();
   s.dead_eliminated = eliminate_dead_thunks(ts, outs);
   s.fused = fuse_elementwise(ts, outs);
-  s.cse_eliminated =
-      eliminate_common_subexpressions(ts, analyze_buffers(ts, outs, held));
   const std::vector<BufId> slots =
       reuse_arena(analyze_buffers(ts, outs, held), plan);
   for (BufId id = 0; id < n; ++id) s.buffers_rebound += slots[id] != id;

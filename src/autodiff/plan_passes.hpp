@@ -20,16 +20,7 @@
 //      Every rewrite reuses a kernel whose bit-identity against the
 //      composition it replaces is already part of the SIMD layer's
 //      contract, so replay output is unchanged to the last bit.
-//   3. Common-subexpression elimination — value numbering over the
-//      structured thunks: a thunk that repeats an earlier one (same kind,
-//      kernel, scalar bits, output shape, and the same value and shape of
-//      every input) computes nothing new. A repeat whose buffer is
-//      plan-owned and written once is erased and its readers, opaque
-//      closures included, renamed to the earlier output. Sound by the
-//      purity premise on ThunkOp (plan.hpp). The autodiff backward of
-//      sin/cos re-derives cos(a)/sin(a) at every derivative order; this
-//      pass computes each once.
-//   4. Liveness-based arena reuse — buffer live intervals over the thunk
+//   3. Liveness-based arena reuse — buffer live intervals over the thunk
 //      sequence are colored greedily (interval partitioning per buffer
 //      size class) so non-overlapping lifetimes share one arena slot.
 //      Binding then allocates one pooled storage per slot.
@@ -38,17 +29,20 @@
 // before any thunk reads it, it is not a declared output, and the host
 // does not hold it (ExecutionPlan::host_holds: no external-input tensor
 // pinned by the plan, and no live storage outside the plan when the
-// passes start). Only plan-owned buffers are dropped by CSE or colored
-// onto shared slots; every other buffer keeps its own storage at binding.
+// passes start). Only plan-owned buffers are colored onto shared slots;
+// every other buffer keeps its own storage at binding.
 //
 // Ordering matters. Dead-thunk elimination runs first so no later pass
-// spends work on values nobody reads. CSE follows fusion: a merged output
-// is read more than once, which fails fusion's read-once test, so merging
-// first would share the square(t) of repeated tanh-backward chains and
-// leave them as four sweeps instead of one tanh_grad. Liveness runs last
-// because fusion and CSE shorten live ranges (intermediates disappear),
-// which is exactly what makes interval coloring effective; binding comes
-// after all four, so the arena is allocated once, at its final size.
+// spends work on values nobody reads. Liveness runs last because fusion
+// shortens live ranges (intermediates disappear), which is what makes
+// interval coloring effective; binding comes after all three, so the
+// arena is allocated once, at its final size.
+//
+// No pass merges repeated computations. The forward jets share φ', φ''
+// and sin/cos across their streams, so a jet plan computes each value
+// once (tests/plan_passes_test.cpp checks it). What repeats is the reverse
+// sweep over a hard initial condition's psi0: six [N, 1] sin/cos columns
+// on the B1 plan, too small to pay for a pass.
 //
 // The pipeline is gated by QPINN_PLAN_OPT (same grammar as QPINN_GRAPH);
 // with the knob off, plan owners skip optimize_plan() and replay the

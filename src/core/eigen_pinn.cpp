@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "autodiff/derivatives.hpp"
 #include "autodiff/grad.hpp"
 #include "util/error.hpp"
 #include "util/logging.hpp"
@@ -52,10 +51,6 @@ Variable envelope(const Variable& x, double a, double b) {
 std::pair<Variable, Variable> envelope_field(nn::Module& net, const Variable& x,
                                              double a, double b) {
   const Variable e = envelope(x, a, b);
-  if (!net.has_jet()) {
-    const Variable psi = mul(e, net.forward(x));
-    return {psi, partial_n(psi, x, 0, 2)};
-  }
   const nn::Jet n = net.forward_jet(nn::input_jet(x.detach(), {2}, {1.0}));
   // e = s (x - a)(b - x), so e' = s (a + b - 2x) and e'' = -2s.
   const double s = 4.0 / ((b - a) * (b - a));
@@ -105,8 +100,8 @@ EigenState EigenPinn::solve_state(
   double last_residual = 0.0;
 
   for (std::int64_t epoch = 0; epoch < config_.epochs; ++epoch) {
-    // Exact Dirichlet envelope; only the partial path differentiates by x.
-    const Variable x = Variable::leaf(xs, /*requires_grad=*/!net.has_jet());
+    // Exact Dirichlet envelope; the jet carries the x-derivatives.
+    const Variable x = Variable::constant(xs);
     const auto [psi, psi_xx] = envelope_field(net, x, a, b);
     Variable h_psi = scale(psi_xx, -0.5);
     if (config_.potential) {

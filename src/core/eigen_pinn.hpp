@@ -54,9 +54,8 @@ struct EigenState {
 };
 
 /// The Dirichlet envelope model psi = 4 (x - a)(b - x) / (b - a)^2 * NN(x)
-/// and psi_xx at a column x (N, 1). One forward jet gives psi_xx when `net`
-/// has one (product rule psi'' = e NN'' + 2 e' NN' + e'' NN); otherwise it
-/// is `partial`, for which x must require grad.
+/// and psi_xx at a column x (N, 1), from one forward jet of `net` (product
+/// rule psi'' = e NN'' + 2 e' NN' + e'' NN).
 std::pair<autodiff::Variable, autodiff::Variable> envelope_field(
     nn::Module& net, const autodiff::Variable& x, double a, double b);
 

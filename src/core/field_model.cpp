@@ -64,31 +64,29 @@ Variable FieldModel::forward(const Variable& X) {
 
 FieldDerivatives FieldModel::derivatives(const Variable& X) {
   // Coordinate 0 is x (to second order), coordinate 1 is t (first order).
-  const std::vector<int> order{2, 1};
-  nn::Jet u, v;
-  if (backbone_->has_jet()) {
-    // The jet carries the X-derivatives itself, so no reverse sweep needs
-    // X: detaching keeps the parameter sweep out of the input layers. No
-    // normalization is the identity map, whose half-spans are 1.
-    const Variable Xc = X.detach();
-    const InputNormalization n = normalization_.value_or(InputNormalization{});
-    const nn::Jet raw = backbone_->forward_jet(nn::input_jet(
-        network_input(Xc), order, {1.0 / n.x_half_span, 1.0 / n.t_half_span}));
-    u = raw.slice_cols(0, 1);
-    v = raw.slice_cols(1, 2);
-    if (hard_ic_) {
-      // psi0 on its own leaf over X's storage; its derivatives are data.
-      // The ramp runs along coordinate 1 (t).
-      const Variable Xl = Variable::leaf(X.value());
-      auto [u0, v0] = hard_ic_->psi0(slice_cols(Xl, 0, 1));
-      const Variable ramp = add_scalar(slice_cols(Xc, 1, 2), -hard_ic_->t0);
-      u = nn::hard_ic(nn::partial_jet(u0, Xl, {2, 0}).detached(), ramp, u, 1);
-      v = nn::hard_ic(nn::partial_jet(v0, Xl, {2, 0}).detached(), ramp, v, 1);
-    }
-  } else {
-    const Variable out = forward(X);
-    u = nn::partial_jet(slice_cols(out, 0, 1), X, order);
-    v = nn::partial_jet(slice_cols(out, 1, 2), X, order);
+  // The jet carries the X-derivatives itself, so no reverse sweep needs X:
+  // detaching keeps the parameter sweep out of the input layers. No
+  // normalization is the identity map, whose half-spans are 1.
+  const Variable Xc = X.detach();
+  const InputNormalization n = normalization_.value_or(InputNormalization{});
+  const nn::Jet raw = backbone_->forward_jet(nn::input_jet(
+      network_input(Xc), {2, 1}, {1.0 / n.x_half_span, 1.0 / n.t_half_span}));
+  nn::Jet u = raw.slice_cols(0, 1);
+  nn::Jet v = raw.slice_cols(1, 2);
+  if (hard_ic_) {
+    // psi0 on its own leaf over X's storage. It has no parameters, so its
+    // derivatives are data. The ramp runs along coordinate 1 (t).
+    const Variable Xl = Variable::leaf(X.value());
+    auto [u0, v0] = hard_ic_->psi0(slice_cols(Xl, 0, 1));
+    const Variable ramp = add_scalar(slice_cols(Xc, 1, 2), -hard_ic_->t0);
+    const auto field = [&](const Variable& psi0, const nn::Jet& net) {
+      const nn::Jet data =
+          nn::partial_jet(  // lint-allow: nested-reverse-derivatives
+              psi0, Xl, {2, 0});
+      return nn::hard_ic(data.detached(), ramp, net, 1);
+    };
+    u = field(u0, u);
+    v = field(v0, v);
   }
   const Shape& column = u.value.shape();
   FieldDerivatives d;

@@ -50,14 +50,13 @@ class FieldModel {
   /// Builds the forward graph for a batch X of (x, t) rows; returns (N, 2).
   autodiff::Variable forward(const autodiff::Variable& X);
 
-  /// psi, psi_t and psi_xx at a batch X of (x, t) rows. A backbone with a
-  /// jet (nn::Module::has_jet) yields all of them in one forward jet; the
-  /// results then carry no graph back to X, and the parameter gradient of
-  /// a loss on them is one reverse sweep. psi0 of a hard IC is an arbitrary
-  /// FieldOp, so its x-derivatives come from reverse-mode `partial` on its
-  /// own [N, 1] column and enter as constants. Other backbones take
-  /// `partial` throughout, which needs X to require grad. u and v equal
-  /// forward(X)'s columns bit for bit on both paths.
+  /// psi, psi_t and psi_xx at a batch X of (x, t) rows, from one forward
+  /// jet of the backbone (nn::Module::forward_jet). The results carry no
+  /// graph back to X, and the parameter gradient of a loss on them is one
+  /// reverse sweep. psi0 of a hard IC is an arbitrary FieldOp with no
+  /// parameters, so its x-derivatives come from reverse-mode `partial` on
+  /// its own [N, 1] column and enter as constants. u and v equal
+  /// forward(X)'s columns bit for bit.
   FieldDerivatives derivatives(const autodiff::Variable& X);
 
   /// Evaluates without building graphs (metrics / inference).

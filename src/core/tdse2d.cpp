@@ -113,26 +113,23 @@ Variable Tdse2dSolver::forward(const Variable& X) {
 }
 
 std::pair<nn::Jet, nn::Jet> Tdse2dSolver::jets(const Variable& X) {
-  const std::vector<int> order{2, 2, 1};
-  if (!net_->has_jet()) {
-    const Variable out = forward(X);
-    return {nn::partial_jet(slice_cols(out, 0, 1), X, order),
-            nn::partial_jet(slice_cols(out, 1, 2), X, order)};
-  }
   // As FieldModel::derivatives, with the ramp along coordinate 2 (t).
   const Domain2d& d = config_.domain;
   const Variable Xc = X.detach();
   const std::vector<double> direction{2.0 / (d.x_hi - d.x_lo),
                                       2.0 / (d.y_hi - d.y_lo),
                                       2.0 / (d.t_hi - d.t_lo)};
-  const nn::Jet raw =
-      net_->forward_jet(nn::input_jet(network_input(Xc), order, direction));
+  const nn::Jet raw = net_->forward_jet(
+      nn::input_jet(network_input(Xc), {2, 2, 1}, direction));
   const Variable Xl = Variable::leaf(X.value());
   auto [u0, v0] = config_.initial(slice_cols(Xl, 0, 1), slice_cols(Xl, 1, 2));
   const Variable ramp = add_scalar(slice_cols(Xc, 2, 3), -d.t_lo);
   const auto field = [&](const Variable& psi0, std::int64_t c) {
-    return nn::hard_ic(nn::partial_jet(psi0, Xl, {2, 2, 0}).detached(), ramp,
-                       raw.slice_cols(c, c + 1), 2);
+    // psi0 has no parameters, so its derivatives are data.
+    const nn::Jet data =
+        nn::partial_jet(  // lint-allow: nested-reverse-derivatives
+            psi0, Xl, {2, 2, 0});
+    return nn::hard_ic(data.detached(), ramp, raw.slice_cols(c, c + 1), 2);
   };
   return {field(u0, 0), field(v0, 1)};
 }

@@ -102,7 +102,7 @@ class Tdse2dSolver {
   autodiff::Variable forward(const autodiff::Variable& X);
   autodiff::Variable network_input(const autodiff::Variable& X) const;
   /// Jets of u and v over (x, y, t) with x, y to second order and t to
-  /// first: one forward jet when the backbone has one, else `partial`.
+  /// first, from one forward jet of the backbone.
   std::pair<nn::Jet, nn::Jet> jets(const autodiff::Variable& X);
   autodiff::Variable residual(const autodiff::Variable& X);
 

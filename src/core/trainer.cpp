@@ -295,8 +295,7 @@ void Trainer::finalize_shard_plan(Shard& sp) {
     log::debug() << problem_->name() << " plan optimized: "
                  << p->thunks_before << " -> " << p->thunks_after
                  << " thunks (" << p->dead_eliminated << " dead, "
-                 << p->fused << " fused, " << p->cse_eliminated
-                 << " CSE), arena " << p->arena_bytes_before
+                 << p->fused << " fused), arena " << p->arena_bytes_before
                  << " -> " << p->arena_bytes_after << " bytes ("
                  << p->buffers_rebound << " buffers re-bound)";
   }

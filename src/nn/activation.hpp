@@ -34,14 +34,14 @@ autodiff::Variable apply_activation(Activation activation,
                                     const autodiff::Variable& y,
                                     const autodiff::Variable& bias);
 
-/// True when activation_jet has a rule for `activation` (tanh, sin,
-/// identity).
-bool has_activation_jet(Activation activation);
-
 /// The jet of activation(z + bias) from the jet of z: the value is
 /// apply_activation(activation, z.value, bias), and with φ' and φ'' at
 /// z + bias each stream follows y_k = φ'·z_k, y_kk = φ'·z_kk + φ''·z_k².
-/// tanh takes φ' = 1 − t², φ'' = −2t·φ' from its own value t.
+/// Every activation has a rule, and each builds φ' and φ'' once from
+/// values the forward already computed where it can: tanh from its own
+/// value t (φ' = 1 − t², φ'' = −2t·φ'), sigmoid likewise (φ' = σ(1 − σ),
+/// φ'' = φ'(1 − 2σ)), softplus from σ (φ' = σ), relu from the step
+/// (φ'' = 0 a.e.), and gelu from the gate of its tanh form.
 Jet activation_jet(Activation activation, const Jet& z,
                    const autodiff::Variable& bias);
 

@@ -19,7 +19,6 @@ class RandomFourierFeatures : public Module {
 
   autodiff::Variable forward(const autodiff::Variable& x) override;
   /// One sin and one cos of the projection serve every jet component.
-  bool has_jet() const override { return true; }
   Jet forward_jet(const Jet& x) override;
   std::vector<autodiff::Variable> parameters() const override { return {}; }
   std::vector<std::pair<std::string, autodiff::Variable>> named_parameters()

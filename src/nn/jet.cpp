@@ -2,6 +2,7 @@
 
 #include "autodiff/derivatives.hpp"
 #include "autodiff/ops.hpp"
+#include "nn/module.hpp"
 #include "util/error.hpp"
 
 namespace qpinn::nn {
@@ -149,6 +150,55 @@ Jet partial_jet(const Variable& y, const Variable& x, std::vector<int> order) {
     }
   }
   return jet;
+}
+
+Jet jet_by_partial(Module& module, const Jet& x) {
+  const Tensor& z = x.value.value();
+  const auto dims = static_cast<std::int64_t>(x.dims());
+  const auto constant = [](const Variable& v) {
+    return !v.defined() || !v.requires_grad();
+  };
+  bool input = z.rank() == 2 && z.cols() == dims && constant(x.value);
+  // Along each coordinate: its d1 column (the chain-rule factor), that
+  // column squared, and the order the reverse sweep carries (0 where d1 is
+  // an exact zero).
+  std::vector<Variable> slope(x.dims()), slope2(x.dims());
+  std::vector<int> order(x.dims(), 0);
+  for (std::int64_t k = 0; input && k < dims; ++k) {
+    const auto kk = static_cast<std::size_t>(k);
+    const Variable& dk = x.d1[kk];
+    input = !x.d2[kk].defined() && constant(dk);
+    if (!input || !dk.defined()) continue;
+    const Tensor& d = dk.value();
+    input = d.same_shape(z);
+    for (std::int64_t r = 0; input && r < d.rows(); ++r) {
+      for (std::int64_t j = 0; j < d.cols(); ++j) {
+        if (j != k && d.at(r, j) != 0.0) input = false;
+      }
+    }
+    slope[kk] = ad::slice_cols(dk, k, k + 1);
+    if (x.order[kk] >= 2) slope2[kk] = ad::square(slope[kk]);
+    order[kk] = x.order[kk];
+  }
+  if (!input) {
+    throw ValueError(
+        "jet_by_partial: expects an input jet (no grad path, no second "
+        "derivatives, d1[k] zero outside column k)");
+  }
+
+  const Variable leaf = Variable::leaf(z);
+  const Variable y = module.forward(leaf);
+  std::vector<Jet> channels;
+  for (std::int64_t c = 0; c < y.value().cols(); ++c) {
+    Jet jet = partial_jet(ad::slice_cols(y, c, c + 1), leaf, order);
+    jet.order = x.order;
+    for (std::size_t k = 0; k < x.dims(); ++k) {
+      jet.d1[k] = times(slope[k], jet.d1[k]);
+      jet.d2[k] = times(slope2[k], jet.d2[k]);
+    }
+    channels.push_back(std::move(jet));
+  }
+  return concat_jets(channels);
 }
 
 Variable or_zeros(const Variable& v, const Shape& shape) {

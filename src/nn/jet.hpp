@@ -6,9 +6,12 @@
 // Bettencourt, Johnson & Duvenaud 2019). Every rule is built from ordinary
 // tape ops, so capture, replay, the plan passes and mixed demotion apply to
 // a jet unchanged, and the parameter gradient of a jet residual is a single
-// reverse sweep. `partial` (autodiff/derivatives.hpp) stays the generic
-// path for functions without a jet rule, and `partial_jet` below wraps it
-// in the same shape.
+// reverse sweep. Every module answers forward_jet: layers and activations
+// carry their own rules, and Module's default (`jet_by_partial` below)
+// differentiates any other module by reverse-mode `partial`
+// (autodiff/derivatives.hpp). `partial` is otherwise the oracle jets are
+// tested against, and the path for data with no parameters (a hard
+// initial condition's psi0), through `partial_jet`.
 #pragma once
 
 #include <cstddef>
@@ -18,6 +21,8 @@
 #include "autodiff/variable.hpp"
 
 namespace qpinn::nn {
+
+class Module;
 
 /// value (N, C) plus d1[k] = ∂value/∂x_k and d2[k] = ∂²value/∂x_k² for
 /// every input coordinate k. order[k] in {0, 1, 2} is the highest order
@@ -73,11 +78,20 @@ Jet hard_ic(const Jet& psi0, const autodiff::Variable& ramp, const Jet& net,
             std::size_t t_dim);
 
 /// The jet of a one-channel y (N, 1) by reverse-mode `partial` against the
-/// (N, D) input x it was computed from — the path for models without a jet
-/// rule, and the oracle jets are tested against. A y with no grad path
-/// (a constant) has all-zero derivatives. Throws outside grad mode.
+/// (N, D) input x it was computed from — the oracle jets are tested
+/// against. A y with no grad path (a constant) has all-zero derivatives.
+/// Throws outside grad mode.
 Jet partial_jet(const autodiff::Variable& y, const autodiff::Variable& x,
                 std::vector<int> order);
+
+/// Module::forward_jet's default: the jet of module.forward(x.value) by
+/// `partial_jet` on each output channel against a leaf copy of x.value,
+/// chained through x's derivative columns. Exact for input jets, the only
+/// ones it accepts (else ValueError): no component has a grad path, every
+/// d2 is undefined, and each defined d1[k] is zero outside column k, so
+/// y_k = d1[k](:, k) ⊙ ∂y/∂z_k and y_kk = d1[k](:, k)² ⊙ ∂²y/∂z_k² hold
+/// with no mixed partials. Needs grad mode.
+Jet jet_by_partial(Module& module, const Jet& x);
 
 /// `v` when defined, else an all-zero constant of `shape`.
 autodiff::Variable or_zeros(const autodiff::Variable& v, const Shape& shape);

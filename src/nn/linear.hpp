@@ -24,7 +24,6 @@ class Linear : public Module {
   /// way.
   autodiff::Variable forward_act(const autodiff::Variable& x, Activation act);
   /// The same W maps every jet component; the bias goes on the value only.
-  bool has_jet() const override { return true; }
   Jet forward_jet(const Jet& x) override {
     return forward_act_jet(x, Activation::kIdentity);
   }

@@ -63,8 +63,6 @@ Variable Mlp::forward(const Variable& x) {
 }
 
 Jet Mlp::forward_jet(const Jet& x) {
-  QPINN_CHECK(has_jet(), "Mlp::forward_jet: no jet rule for activation " +
-                             to_string(config_.activation));
   Jet h = x;
   if (periodic_) h = periodic_->forward_jet(h);
   if (fourier_) h = fourier_->forward_jet(h);

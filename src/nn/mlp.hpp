@@ -41,10 +41,6 @@ class Mlp : public Module {
   explicit Mlp(const MlpConfig& config);
 
   autodiff::Variable forward(const autodiff::Variable& x) override;
-  /// A jet exists for tanh, sin and identity activations.
-  bool has_jet() const override {
-    return has_activation_jet(config_.activation);
-  }
   Jet forward_jet(const Jet& x) override;
   std::vector<autodiff::Variable> parameters() const override;
   std::vector<std::pair<std::string, autodiff::Variable>> named_parameters()

@@ -8,7 +8,6 @@
 
 #include "autodiff/variable.hpp"
 #include "nn/jet.hpp"
-#include "util/error.hpp"
 
 namespace qpinn::nn {
 
@@ -30,16 +29,11 @@ class Module {
   virtual std::vector<std::pair<std::string, autodiff::Variable>>
   named_parameters() const = 0;
 
-  /// True when forward_jet has a rule for this module's configuration.
-  /// Callers needing input derivatives use the jet when it does and
-  /// reverse-mode `partial` (nn::partial_jet) when it does not.
-  virtual bool has_jet() const { return false; }
-
   /// Propagates a forward jet (nn/jet.hpp) of the input batch; the value
-  /// stream equals forward(x.value) bit for bit.
-  virtual Jet forward_jet(const Jet& /*x*/) {
-    throw ValueError("forward_jet: module has no jet rule");
-  }
+  /// stream equals forward(x.value) bit for bit. This default is
+  /// nn::jet_by_partial (reverse-mode `partial`), exact for input jets;
+  /// modules with a rule of their own override it.
+  virtual Jet forward_jet(const Jet& x) { return jet_by_partial(*this, x); }
 
   virtual std::int64_t input_dim() const = 0;
   virtual std::int64_t output_dim() const = 0;

@@ -19,7 +19,6 @@ class PeriodicEmbedding : public Module {
   explicit PeriodicEmbedding(std::vector<double> periods);
 
   autodiff::Variable forward(const autodiff::Variable& x) override;
-  bool has_jet() const override { return true; }
   Jet forward_jet(const Jet& x) override;
   std::vector<autodiff::Variable> parameters() const override { return {}; }
   std::vector<std::pair<std::string, autodiff::Variable>> named_parameters()

@@ -4,8 +4,8 @@
 // The oracle is reverse-mode `partial`: every jet derivative must match it
 // to 1e-12 relative, and the parameter gradient of a jet residual loss must
 // match the `partial` loss's to 1e-10 relative. Jets round differently from
-// nested reverse sweeps, so these are tolerance checks; values (u, v) and
-// the fallback path for backbones without a jet stay bit for bit.
+// nested reverse sweeps, so these are tolerance checks; values (u, v) stay
+// bit for bit.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -53,8 +53,9 @@ void expect_bitwise(const Variable& a, const Variable& b, const char* what) {
   }
 }
 
-/// Forwards to a backbone but declares no jet, so a FieldModel around it
-/// takes the `partial` path over the very same parameters.
+/// Forwards to a backbone but has no jet rule of its own, so a FieldModel
+/// around it takes Module's default forward_jet (nn::jet_by_partial, i.e.
+/// `partial`) over the very same parameters.
 class NoJet : public nn::Module {
  public:
   explicit NoJet(nn::Module& inner) : inner_(inner) {}
@@ -72,6 +73,12 @@ class NoJet : public nn::Module {
  private:
   nn::Module& inner_;
 };
+
+/// Every activation; each has a jet rule.
+constexpr nn::Activation kActivations[] = {
+    nn::Activation::kTanh,     nn::Activation::kSin,  nn::Activation::kSigmoid,
+    nn::Activation::kSoftplus, nn::Activation::kRelu, nn::Activation::kGelu,
+    nn::Activation::kIdentity};
 
 /// A jet model and its `partial` twin sharing one backbone.
 struct ModelPair {
@@ -123,7 +130,6 @@ void expect_jet_matches_partial(const ModelPair& models, const Variable& X) {
 /// second order and the other coordinates to first.
 void expect_module_jet_matches_partial(nn::Module& module, std::int64_t n,
                                        const std::vector<int>& order) {
-  ASSERT_TRUE(module.has_jet());
   Rng rng(3);
   const Tensor points =
       Tensor::rand({n, module.input_dim()}, rng, -1.0, 1.0);
@@ -159,8 +165,7 @@ TEST(JetLayers, EveryModuleMatchesPartial) {
   expect_module_jet_matches_partial(periodic, 9, {2, 1});
   nn::RandomFourierFeatures fourier(3, 5, 1.0, rng);
   expect_module_jet_matches_partial(fourier, 9, {2, 2, 1});
-  for (nn::Activation act : {nn::Activation::kTanh, nn::Activation::kSin,
-                             nn::Activation::kIdentity}) {
+  for (nn::Activation act : kActivations) {
     SCOPED_TRACE(nn::to_string(act));
     nn::MlpConfig config;
     config.in_dim = 3;
@@ -175,20 +180,24 @@ TEST(JetLayers, EveryModuleMatchesPartial) {
   }
 }
 
-TEST(JetLayers, ActivationsWithoutRuleDeclareNoJet) {
-  for (nn::Activation act :
-       {nn::Activation::kSigmoid, nn::Activation::kSoftplus,
-        nn::Activation::kRelu, nn::Activation::kGelu}) {
-    nn::MlpConfig config;
-    config.activation = act;
-    config.hidden = {4};
-    nn::Mlp mlp(config);
-    EXPECT_FALSE(mlp.has_jet()) << nn::to_string(act);
-    EXPECT_THROW(mlp.forward_jet(nn::input_jet(
-                     Variable::constant(Tensor::zeros({2, 2})), {1, 1},
-                     {1.0, 1.0})),
-                 ValueError);
-  }
+// Module's default forward_jet is exact only for input jets; it refuses a
+// value with a grad path, a direction mixing coordinates, and a jet that
+// already carries second derivatives.
+TEST(JetLayers, DefaultJetRejectsAnyOtherJet) {
+  Rng rng(12);
+  nn::Linear linear(2, 3, rng);
+  NoJet no_jet(linear);
+  const Variable X = Variable::leaf(Tensor::rand({5, 2}, rng, -1.0, 1.0));
+  const nn::Jet input = nn::input_jet(X.detach(), {2, 1}, {1.0, 1.0});
+  EXPECT_NO_THROW(no_jet.forward_jet(input));
+  EXPECT_THROW(no_jet.forward_jet(nn::input_jet(X, {2, 1}, {1.0, 1.0})),
+               ValueError);
+  nn::Jet mixed = input;
+  mixed.d1[0] = Variable::constant(Tensor::ones({5, 2}));
+  EXPECT_THROW(no_jet.forward_jet(mixed), ValueError);
+  nn::Jet curved = input;
+  curved.d2[0] = input.d1[0];
+  EXPECT_THROW(no_jet.forward_jet(curved), ValueError);
 }
 
 // --- FieldModel ----------------------------------------------------------
@@ -203,7 +212,6 @@ TEST(JetFieldModel, BenchmarkModelsMatchPartial) {
       SCOPED_TRACE(problem->name() + (hard_ic ? " hard IC" : " soft IC"));
       const ModelPair models =
           make_pair_for(benchmark_config(*problem, hard_ic));
-      ASSERT_TRUE(models.jet->backbone().has_jet());
       expect_jet_matches_partial(models, interior_points(problem->domain()));
     }
   }
@@ -263,9 +271,12 @@ TEST(JetFieldModel, ResidualParameterGradientsMatchPartial) {
   }
 }
 
-TEST(JetFieldModel, BackboneWithoutJetFallsBackBitForBit) {
+TEST(JetFieldModel, BackboneWithoutJetRuleMatchesReverseSweep) {
   // The reverse-mode formulation: one create_graph sweep per channel,
-  // coordinate and order. The fallback must reproduce it exactly.
+  // coordinate and order through the whole model. Module's default jet
+  // sweeps the backbone alone, against its normalized input, and applies
+  // the normalization's scale afterwards, so its derivatives round
+  // differently: they match to the oracle's 1e-12, values bit for bit.
   auto problem = make_free_packet_problem();
   const ModelPair models =
       make_pair_for(benchmark_config(*problem, /*hard_ic=*/true));
@@ -276,10 +287,10 @@ TEST(JetFieldModel, BackboneWithoutJetFallsBackBitForBit) {
   const Variable v = ad::slice_cols(out, 1, 2);
   expect_bitwise(d.u, u, "u");
   expect_bitwise(d.v, v, "v");
-  expect_bitwise(d.u_t, ad::partial(u, X, 1), "u_t");
-  expect_bitwise(d.v_t, ad::partial(v, X, 1), "v_t");
-  expect_bitwise(d.u_xx, ad::partial_n(u, X, 0, 2), "u_xx");
-  expect_bitwise(d.v_xx, ad::partial_n(v, X, 0, 2), "v_xx");
+  EXPECT_LE(max_rel(d.u_t, ad::partial(u, X, 1)), 1e-12);
+  EXPECT_LE(max_rel(d.v_t, ad::partial(v, X, 1)), 1e-12);
+  EXPECT_LE(max_rel(d.u_xx, ad::partial_n(u, X, 0, 2)), 1e-12);
+  EXPECT_LE(max_rel(d.v_xx, ad::partial_n(v, X, 0, 2)), 1e-12);
 }
 
 TEST(JetFieldModel, HardIcJetNeedsGradMode) {
@@ -350,7 +361,7 @@ TEST(JetTdse2d, ResidualMatchesPartial) {
   const Variable reference = ad::concat_cols({r1, r2});
   EXPECT_LE(max_rel(Variable::constant(jet_residual), reference), 1e-12);
 
-  // An activation without a jet rule takes the `partial` path.
+  // gelu's own jet rule (checked against `partial` in JetLayers).
   config.activation = nn::Activation::kGelu;
   Tdse2dSolver fallback(config);
   EXPECT_TRUE(fallback.residual_at(points).all_finite());
@@ -408,6 +419,46 @@ TEST(JetTrainer, ShardedCaptureOnPoolThreadsBitIdentical) {
     ASSERT_TRUE(std::isfinite(losses[0][i]));
     EXPECT_EQ(losses[0][i], losses[1][i]) << "step " << i;
   }
+}
+
+/// Every activation's jet rule under capture: graph-on replay matches the
+/// eager step bit for bit over 3 steps, serially and over 4 shards.
+TEST(JetTrainer, EveryActivationReplaysBitIdentical) {
+  const ad::Precision saved = ad::precision_mode();
+  ad::set_precision_mode(ad::Precision::kFp64);
+  auto problem = make_free_packet_problem();
+  for (const std::int64_t threads : {1, 4}) {
+    set_global_threads(threads);
+    for (nn::Activation act : kActivations) {
+      SCOPED_TRACE(nn::to_string(act) + " at " + std::to_string(threads) +
+                   " threads");
+      std::vector<double> losses[2];
+      for (const GraphMode mode : {GraphMode::kOff, GraphMode::kOn}) {
+        TrainConfig config = default_train_config(1, /*seed=*/7);
+        config.resample_every = 0;
+        config.threads = threads;
+        config.graph = mode;
+        config.sampling.n_interior_x = 8;
+        config.sampling.n_interior_t = 8;
+        config.sampling.n_initial = 16;
+        config.sampling.n_boundary = 8;
+        FieldModelConfig mc = benchmark_config(*problem, /*hard_ic=*/true);
+        mc.hidden = {12, 12};
+        mc.fourier = nn::FourierConfig{6, 1.0};
+        mc.activation = act;
+        Trainer trainer(problem, make_field_model(mc), config);
+        for (std::int64_t e = 0; e < 3; ++e) {
+          losses[mode == GraphMode::kOn].push_back(trainer.step(e).total_loss);
+        }
+      }
+      for (std::size_t i = 0; i < losses[0].size(); ++i) {
+        ASSERT_TRUE(std::isfinite(losses[0][i]));
+        EXPECT_EQ(losses[0][i], losses[1][i]) << "step " << i;
+      }
+    }
+  }
+  set_global_threads(default_num_threads());
+  ad::set_precision_mode(saved);
 }
 
 }  // namespace

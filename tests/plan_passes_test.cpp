@@ -2,17 +2,18 @@
 //
 // The contract under test: optimize_plan rewrites a captured thunk array —
 // dead-thunk elimination, elementwise fusion onto the bit-identical fused
-// kernels, common-subexpression elimination, liveness-based arena reuse —
-// without changing ANY replayed value.
+// kernels, liveness-based arena reuse — without changing ANY replayed
+// value.
 // Replay with the passes on stays bit-identical to eager under every SIMD
 // variant (serial, parallel shards, curriculum, per-epoch resampling), the
 // TDSE training plan provably shrinks in both thunk count and arena bytes,
 // and QPINN_PLAN_OPT=off restores the verbatim capture.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
-#include <cstring>
 #include <map>
 #include <memory>
 #include <string>
@@ -297,196 +298,6 @@ TEST(PlanPassesUnit, ExternallyObservedBufferIsNeverRebound) {
 
 // --- unit: common-subexpression elimination ----------------------------------
 
-std::size_t count_unary(const plan::ExecutionPlan& p, plan::UnaryKernel f) {
-  std::size_t n = 0;
-  for (const plan::Thunk& t : p.thunks()) {
-    if (t.kind == plan::ThunkKind::kUnary && t.k1 == f) ++n;
-  }
-  return n;
-}
-
-void expect_same_bits(const Tensor& got, const Tensor& want) {
-  ASSERT_TRUE(got.same_shape(want));
-  for (std::int64_t i = 0; i < want.numel(); ++i) {
-    ASSERT_EQ(std::memcmp(got.data() + i, want.data() + i, sizeof(double)), 0)
-        << "element " << i << ": " << got[i] << " vs " << want[i];
-  }
-}
-
-// Repeated sin, cos and transpose of one input collapse onto one thunk
-// each, and replay stays bit-identical to the eager kernels.
-TEST(PlanPassesCse, DuplicateSinCosTransposeCollapse) {
-  Rng rng(17);
-  Tensor x = Tensor::randn({16, 8}, rng);
-  Tensor out_s, out_c, out_t;
-  plan::ExecutionPlan p;
-  {
-    plan::CaptureScope scope(p);
-    ad::NoGradGuard no_grad;
-    const ad::Variable xv = ad::Variable::constant(x);
-    out_s = ad::add(ad::sin(xv), ad::sin(xv)).value();
-    out_c = ad::mul(ad::cos(xv), ad::cos(xv)).value();
-    out_t = ad::add(ad::transpose(xv), ad::transpose(xv)).value();
-  }
-  ASSERT_EQ(p.size(), 9u);
-  const plan::PassStats stats = plan::optimize_plan(p, {out_s, out_c, out_t});
-  EXPECT_EQ(stats.cse_eliminated, 3u);
-  EXPECT_EQ(p.size(), 6u);
-  EXPECT_EQ(count_unary(p, &kernels::sin_into), 1u);
-  EXPECT_EQ(count_unary(p, &kernels::cos_into), 1u);
-  EXPECT_EQ(count_unary(p, &kernels::transpose_into), 1u);
-
-  kernels::copy_into(x, Tensor::randn({16, 8}, rng));
-  p.replay();
-  expect_same_bits(out_s, kernels::add(kernels::sin(x), kernels::sin(x)));
-  expect_same_bits(out_c, kernels::mul(kernels::cos(x), kernels::cos(x)));
-  expect_same_bits(out_t, kernels::add(kernels::transpose(x),
-                                       kernels::transpose(x)));
-}
-
-// sin(x); <write x>; sin(x) reads two different values of x: the second
-// sin must survive, whether the write overwrites x or accumulates into it.
-TEST(PlanPassesCse, NoMergeAcrossAWriteToTheInput) {
-  for (const bool accumulate : {false, true}) {
-    SCOPED_TRACE(accumulate ? "axpy accumulation" : "full overwrite");
-    Rng rng(19);
-    Tensor x = Tensor::randn({8, 8}, rng);
-    const Tensor y = Tensor::randn({8, 8}, rng);
-    const Tensor out = Tensor::zeros({8, 8});
-    plan::ExecutionPlan p;
-    {
-      const Tensor a = Tensor::zeros({8, 8});
-      const Tensor b = Tensor::zeros({8, 8});
-      plan::CaptureScope scope(p);
-      plan::record_unary(a, &kernels::sin_into, x);
-      if (accumulate) {
-        plan::record_axpy_acc(x, 1.0, y);
-      } else {
-        plan::record_unary(x, &kernels::exp_into, y);
-      }
-      plan::record_unary(b, &kernels::sin_into, x);
-      plan::record_binary(out, &kernels::add_into, a, b);
-    }
-    const plan::PassStats stats = plan::optimize_plan(p, {out});
-    EXPECT_EQ(stats.cse_eliminated, 0u);
-    EXPECT_EQ(count_unary(p, &kernels::sin_into), 2u);
-
-    const Tensor x0 = x.clone();
-    p.replay();
-    const Tensor x1 = accumulate ? kernels::add(x0, y) : kernels::exp(y);
-    expect_same_bits(x, x1);
-    expect_same_bits(out, kernels::add(kernels::sin(x0), kernels::sin(x1)));
-  }
-}
-
-// The scalar is part of the match by bit pattern: scale by 2.0 vs 3.0 and
-// by 0.0 vs -0.0 (equal as doubles, different products) stay apart, while
-// scale by 2.0 twice merges.
-TEST(PlanPassesCse, ScalarsMatchByBitPattern) {
-  struct Case {
-    double s1, s2;
-    std::size_t merged;
-  };
-  for (const Case c : {Case{2.0, 3.0, 0}, Case{0.0, -0.0, 0},
-                       Case{2.0, 2.0, 1}}) {
-    SCOPED_TRACE(std::to_string(c.s1) + " vs " + std::to_string(c.s2));
-    Rng rng(23);
-    Tensor x = Tensor::rand({8, 4}, rng, 0.5, 1.0);
-    Tensor lhs, rhs;
-    plan::ExecutionPlan p;
-    {
-      plan::CaptureScope scope(p);
-      ad::NoGradGuard no_grad;
-      const ad::Variable xv = ad::Variable::constant(x);
-      lhs = ad::exp(ad::scale(xv, c.s1)).value();
-      rhs = ad::exp(ad::scale(xv, c.s2)).value();
-    }
-    const plan::PassStats stats = plan::optimize_plan(p, {lhs, rhs});
-    // The exp thunks write declared outputs, so only a scale can merge.
-    EXPECT_EQ(stats.cse_eliminated, c.merged);
-
-    kernels::copy_into(x, Tensor::rand({8, 4}, rng, 0.5, 1.0));
-    p.replay();
-    expect_same_bits(lhs, kernels::exp(kernels::scale(x, c.s1)));
-    expect_same_bits(rhs, kernels::exp(kernels::scale(x, c.s2)));
-  }
-}
-
-// A repeat whose output the host can observe is never dropped: a declared
-// output, or a buffer with an owner outside the plan. With both copies
-// observable nothing merges, and each buffer keeps its value.
-TEST(PlanPassesCse, ObservableDuplicatesAreKept) {
-  for (const bool declared : {true, false}) {
-    SCOPED_TRACE(declared ? "declared outputs" : "outside owners");
-    Rng rng(29);
-    Tensor x = Tensor::randn({8, 8}, rng);
-    Tensor a, b, out;
-    plan::ExecutionPlan p;
-    {
-      plan::CaptureScope scope(p);
-      ad::NoGradGuard no_grad;
-      const ad::Variable xv = ad::Variable::constant(x);
-      const ad::Variable av = ad::sin(xv);
-      const ad::Variable bv = ad::sin(xv);
-      a = av.value();
-      b = bv.value();
-      out = ad::add(av, bv).value();
-    }
-    const plan::PassStats stats =
-        declared ? plan::optimize_plan(p, {a, b, out})
-                 : plan::optimize_plan(p, {out});
-    EXPECT_EQ(stats.cse_eliminated, 0u);
-    EXPECT_EQ(count_unary(p, &kernels::sin_into), 2u);
-
-    kernels::copy_into(x, Tensor::randn({8, 8}, rng));
-    p.replay();
-    const Tensor want = kernels::sin(x);
-    expect_same_bits(a, want);
-    expect_same_bits(b, want);
-    expect_same_bits(out, kernels::add(want, want));
-  }
-}
-
-// Opaque closures receive their operands when they run, so a repeat read
-// by one is as droppable as any other plan-owned buffer: whether the
-// earlier copy feeds a structured kernel or a concat too, the two sins
-// merge onto one, the concat reads the surviving copy, and replay stays
-// bit-identical to the eager kernels.
-TEST(PlanPassesCse, OpaqueReadersMergeRepeatsToOneSin) {
-  for (const bool earlier_opaque : {false, true}) {
-    SCOPED_TRACE(earlier_opaque ? "both read by concat"
-                                : "later read by concat");
-    Rng rng(31);
-    Tensor x = Tensor::randn({8, 4}, rng);
-    Tensor first, second;
-    plan::ExecutionPlan p;
-    {
-      plan::CaptureScope scope(p);
-      ad::NoGradGuard no_grad;
-      const ad::Variable xv = ad::Variable::constant(x);
-      const ad::Variable a = ad::sin(xv);
-      first = earlier_opaque ? ad::concat_cols({a, xv}).value()
-                             : ad::mul(a, xv).value();
-      second = ad::concat_cols({ad::sin(xv), xv}).value();
-    }
-    const plan::PassStats stats = plan::optimize_plan(p, {first, second});
-    EXPECT_EQ(stats.cse_eliminated, 1u);
-    EXPECT_EQ(count_unary(p, &kernels::sin_into), 1u);
-    const auto& ts = p.thunks();
-    ASSERT_EQ(ts.size(), 3u);
-    EXPECT_EQ(ts[0].k1, &kernels::sin_into);
-    EXPECT_EQ(ts[1].ins[0].data(), ts[0].out.data());
-    EXPECT_EQ(ts[2].ins[0].data(), ts[0].out.data());
-
-    kernels::copy_into(x, Tensor::randn({8, 4}, rng));
-    p.replay();
-    const Tensor s = kernels::sin(x);
-    expect_same_bits(first, earlier_opaque ? kernels::concat_cols({s, x})
-                                           : kernels::mul(s, x));
-    expect_same_bits(second, kernels::concat_cols({s, x}));
-  }
-}
-
 // --- trainer: bit-identity with passes on -----------------------------------
 
 TEST(PlanPassesTrainer, TdsePlanShrinksAndStaysBitIdenticalEveryIsa) {
@@ -513,10 +324,11 @@ TEST(PlanPassesTrainer, TdsePlanShrinksAndStaysBitIdenticalEveryIsa) {
   }
 }
 
-// The B1 model's 64 Fourier features: the autodiff backward re-derives
-// sin/cos of the projection at every derivative order, and CSE leaves
-// exactly one sin_into and one cos_into per projection buffer in the
-// training plan. Replay stays bit-identical to eager on every ISA.
+// The B1 model's 64 Fourier features: the jets' `sin_cos` evaluates one
+// sin and one cos of each projection for every derivative stream, and the
+// projection of detached inputs has no backward, so the training plan holds
+// exactly one sin_into and one cos_into per projection buffer. Replay stays
+// bit-identical to eager on every ISA.
 TEST(PlanPassesTrainer, FourierSinCosComputedOncePerStepEveryIsa) {
   Fp64Guard precision_guard;
   PlanOptEnvGuard env;
@@ -553,6 +365,69 @@ TEST(PlanPassesTrainer, FourierSinCosComputedOncePerStepEveryIsa) {
     for (const auto& [arg, n] : sin_per_arg) EXPECT_EQ(n, 1u);
     for (const auto& [arg, n] : cos_per_arg) EXPECT_EQ(n, 1u);
   }
+}
+
+// No pass merges repeats, so the plan must not hold any: the B1 training
+// plan (soft IC, so no psi0 sweep) computes every structured batch value
+// once. Value numbering over the bound thunks: every write gives its buffer
+// a fresh number, and two structured thunks agreeing on kind, kernel,
+// scalar bits, shapes and input numbers compute the same value. A jet rule
+// that re-derived φ' or a Fourier sin/cos would repeat one. Rank-0 thunks
+// are exempt: the backward of the loss sum scales one seed by the same
+// weight, or the same 1/N, once per equal term (two scalar repeats).
+TEST(PlanPassesTrainer, JetPlanComputesEachValueOnce) {
+  Fp64Guard precision_guard;
+  PlanOptEnvGuard env;
+  ::setenv("QPINN_PLAN_OPT", "on", 1);
+  auto problem = make_free_packet_problem();
+  TrainConfig config = passes_config(1);
+  config.graph = GraphMode::kOn;
+  Trainer trainer(problem, make_model_for(*problem, 37, /*hard_ic=*/false),
+                  config);
+  trainer.step(0);
+  trainer.step(1);
+  const auto plans = trainer.captured_plans();
+  ASSERT_EQ(plans.size(), 1u);
+
+  std::map<const double*, std::int64_t> number;  // buffer -> value number
+  std::int64_t next = 0;
+  const auto value_of = [&](const Tensor& t) {
+    const auto [it, fresh] = number.try_emplace(t.data(), next);
+    if (fresh) ++next;
+    return it->second;
+  };
+  const auto append_shape = [](std::vector<std::int64_t>& key,
+                               const Shape& shape) {
+    key.push_back(static_cast<std::int64_t>(shape.size()));
+    key.insert(key.end(), shape.begin(), shape.end());
+  };
+  std::map<std::vector<std::int64_t>, std::size_t> seen;  // key -> thunk
+  std::size_t structured = 0;
+  const std::vector<plan::Thunk>& thunks = plans[0]->thunks();
+  for (std::size_t i = 0; i < thunks.size(); ++i) {
+    const plan::Thunk& t = thunks[i];
+    const bool unary = t.kind == plan::ThunkKind::kUnary;
+    const bool scalar = t.kind == plan::ThunkKind::kUnaryScalar;
+    const bool batch = t.out.rank() > 0;
+    if (batch && (unary || scalar || t.kind == plan::ThunkKind::kBinary)) {
+      ++structured;
+      const auto kernel = unary    ? reinterpret_cast<std::intptr_t>(t.k1)
+                          : scalar ? reinterpret_cast<std::intptr_t>(t.k1s)
+                                   : reinterpret_cast<std::intptr_t>(t.k2);
+      std::vector<std::int64_t> key{
+          static_cast<std::int64_t>(t.kind), kernel,
+          std::bit_cast<std::int64_t>(scalar ? t.scalar : 0.0)};
+      append_shape(key, t.out.shape());
+      for (const Tensor& in : t.ins) {
+        key.push_back(value_of(in));
+        append_shape(key, in.shape());
+      }
+      const auto [it, fresh] = seen.try_emplace(key, i);
+      EXPECT_TRUE(fresh) << "thunk " << i << " repeats thunk " << it->second;
+    }
+    number[t.out.data()] = next++;
+  }
+  EXPECT_GT(structured, 100u);
 }
 
 TEST(PlanPassesTrainer, ParallelShardsWithCurriculumBitIdentical) {

@@ -69,6 +69,13 @@ Rules (exit 1 if any finding survives suppression):
                   by the pass pipeline (plan_passes.hpp) and demotion,
                   which is what keeps replay bit-identical and the arena
                   index consistent with the thunk list.
+  nested-reverse-derivatives
+                  no ``partial(``/``partial_n(``/``partial_mixed(``/
+                  ``partial_jet(`` in src/ outside src/autodiff/ and
+                  src/nn/jet.* — input derivatives of a model come from
+                  ``Module::forward_jet`` (one forward pass), not from
+                  nested create_graph reverse sweeps; ``partial`` stays the
+                  oracle the jets are tested against.
   banned-unordered-float-reduce
                   no ``unordered_map``/``unordered_set`` whose element or
                   mapped type is directly ``float``/``double`` — iteration
@@ -442,6 +449,19 @@ def build_rules(src: pathlib.Path, tests: pathlib.Path,
             "bit-identity contract and arena accounting stay intact",
             [r"\b(?:set_thunks|take_thunks|take_recorded|bind_buffers)"
              r"\s*\("],
+            exempt_prefixes=["src/autodiff/"]),
+        RegexRule(
+            "nested-reverse-derivatives",
+            "input derivatives come from forward jets, not nested "
+            "reverse sweeps",
+            "nested reverse-mode derivatives (partial, partial_n, "
+            "partial_mixed, partial_jet) are banned outside src/autodiff/ "
+            "and src/nn/jet.*; differentiate a model by its forward_jet",
+            # The lookbehind skips longer identifiers (jet_by_partial) and
+            # member calls.
+            [r"(?<![\w.>])(?:partial|partial_n|partial_mixed|partial_jet)"
+             r"\s*\("],
+            exempt=["src/nn/jet.hpp", "src/nn/jet.cpp"],
             exempt_prefixes=["src/autodiff/"]),
         RegexRule(
             "banned-unordered-float-reduce",

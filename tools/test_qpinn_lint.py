@@ -174,6 +174,28 @@ class PlanThunkMutationTest(unittest.TestCase):
         self.assertNotIn("plan-thunk-mutation", rules_hit(report))
 
 
+class NestedReverseDerivativesTest(unittest.TestCase):
+    def test_fires_outside_autodiff_and_jets(self):
+        for snippet in ("auto u_t = ad::partial(u, X, 1);\n",
+                        "auto u_xx = partial_n(u, X, 0, 2);\n",
+                        "auto u_xt = autodiff::partial_mixed(u, X, 0, 1);\n",
+                        "auto j = nn::partial_jet(u, X, {2, 1});\n"):
+            report = lint({"src/core/field_model.cpp": snippet})
+            self.assertIn("nested-reverse-derivatives", rules_hit(report),
+                          f"should fire on: {snippet!r}")
+
+    def test_jets_and_autodiff_are_clean(self):
+        snippet = ("auto j = nn::partial_jet(u, X, {2, 1});\n"
+                   "Jet jet_by_partial(Module& m, const Jet& x);\n")
+        report = lint({"src/nn/jet.cpp": snippet,
+                       "src/autodiff/derivatives.cpp":
+                           "return partial(partial(y, x, d), x, d);\n",
+                       "src/core/field_model.cpp":
+                           "auto raw = net.forward_jet(jet);\n"
+                           "auto j = nn::jet_by_partial(net, jet);\n"})
+        self.assertNotIn("nested-reverse-derivatives", rules_hit(report))
+
+
 class DeterminismRuleTest(unittest.TestCase):
     def test_banned_fma_fires_on_std_and_builtin(self):
         report = lint({"src/a.cpp": "double y = std::fma(a, b, c);\n"
