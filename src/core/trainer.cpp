@@ -123,11 +123,6 @@ Trainer::Trainer(std::shared_ptr<Problem> problem,
   // construction, not at the first capture inside a pool shard task;
   // finalize_plan re-reads it on every capture.
   plan::plan_opt_env_enabled();
-  // The executor's single dist policy: dist steps run eager. A captured
-  // plan pins one epoch's sharding, but rank failure (degrade/rejoin) can
-  // reshape the step mid-run. Composing graph replay with dist is a
-  // tracked follow-up.
-  if (dist_active()) graph_enabled_ = false;
 }
 
 namespace {
@@ -281,6 +276,10 @@ Trainer::PlanKey Trainer::current_plan_key() const {
   key.isa = simd::active_isa();
   key.curriculum = config_.curriculum.has_value();
   key.precision = precision_mode();
+  if (config_.dist) {
+    key.dist_world = config_.dist->world();
+    key.dist_rank = config_.dist->rank();
+  }
   return key;
 }
 
@@ -325,8 +324,8 @@ Trainer::LossAndGrads Trainer::compute(std::int64_t epoch) {
       plans_.clear();
       plan::count_fallback();
       log::info() << problem_->name()
-                  << " execution plan invalidated (batch-shape/thread/ISA "
-                     "change); re-capturing";
+                  << " execution plan invalidated (batch-shape/thread/ISA/"
+                     "dist-membership change); re-capturing";
     }
     mode = plans_.empty() ? ShardMode::kCapture : ShardMode::kReplay;
   }

@@ -124,9 +124,10 @@ struct TrainConfig {
   /// same partition as `threads` sharding — and each rank runs only shard
   /// `rank` (a rank with no rows contributes zeros); gradients are then
   /// all-reduced in rank order, so an N-rank run is bit-identical to a
-  /// single-process run with threads = N. Dist steps run eager (a captured
-  /// plan would pin a sharding that rank failure can reshape mid-run), and
-  /// dist is mutually exclusive with threads > 1. Only rank 0 writes
+  /// single-process run with threads = N. A rank captures and replays its
+  /// shard like a threads-mode shard; the plan is keyed on world and rank,
+  /// so a degrade or rejoin that reshapes the sharding re-captures. Dist
+  /// is mutually exclusive with threads > 1. Only rank 0 writes
   /// checkpoints; `resume_from` plus Communicator::rejoined() drives the
   /// elastic-rejoin path. Null: single-process training.
   std::shared_ptr<dist::Communicator> dist;
@@ -298,6 +299,12 @@ class Trainer {
     /// Mixed-precision demotion changes the replayed kernel sequence, so
     /// toggling QPINN_PRECISION between steps forces a re-capture.
     autodiff::Precision precision = autodiff::Precision::kFp64;
+    /// Dist membership: a rank's shard is rows shard_range(rows, world,
+    /// rank). Graceful degrade compacts the survivors into a smaller world
+    /// without rebinding the interior (unless the failed epoch resampled),
+    /// so without these a survivor would replay its old row range.
+    std::int64_t dist_world = 1;
+    std::int64_t dist_rank = 0;
     bool operator==(const PlanKey&) const = default;
   };
   PlanKey current_plan_key() const;

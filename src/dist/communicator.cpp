@@ -333,7 +333,31 @@ RankContext Communicator::recover(const std::string& sync_payload) {
   return is_root() ? root_recover(sync_payload) : worker_recover();
 }
 
+// A worker sends its contribution before it can read the abort, so a
+// survivor whose contribution the aborted gather did not consume still has
+// it queued, and the retried epoch (same epoch number) would sum that stale
+// buffer, computed on the old sharding. Each worker echoes the abort when it
+// enters recovery; the stream keeps order, so everything ahead of the echo
+// belongs to the aborted epoch and is discarded here.
+void Communicator::drain_aborted_epoch() {
+  const std::int64_t deadline = steady_now_ms() + options_.rejoin_timeout_ms;
+  for (auto& [peer_rank, socket] : peers_) {
+    while (true) {
+      const std::int64_t budget = deadline - steady_now_ms();
+      if (budget <= 0) {
+        throw TransportError("recover", peer_rank, 1,
+                             "no abort echo from a surviving rank within "
+                             "the rejoin timeout");
+      }
+      auto frame = recv_frame(
+          socket, std::min(budget, options_.message_timeout_ms), peer_rank);
+      if (frame && frame->type == MsgType::kEpochAbort) break;
+    }
+  }
+}
+
 RankContext Communicator::root_recover(const std::string& sync_payload) {
+  drain_aborted_epoch();
   if (policy_ == FailurePolicy::kRejoin) {
     if (!listener_) {
       throw ConfigError(
@@ -398,6 +422,9 @@ RankContext Communicator::root_recover(const std::string& sync_payload) {
 }
 
 RankContext Communicator::worker_recover() {
+  // Marks the end of what this rank sent for the aborted epoch (see
+  // drain_aborted_epoch).
+  send_frame(root_socket_, Frame{MsgType::kEpochAbort, 0, rank_, ""}, rank_);
   const std::int64_t deadline =
       steady_now_ms() + options_.rejoin_timeout_ms;
   while (true) {

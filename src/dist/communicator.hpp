@@ -126,6 +126,7 @@ class Communicator {
   void root_allreduce(std::vector<double>& buffer, std::int64_t epoch);
   void worker_allreduce(std::vector<double>& buffer, std::int64_t epoch);
   void root_abort_epoch(std::int64_t epoch);
+  void drain_aborted_epoch();
   RankContext root_recover(const std::string& sync_payload);
   RankContext worker_recover();
 

@@ -86,7 +86,8 @@ enum class MsgType : std::uint32_t {
   kHelloAck = 2,     // root -> worker: join accepted
   kGradContrib = 3,  // worker -> root: this epoch's reduction contribution
   kGradSum = 4,      // root -> worker: rank-ordered sum for the epoch
-  kEpochAbort = 5,   // root -> worker: a peer died, roll back this epoch
+  kEpochAbort = 5,   // root -> worker: a peer died, roll back this epoch;
+                     // worker -> root: echoed on entering recovery
   kSync = 6,         // root -> rejoiner: authoritative trainer sync state
   kResume = 7,       // root -> worker: recovery done; payload "rank world"
   kShutdown = 8,     // root -> worker: training finished, close cleanly

@@ -4,8 +4,11 @@
 // checksum over the whole body, see core/checkpoint.cpp) and on every
 // transport frame payload (src/dist/transport.cpp), so a torn write or a
 // corrupted message fails loudly with IoError/TransportError instead of
-// deserializing garbage. Table-driven, byte-at-a-time: integrity checking
-// is off every hot loop, so simplicity wins over slicing tricks.
+// deserializing garbage. Every dist step checksums its all-reduce frames
+// (four passes over the gradient buffer per worker rank: its contribution
+// and the sum, each on send and on receipt), so the loop is
+// slicing-by-8: eight table lookups per eight bytes instead of one serial
+// lookup per byte, with the same polynomial and the same checksums.
 #pragma once
 
 #include <cstddef>

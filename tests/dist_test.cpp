@@ -12,13 +12,16 @@
 #include <atomic>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <exception>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "autodiff/precision.hpp"
 #include "core/benchmarks.hpp"
 #include "core/trainer.hpp"
 #include "dist/communicator.hpp"
@@ -26,6 +29,7 @@
 #include "dist/transport.hpp"
 #include "parallel/thread_pool.hpp"
 #include "tensor/kernels.hpp"
+#include "tensor/storage_pool.hpp"
 #include "util/env.hpp"
 #include "util/error.hpp"
 #include "util/fault.hpp"
@@ -52,7 +56,6 @@ core::TrainConfig dist_tiny_config(std::int64_t epochs,
   config.metric_nx = 16;
   config.metric_nt = 8;
   config.resample_every = resample_every;
-  config.graph = core::GraphMode::kOff;  // dist forces eager; match it
   return config;
 }
 
@@ -95,6 +98,44 @@ struct FaultGuard {
   ~FaultGuard() { FaultInjector::instance().clear(); }
 };
 
+/// Sets an environment variable for the scope, so workers launched inside
+/// it inherit the value, and restores the previous value on exit.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    if (const char* old = std::getenv(name)) saved_ = old;
+    ::setenv(name, value, 1);
+  }
+  ~ScopedEnv() {
+    if (saved_) {
+      ::setenv(name_, saved_->c_str(), 1);
+    } else {
+      ::unsetenv(name_);
+    }
+  }
+
+ private:
+  const char* name_;
+  std::optional<std::string> saved_;
+};
+
+/// Pins fp64 in this process and in the workers it launches. Under mixed
+/// precision a capture step is the eager fp64 step, so a run that
+/// re-captures at another epoch (rejoin, degrade) rounds differently from
+/// one that replays there; the tests comparing such runs bit for bit
+/// assert the fp64 contract.
+class Fp64Pin {
+ public:
+  Fp64Pin() { autodiff::set_precision_mode(autodiff::Precision::kFp64); }
+  ~Fp64Pin() { autodiff::set_precision_mode(saved_); }
+
+ private:
+  // Read before env_ changes QPINN_PRECISION: precision_mode() parses the
+  // variable once per process.
+  autodiff::Precision saved_ = autodiff::precision_mode();
+  ScopedEnv env_{"QPINN_PRECISION", "fp64"};
+};
+
 /// Reference run: single process, `threads` interior shards, pool size 1.
 std::vector<Tensor> run_single_process(std::size_t threads,
                                        std::int64_t epochs,
@@ -120,6 +161,12 @@ struct DistRunSpec {
   /// targeted rank calls _exit at `kill_epoch`.
   std::int64_t kill_rank = -1;
   std::int64_t kill_epoch = -1;
+  /// kRejoin restarts a lost rank through the launcher; kDegrade compacts
+  /// the survivors into a smaller world.
+  dist::FailurePolicy policy = dist::FailurePolicy::kRejoin;
+  /// Every rank's graph mode: kEnv follows QPINN_GRAPH, kOn/kOff pin it
+  /// (the workers get QPINN_GRAPH=on/off).
+  core::GraphMode graph = core::GraphMode::kEnv;
 };
 
 struct DistRunResult {
@@ -128,10 +175,16 @@ struct DistRunResult {
   std::int64_t failed_children = 0;
 };
 
-/// Runs rank 0 of a `spec.world`-rank job in this process, forking the
-/// other ranks via dist::Launcher (they re-exec this test binary in
-/// worker mode). Returns rank 0's training result and final parameters.
-DistRunResult run_dist_training(const DistRunSpec& spec) {
+/// A launched `spec.world`-rank job: the other ranks are forked via
+/// dist::Launcher (they re-exec this test binary in worker mode and train
+/// to completion), and `trainer` is rank 0 in this process, not yet run.
+struct DistJob {
+  std::unique_ptr<dist::Launcher> launcher;
+  std::shared_ptr<core::FieldModel> model;
+  std::unique_ptr<core::Trainer> trainer;
+};
+
+DistJob start_dist_job(const DistRunSpec& spec) {
   set_global_threads(1);
   const std::string endpoint = "/tmp/qpinn_dt_" + spec.tag + "_" +
                                std::to_string(::getpid()) + ".sock";
@@ -152,8 +205,14 @@ DistRunResult run_dist_training(const DistRunSpec& spec) {
     lc.extra_env.push_back("QPINN_FAULT_AT=" +
                            std::to_string(spec.kill_epoch));
   }
-  dist::Launcher launcher(lc);
-  launcher.launch_all();
+  if (spec.graph != core::GraphMode::kEnv) {
+    lc.extra_env.push_back(spec.graph == core::GraphMode::kOn
+                               ? "QPINN_GRAPH=on"
+                               : "QPINN_GRAPH=off");
+  }
+  DistJob job;
+  job.launcher = std::make_unique<dist::Launcher>(lc);
+  job.launcher->launch_all();
 
   // Stand the listener up first: the workers' connect retry budget starts
   // ticking as soon as they exec.
@@ -161,25 +220,33 @@ DistRunResult run_dist_training(const DistRunSpec& spec) {
   dc.rank = 0;
   dc.world = spec.world;
   dc.endpoint = endpoint;
-  dc.policy = dist::FailurePolicy::kRejoin;
-  dc.restart_rank = [&launcher](std::int64_t lost) {
-    launcher.restart(lost, /*rejoin=*/true);
+  dc.policy = spec.policy;
+  dist::Launcher* launcher = job.launcher.get();
+  dc.restart_rank = [launcher](std::int64_t lost) {
+    launcher->restart(lost, /*rejoin=*/true);
   };
   auto comm = dist::Communicator::create(dc);
 
   auto problem = core::make_free_packet_problem();
-  auto model = dist_tiny_model(*problem);
+  job.model = dist_tiny_model(*problem);
   core::TrainConfig config = dist_tiny_config(spec.epochs, spec.resample_every);
   core::CheckpointConfig ck;
   ck.dir = ckpt_dir;
   config.checkpoint = ck;
+  config.graph = spec.graph;
   config.dist = std::move(comm);
+  job.trainer = std::make_unique<core::Trainer>(problem, job.model, config);
+  return job;
+}
 
-  core::Trainer trainer(problem, model, config);
+/// Runs rank 0 of a `spec.world`-rank job to completion in this process.
+/// Returns rank 0's training result and final parameters.
+DistRunResult run_dist_training(const DistRunSpec& spec) {
+  DistJob job = start_dist_job(spec);
   DistRunResult out;
-  out.result = trainer.fit();
-  out.params = snapshot_params(*model);
-  out.failed_children = launcher.wait_all(/*timeout_ms=*/20000);
+  out.result = job.trainer->fit();
+  out.params = snapshot_params(*job.model);
+  out.failed_children = job.launcher->wait_all(/*timeout_ms=*/20000);
   return out;
 }
 
@@ -515,6 +582,47 @@ TEST(DistRecovery, DegradeCompactsSurvivorsAndContinues) {
   EXPECT_GE(comms[0]->stats().recoveries, 1);
 }
 
+// A survivor always sends its contribution before it can read the abort. A
+// contribution the aborted gather never consumed stays queued, and the
+// retried epoch has the same epoch number, so the root must discard it:
+// here rank 1 contributes 10 only after the root has aborted epoch 0, then
+// retries with 20 on the degraded world, and the sum must be 1 + 20.
+TEST(DistRecovery, RetriedEpochDiscardsStaleContribution) {
+  FaultGuard guard;
+  dist::TransportOptions opts;
+  opts.message_timeout_ms = 100;
+  opts.heartbeat_timeout_ms = 2000;
+  auto comms = dist::Communicator::loopback(3, opts);  // policy: kDegrade
+  comms[2].reset();  // rank 2 dies before epoch 0
+
+  std::atomic<bool> root_aborted{false};
+  double worker_sum = 0.0;
+  std::exception_ptr worker_error;
+  std::thread rank1([&] {
+    try {
+      while (!root_aborted.load()) std::this_thread::yield();
+      std::vector<double> buf = {10.0};
+      EXPECT_THROW(comms[1]->allreduce(buf, 0), dist::PeerLostError);
+      EXPECT_EQ(comms[1]->recover("").world, 2);
+      buf = {20.0};
+      comms[1]->allreduce(buf, 0);
+      worker_sum = buf[0];
+    } catch (...) {
+      worker_error = std::current_exception();
+    }
+  });
+  std::vector<double> buf = {1.0};
+  EXPECT_THROW(comms[0]->allreduce(buf, 0), dist::PeerLostError);
+  root_aborted.store(true);
+  EXPECT_EQ(comms[0]->recover("").world, 2);
+  buf = {1.0};
+  comms[0]->allreduce(buf, 0);
+  rank1.join();
+  if (worker_error) std::rethrow_exception(worker_error);
+  EXPECT_EQ(buf[0], 21.0);
+  EXPECT_EQ(worker_sum, 21.0);
+}
+
 // ---- trainer integration (loopback) ---------------------------------------
 
 TEST(DistTrainer, RejectsThreadsAndDistCombination) {
@@ -533,6 +641,7 @@ TEST(DistTrainer, LoopbackRanksMatchSingleProcessBitForBit) {
   const std::int64_t resample = 2;
   const std::vector<Tensor> reference =
       run_single_process(/*threads=*/2, epochs, resample);
+  const autodiff::plan::PlanStats before = autodiff::plan::plan_stats();
 
   set_global_threads(1);
   auto comms = dist::Communicator::loopback(2);
@@ -560,6 +669,18 @@ TEST(DistTrainer, LoopbackRanksMatchSingleProcessBitForBit) {
   if (worker_error) std::rethrow_exception(worker_error);
 
   EXPECT_EQ(root_result.history.size(), static_cast<std::size_t>(epochs));
+  // Each rank captures its shard on epoch 0 and replays it afterwards (the
+  // in-place resample keeps the plan), exactly like a threads-mode shard.
+  if (trainers[0]->graph_enabled()) {
+    const autodiff::plan::PlanStats after = autodiff::plan::plan_stats();
+    for (const auto& trainer : trainers) {
+      EXPECT_EQ(trainer->captured_plans().size(), 1u);
+    }
+    EXPECT_EQ(after.plans_captured - before.plans_captured, 2u);
+    EXPECT_EQ(after.fallbacks, before.fallbacks);
+    EXPECT_EQ(after.replays - before.replays,
+              static_cast<std::uint64_t>(2 * (epochs - 1)));
+  }
   // Every rank holds the same parameters, and they are bit-identical to
   // the single-process threads=2 run: same shard partition, same
   // rank-ordered reduction.
@@ -605,6 +726,7 @@ TEST(DistTrainer, LoopbackRanksMatchThreadsWhenRanksExceedRows) {
     auto comms = dist::Communicator::loopback(c.world);
     std::vector<std::unique_ptr<core::Trainer>> trainers;
     for (const auto& comm : comms) trainers.push_back(make_trainer(1, comm));
+    const std::uint64_t fallbacks0 = autodiff::plan::plan_stats().fallbacks;
     std::vector<std::exception_ptr> errors(comms.size());
     std::vector<std::thread> workers;
     for (std::size_t r = 1; r < trainers.size(); ++r) {
@@ -630,6 +752,13 @@ TEST(DistTrainer, LoopbackRanksMatchThreadsWhenRanksExceedRows) {
       expect_bit_identical(snapshot_params(*models[r]), reference,
                            "rank " + std::to_string(r) + " vs threads");
     }
+    // A rank past the last shard keeps no plan and, with nothing to
+    // invalidate, counts no fallback on any step.
+    for (std::size_t r = static_cast<std::size_t>(c.rows); r < trainers.size();
+         ++r) {
+      EXPECT_TRUE(trainers[r]->captured_plans().empty()) << "rank " << r;
+    }
+    EXPECT_EQ(autodiff::plan::plan_stats().fallbacks, fallbacks0);
   }
 }
 
@@ -695,6 +824,7 @@ TEST(DistTrainer, MultiProcessRanksMatchSingleProcessBitForBit) {
 
 TEST(DistTrainer, KilledRankRejoinsAndFinishesBitForBit) {
   FaultGuard guard;
+  Fp64Pin fp64;
   DistRunSpec clean;
   clean.world = 2;
   clean.epochs = 8;
@@ -719,6 +849,95 @@ TEST(DistTrainer, KilledRankRejoinsAndFinishesBitForBit) {
   EXPECT_EQ(survived.result.history.size(), 8u);
   expect_bit_identical(survived.params, uninterrupted.params,
                        "kill+rejoin vs uninterrupted");
+}
+
+// Graceful degrade at an epoch that does not resample: the interior keeps
+// its identity, yet every survivor's row range changes (world 3 -> 2: rank
+// 0 goes from rows [0, 22) to [0, 32), rank 1 from [22, 43) to [32, 64)).
+// The plans are keyed on world and rank, so the survivors re-capture and
+// finish bit-identical to the eager run of the same scenario. With the
+// membership fields taken out of PlanKey, rank 0 replays its world-3 shard
+// after the degrade and this test fails.
+TEST(DistTrainer, DegradeAtNonResampleEpochRecapturesBitForBit) {
+  FaultGuard guard;
+  Fp64Pin fp64;
+  DistRunSpec spec;
+  spec.world = 3;
+  spec.epochs = 6;
+  spec.resample_every = 2;
+  spec.kill_rank = 2;
+  spec.kill_epoch = 3;
+  spec.policy = dist::FailurePolicy::kDegrade;
+
+  spec.tag = "degrade_eager";
+  spec.graph = core::GraphMode::kOff;
+  const DistRunResult eager = run_dist_training(spec);
+
+  spec.tag = "degrade_replay";
+  spec.graph = core::GraphMode::kOn;
+  const autodiff::plan::PlanStats before = autodiff::plan::plan_stats();
+  const DistRunResult replayed = run_dist_training(spec);
+  const autodiff::plan::PlanStats after = autodiff::plan::plan_stats();
+
+  for (const DistRunResult* run : {&eager, &replayed}) {
+    EXPECT_EQ(run->result.rank_failures, 1);
+    EXPECT_EQ(run->result.history.size(), 6u);
+    EXPECT_EQ(run->failed_children, 1);  // the killed rank exits 137
+  }
+  EXPECT_GE(after.fallbacks - before.fallbacks, 1u);
+  EXPECT_GE(after.replays - before.replays, 4u);
+  expect_bit_identical(replayed.params, eager.params,
+                       "degrade replay vs degrade eager");
+}
+
+// Dist twin of PlanTrainer.CaptureStepPeaksAtEagerPoolHighWater: a dist
+// rank's capture step peaks at its eager step's pool high-water (or what
+// the plan keeps after it), plus the plan's host-built constants. Rank 0 of
+// a launcher job owns this process's pool, so the gauges are exact;
+// loopback ranks would share one pool and interleave.
+TEST(DistTrainer, CaptureStepPeaksAtEagerPoolHighWater) {
+  FaultGuard guard;
+  ScopedEnv plan_opt("QPINN_PLAN_OPT", "on");  // verbatim plans bind more
+  StoragePool& pool = StoragePool::instance();
+  const bool pool_was_enabled = pool.enabled();
+  pool.set_enabled(true);
+  struct StepMemory {
+    std::int64_t high_water = 0;
+    std::int64_t live_after = 0;
+    std::int64_t constants = 0;
+  };
+  const auto first_step_memory = [&](core::GraphMode graph) {
+    DistRunSpec spec;
+    spec.world = 2;
+    spec.epochs = 1;
+    spec.resample_every = 0;
+    spec.graph = graph;
+    spec.tag = graph == core::GraphMode::kOn ? "mem_capture" : "mem_eager";
+    DistJob job = start_dist_job(spec);
+    pool.reset_high_water();
+    const auto live0 = static_cast<std::int64_t>(pool.stats().live_bytes);
+    job.trainer->step(0);
+    const StoragePoolStats s = pool.stats();
+    StepMemory m;
+    m.high_water = static_cast<std::int64_t>(s.live_high_water_bytes) - live0;
+    m.live_after = static_cast<std::int64_t>(s.live_bytes) - live0;
+    for (const autodiff::plan::ExecutionPlan* p :
+         job.trainer->captured_plans()) {
+      m.constants += static_cast<std::int64_t>(p->constant_bytes());
+    }
+    EXPECT_EQ(job.trainer->captured_plans().size(),
+              graph == core::GraphMode::kOn ? 1u : 0u);
+    job.trainer.reset();
+    EXPECT_EQ(job.launcher->wait_all(/*timeout_ms=*/20000), 0);
+    return m;
+  };
+  const StepMemory eager = first_step_memory(core::GraphMode::kOff);
+  const StepMemory capture = first_step_memory(core::GraphMode::kOn);
+  pool.set_enabled(pool_was_enabled);
+  EXPECT_GT(eager.high_water, 0);
+  EXPECT_LE(capture.high_water,
+            std::max(eager.high_water, capture.live_after) +
+                capture.constants);
 }
 
 // ---- CI fault matrix ------------------------------------------------------

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <set>
+#include <vector>
 
 #include "util/cli.hpp"
+#include "util/crc32.hpp"
 #include "util/env.hpp"
 #include "util/error.hpp"
 #include "util/logging.hpp"
@@ -12,6 +15,41 @@
 
 namespace qpinn {
 namespace {
+
+// ---- crc32 -----------------------------------------------------------------
+
+/// CRC-32 one bit at a time, straight from the reflected polynomial: the
+/// oracle the table-driven crc32 must match on every length and alignment.
+std::uint32_t bitwise_crc32(const unsigned char* p, std::size_t n,
+                            std::uint32_t seed) {
+  std::uint32_t crc = ~seed;
+  for (std::size_t i = 0; i < n; ++i) {
+    crc ^= p[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc & 1u) ? (0xEDB88320u ^ (crc >> 1)) : (crc >> 1);
+    }
+  }
+  return ~crc;
+}
+
+TEST(Crc32, MatchesBitwiseReferenceAtEveryLengthAndOffset) {
+  EXPECT_EQ(crc32(std::string_view("123456789")), 0xCBF43926u);
+  for (const std::uint64_t data_seed : {3u, 1234567u}) {
+    Rng rng(data_seed);
+    std::vector<unsigned char> buf(216);
+    for (unsigned char& b : buf) b = static_cast<unsigned char>(rng.next_u64());
+    for (std::size_t offset = 0; offset <= 8; ++offset) {
+      for (std::size_t len = 0; len <= 200; ++len) {
+        const unsigned char* p = buf.data() + offset;
+        for (const std::uint32_t seed : {0u, 0x9E3779B9u}) {
+          ASSERT_EQ(crc32(p, len, seed), bitwise_crc32(p, len, seed))
+              << "data seed " << data_seed << " offset " << offset
+              << " len " << len << " crc seed " << seed;
+        }
+      }
+    }
+  }
+}
 
 // ---- rng -------------------------------------------------------------------
 
