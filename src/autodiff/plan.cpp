@@ -108,9 +108,13 @@ class Recorder {
 };
 
 void ExecutionPlan::replay() {
+  run();
+  g_replays.fetch_add(1, std::memory_order_relaxed);
+}
+
+void ExecutionPlan::run() {
   ensure_bound();
   for (Thunk& t : steps_) run_thunk(t);
-  g_replays.fetch_add(1, std::memory_order_relaxed);
 }
 
 BufId ExecutionPlan::buffer_of(const Tensor& t) const {

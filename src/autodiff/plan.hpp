@@ -48,10 +48,11 @@
 // and SIMD variant, so replayed losses/gradients are bit-identical to eager
 // execution, checkpoints resume exactly across modes, and QPINN_GRAPH=off
 // is a pure escape hatch. Anything that breaks the premise — batch shape,
-// thread count, ISA, or the identity of an external input — must
-// invalidate the plan (the trainer keys plans on exactly those inputs and
-// re-captures with a logged fallback). The optimizer passes preserve the
-// contract by construction (see plan_passes.hpp).
+// thread count, ISA, precision mode, dist world size and rank, or the
+// identity of an external input — must invalidate the plan (the trainer
+// keys plans on exactly those inputs and re-captures with a logged
+// fallback). The optimizer passes preserve the contract by construction
+// (see plan_passes.hpp).
 #pragma once
 
 #include <cstddef>
@@ -161,8 +162,12 @@ class ExecutionPlan {
   ExecutionPlan& operator=(ExecutionPlan&&) = default;
 
   /// Re-executes every recorded kernel in capture order, binding storage
-  /// first (one slot per buffer) if nothing has bound it yet.
+  /// first (one slot per buffer) if nothing has bound it yet, and counts
+  /// one replay in PlanStats.
   void replay();
+  /// replay() without the count: the capture step running its own freshly
+  /// demoted plan is still counted as a capture, not a replay.
+  void run();
 
   /// Number of kernel invocations, recorded or bound.
   std::size_t size() const { return bound_ ? steps_.size() : recorded_.size(); }

@@ -29,9 +29,12 @@
 // raw shadow pointers, so no optimizer pass may run after demotion
 // (demote last, after plan::optimize_plan).
 //
-// Eager execution and the elastic dist trainer never see this pass — only
-// captured plans demote, so QPINN_GRAPH=off composes with QPINN_PRECISION
-// by simply running everything fp64.
+// Only captured plans demote, a dist rank's shard plan like a threads-mode
+// shard's. Eager steps (QPINN_GRAPH=off), the epoch-0 capture step and the
+// L-BFGS stage run fp64, so QPINN_GRAPH=off composes with QPINN_PRECISION by
+// simply running everything fp64. A capture at a later epoch (rejoin,
+// degrade, resume) runs its demoted plan once, so that epoch's bits match a
+// run that replayed there.
 #pragma once
 
 #include <cstddef>

@@ -328,6 +328,13 @@ Trainer::LossAndGrads Trainer::compute(std::int64_t epoch) {
                      "dist-membership change); re-capturing";
     }
     mode = plans_.empty() ? ShardMode::kCapture : ShardMode::kReplay;
+    // Under mixed precision epoch 0 is the fp64 capture step of every run
+    // and later epochs are demoted (see below). An epoch 0 retried after a
+    // rank was lost in its all-reduce runs eager, keeping the plan.
+    if (mode == ShardMode::kReplay && epoch == 0 &&
+        key.precision == autodiff::Precision::kMixed) {
+      mode = ShardMode::kEager;
+    }
   }
   // Eager shards die with this step; captured ones stay pinned in plans_.
   std::vector<Shard> eager_shards;
@@ -346,6 +353,17 @@ Trainer::LossAndGrads Trainer::compute(std::int64_t epoch) {
       global_pool().for_each_index(shards.size(), [&](std::size_t s) {
         finalize_shard_plan(shards[s]);
       });
+      // A demoted plan rounds differently from the fp64 step it was
+      // captured from. Every run captures at epoch 0, and a run that keeps
+      // its plans replays them at every later epoch; so a capture at a
+      // later epoch (a rejoined rank, a degraded survivor, a resumed run)
+      // runs its freshly demoted plan once, its pinned inputs still holding
+      // this epoch's values, and returns the bits that run returns.
+      if (key.precision == autodiff::Precision::kMixed && epoch > 0) {
+        global_pool().for_each_index(shards.size(), [&](std::size_t s) {
+          shards[s].plan.run();
+        });
+      }
     }
     result = reduce_shards(shards);
   } catch (...) {

@@ -258,7 +258,9 @@ class Trainer {
 
   /// The step executor: runs this process's shards (eager, or capture then
   /// replay) on the thread pool, reduces them in shard order, then
-  /// all-reduces across ranks in dist mode.
+  /// all-reduces across ranks in dist mode. Under mixed precision a capture
+  /// after epoch 0 also runs its freshly demoted plans, so every later
+  /// graph-on epoch returns demoted-replay bits whether or not it captured.
   LossAndGrads compute(std::int64_t epoch);
   /// This process's shards of the threads/dist interior partition.
   std::vector<Shard> local_shards() const;

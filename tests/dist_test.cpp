@@ -119,11 +119,10 @@ class ScopedEnv {
   std::optional<std::string> saved_;
 };
 
-/// Pins fp64 in this process and in the workers it launches. Under mixed
-/// precision a capture step is the eager fp64 step, so a run that
-/// re-captures at another epoch (rejoin, degrade) rounds differently from
-/// one that replays there; the tests comparing such runs bit for bit
-/// assert the fp64 contract.
+/// Pins fp64 in this process and in the workers it launches, for tests
+/// that compare a graph-on run with its QPINN_GRAPH=off twin: eager steps
+/// always run fp64, so that comparison is the fp64 replay == eager
+/// contract, which mixed precision trades away by design.
 class Fp64Pin {
  public:
   Fp64Pin() { autodiff::set_precision_mode(autodiff::Precision::kFp64); }
@@ -824,7 +823,6 @@ TEST(DistTrainer, MultiProcessRanksMatchSingleProcessBitForBit) {
 
 TEST(DistTrainer, KilledRankRejoinsAndFinishesBitForBit) {
   FaultGuard guard;
-  Fp64Pin fp64;
   DistRunSpec clean;
   clean.world = 2;
   clean.epochs = 8;
@@ -849,6 +847,33 @@ TEST(DistTrainer, KilledRankRejoinsAndFinishesBitForBit) {
   EXPECT_EQ(survived.result.history.size(), 8u);
   expect_bit_identical(survived.params, uninterrupted.params,
                        "kill+rejoin vs uninterrupted");
+}
+
+// A rank lost at epoch 0: the root has captured its plan when the
+// all-reduce fails, the restarted rank captures afresh, and the retried
+// epoch must still produce the uninterrupted run's bits. Under mixed
+// precision that is the fp64 epoch-0 step on both ranks, so the root runs
+// the retry eager instead of replaying its demoted plan.
+TEST(DistTrainer, RankKilledAtEpochZeroRejoinsBitForBit) {
+  FaultGuard guard;
+  DistRunSpec clean;
+  clean.world = 2;
+  clean.epochs = 4;
+  clean.resample_every = 2;
+  clean.tag = "clean0";
+  const DistRunResult uninterrupted = run_dist_training(clean);
+  ASSERT_EQ(uninterrupted.failed_children, 0);
+
+  DistRunSpec faulted = clean;
+  faulted.tag = "killed0";
+  faulted.kill_rank = 1;
+  faulted.kill_epoch = 0;
+  const DistRunResult survived = run_dist_training(faulted);
+  EXPECT_EQ(survived.result.rank_failures, 1);
+  EXPECT_EQ(survived.failed_children, 0);
+  EXPECT_EQ(survived.result.history.size(), 4u);
+  expect_bit_identical(survived.params, uninterrupted.params,
+                       "kill at epoch 0 + rejoin vs uninterrupted");
 }
 
 // Graceful degrade at an epoch that does not resample: the interior keeps
@@ -888,6 +913,51 @@ TEST(DistTrainer, DegradeAtNonResampleEpochRecapturesBitForBit) {
   EXPECT_GE(after.replays - before.replays, 4u);
   expect_bit_identical(replayed.params, eager.params,
                        "degrade replay vs degrade eager");
+}
+
+// Graceful degrade under whatever precision and graph mode the suite runs
+// in: losing rank 2 of 3 at epoch 3 and retrying that epoch on the two
+// survivors trains exactly like a threads = 3 run checkpointed after epoch
+// 2 and resumed with threads = 2. Both re-capture at epoch 3; under mixed
+// precision both then run their demoted plans there, as an unbroken run's
+// replay would. With the membership fields taken out of PlanKey, rank 0
+// replays its world-3 shard after the degrade and this test fails in fp64
+// and mixed alike.
+TEST(DistTrainer, DegradeMatchesThreadsRunResumedOnTheSurvivors) {
+  FaultGuard guard;
+  DistRunSpec spec;
+  spec.world = 3;
+  spec.epochs = 6;
+  spec.resample_every = 2;
+  spec.kill_rank = 2;
+  spec.kill_epoch = 3;
+  spec.policy = dist::FailurePolicy::kDegrade;
+  spec.tag = "degrade_env";
+  const DistRunResult degraded = run_dist_training(spec);
+  EXPECT_EQ(degraded.result.rank_failures, 1);
+  EXPECT_EQ(degraded.result.history.size(), 6u);
+
+  set_global_threads(1);
+  auto problem = core::make_free_packet_problem();
+  core::CheckpointConfig ck;
+  ck.dir = ::testing::TempDir() + "qpinn_dist_degrade_ref";
+  {
+    // Same schedule as the 6-epoch job (lr_decay_every follows epochs),
+    // stopped after epoch 2.
+    core::TrainConfig config =
+        dist_tiny_config(spec.epochs, spec.resample_every);
+    config.epochs = spec.kill_epoch;
+    config.threads = 3;
+    config.checkpoint = ck;
+    core::Trainer(problem, dist_tiny_model(*problem), config).fit();
+  }
+  auto model = dist_tiny_model(*problem);
+  core::TrainConfig config = dist_tiny_config(spec.epochs, spec.resample_every);
+  config.threads = 2;
+  config.resume_from = ck.dir + "/last.qckpt";
+  core::Trainer(problem, model, config).fit();
+  expect_bit_identical(degraded.params, snapshot_params(*model),
+                       "degrade 3 -> 2 vs threads 3 -> 2 resumed");
 }
 
 // Dist twin of PlanTrainer.CaptureStepPeaksAtEagerPoolHighWater: a dist
