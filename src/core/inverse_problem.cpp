@@ -2,8 +2,8 @@
 
 #include <cmath>
 
-#include "autodiff/grad.hpp"
-#include "optim/adam.hpp"
+#include "core/schrodinger_problem.hpp"
+#include "parallel/thread_pool.hpp"
 #include "util/error.hpp"
 #include "util/logging.hpp"
 
@@ -45,7 +45,60 @@ std::pair<Tensor, Tensor> make_observations(
   return {points, values};
 }
 
-InverseResult solve_inverse_harmonic(const InverseHarmonicConfig& config) {
+namespace {
+
+/// The TDSE with the trainable trap V = 1/2 (w^2)^2 x^2 and a data term.
+class InverseHarmonicProblem : public SchrodingerProblem {
+ public:
+  InverseHarmonicProblem(const InverseHarmonicConfig& config, Variable w)
+      : SchrodingerProblem(problem_config(config, w)),
+        w_(std::move(w)),
+        data_points_(config.data_points),
+        data_values_(config.data_values),
+        weight_data_(config.weight_data) {}
+
+  std::vector<LossTerm> auxiliary_losses(
+      FieldModel& model, const CollocationSet& points) const override {
+    std::vector<LossTerm> losses =
+        SchrodingerProblem::auxiliary_losses(model, points);
+    const Variable pred = model.forward(Variable::constant(data_points_));
+    losses.push_back({"data", weight_data_,
+                      mse(sub(pred, Variable::constant(data_values_)))});
+    return losses;
+  }
+
+  std::vector<std::pair<std::string, Variable>> named_parameters()
+      const override {
+    return {{"w", w_}};
+  }
+
+ private:
+  static Config problem_config(const InverseHarmonicConfig& config,
+                               const Variable& w) {
+    Config pc;
+    pc.name = "inverse_harmonic";
+    pc.domain = config.domain;
+    pc.potential = [w](const Variable& x) {
+      const Variable omega = square(w);
+      return mul(broadcast_to(scale(square(omega), 0.5), x.shape()),
+                 square(x));
+    };
+    pc.initial = config.initial;
+    pc.weight_ic = config.weight_ic;
+    pc.weight_bc = 0.0;
+    pc.weight_norm = 0.0;
+    return pc;
+  }
+
+  Variable w_;
+  Tensor data_points_;
+  Tensor data_values_;
+  double weight_data_;
+};
+
+}  // namespace
+
+InverseTraining make_inverse_training(const InverseHarmonicConfig& config) {
   config.validate();
 
   // Field model: standard backbone with normalization; soft IC (the hard
@@ -57,85 +110,55 @@ InverseResult solve_inverse_harmonic(const InverseHarmonicConfig& config) {
       config.domain.x_lo, config.domain.x_hi, config.domain.t_lo,
       config.domain.t_hi);
   mc.seed = config.seed;
-  auto model = make_field_model(mc);
 
-  // omega = w^2 keeps the frequency positive without constraints.
-  Variable w = Variable::leaf(
-      Tensor::full({1, 1}, std::sqrt(config.omega_guess)));
-  std::vector<Variable> params = model->parameters();
-  params.push_back(w);
-  optim::Adam optimizer(params, config.adam);
+  InverseTraining setup;
+  setup.model = make_field_model(mc);
+  setup.problem = std::make_shared<InverseHarmonicProblem>(
+      config,
+      Variable::leaf(Tensor::full({1, 1}, std::sqrt(config.omega_guess))));
 
-  const CollocationSet points = make_collocation(config.domain, config.sampling);
-  const Variable data_x = Variable::constant(config.data_points);
-  const Variable data_y = Variable::constant(config.data_values);
+  TrainConfig& train = setup.train;
+  train.epochs = config.epochs;
+  train.adam = config.adam;
+  // The trainer's PDE term is sum(r^2) / (N * 2), half of the
+  // mse(r1) + mse(r2) the objective is written in.
+  train.weight_pde = 2.0 * config.weight_pde;
+  train.sampling = config.sampling;
+  train.sampling.kind = SamplerKind::kLatinHypercube;
+  train.sampling.seed = config.seed;
+  // Fresh collocation points every epoch prevent residual overfitting.
+  train.resample_every = 1;
+  train.threads = global_pool().size();
+  return setup;
+}
+
+double inverse_omega(const Problem& problem) {
+  const double w = problem.named_parameters().at(0).second.value()[0];
+  return w * w;
+}
+
+InverseResult solve_inverse_harmonic(const InverseHarmonicConfig& config) {
+  InverseTraining setup = make_inverse_training(config);
+  Trainer trainer(setup.problem, setup.model, setup.train);
 
   InverseResult result;
   result.omega_history.reserve(static_cast<std::size_t>(config.epochs));
-
-  Rng resample_rng(config.seed ^ 0x51ed2701ULL);
-  Tensor interior = points.interior;
-  const std::int64_t n_interior =
-      config.sampling.n_interior_x * config.sampling.n_interior_t;
-
   for (std::int64_t epoch = 0; epoch < config.epochs; ++epoch) {
-    // Fresh collocation points every epoch (same rationale as the forward
-    // trainer: prevents residual overfitting).
-    interior = latin_hypercube_points(config.domain, n_interior, resample_rng);
-
-    const Variable omega = square(w);
-
-    // PDE residual with the PARAMETRIZED potential V = 1/2 omega^2 x^2.
-    const Variable X = Variable::leaf(interior, /*requires_grad=*/true);
-    const auto [u, v, u_t, v_t, u_xx, v_xx] = model->derivatives(X);
-    const Variable x_col = slice_cols(X, 0, 1);
-    const Variable v_pot =
-        mul(broadcast_to(scale(square(omega), 0.5), x_col.shape()),
-            square(x_col));
-    const Variable r1 = sub(add(neg(v_t), scale(u_xx, 0.5)), mul(v_pot, u));
-    const Variable r2 = sub(add(u_t, scale(v_xx, 0.5)), mul(v_pot, v));
-    const Variable pde_loss = add(mse(r1), mse(r2));
-
-    // Data misfit.
-    const Variable pred = model->forward(data_x);
-    const Variable data_loss = mse(sub(pred, data_y));
-
-    // Initial condition.
-    const Variable Xi = Variable::constant(points.initial);
-    const Variable ic_out = model->forward(Xi);
-    auto [u0, v0] = config.initial(slice_cols(Xi, 0, 1));
-    const Variable ic_loss = add(mse(sub(slice_cols(ic_out, 0, 1), u0)),
-                                 mse(sub(slice_cols(ic_out, 1, 2), v0)));
-
-    Variable loss = scale(pde_loss, config.weight_pde);
-    loss = add(loss, scale(data_loss, config.weight_data));
-    loss = add(loss, scale(ic_loss, config.weight_ic));
-    // The loss picked up omega's (1,1) shape through broadcasting guards;
-    // reduce to scalar for reporting.
-    const double loss_value = sum_all(loss).item();
-    if (!std::isfinite(loss_value)) {
-      throw NumericsError("inverse training diverged at epoch " +
-                          std::to_string(epoch));
-    }
-
-    result.omega_history.push_back(square(w).item());
+    result.omega_history.push_back(inverse_omega(*setup.problem));
+    const EpochRecord record = trainer.step(epoch);
     if (config.log_every > 0 && epoch % config.log_every == 0) {
-      log::info() << "inverse epoch " << epoch << " loss " << loss_value
-                  << " omega " << result.omega_history.back();
+      log::info() << "inverse epoch " << epoch << " loss "
+                  << record.total_loss << " omega "
+                  << result.omega_history.back();
     }
-
-    const std::vector<Variable> grads = grad(loss, params);
-    std::vector<Tensor> grad_tensors;
-    grad_tensors.reserve(grads.size());
-    for (const Variable& g : grads) grad_tensors.push_back(g.value());
-    optimizer.step(grad_tensors);
-
-    result.final_loss = loss_value;
-    result.data_loss = data_loss.item();
+    result.final_loss = record.total_loss;
+    for (const auto& [name, value] : record.aux_losses) {
+      if (name == "data") result.data_loss = value;
+    }
   }
 
-  result.omega = square(w).item();
-  result.model = std::move(model);
+  result.omega = inverse_omega(*setup.problem);
+  result.model = std::move(setup.model);
   return result;
 }
 

@@ -45,8 +45,18 @@ class Problem {
   virtual std::vector<LossTerm> auxiliary_losses(
       FieldModel& model, const CollocationSet& points) const = 0;
 
-  /// Ground truth psi(x, t) for metrics.
+  /// Ground truth psi(x, t) for metrics; null when the problem has none
+  /// (the trainer's relative L2 then reads NaN).
   virtual quantum::SpaceTimeField reference() const = 0;
+
+  /// Trainable leaves the problem owns besides the model's (e.g. a
+  /// potential parameter of an inverse problem). The trainer optimizes,
+  /// snapshots, all-reduces and checkpoints them with the model's
+  /// parameters, under a "problem." name prefix.
+  virtual std::vector<std::pair<std::string, autodiff::Variable>>
+  named_parameters() const {
+    return {};
+  }
 
   /// Whether the model should use exact x-periodicity (informs model
   /// construction; periodic problems need no wall loss).

@@ -10,9 +10,6 @@ using namespace autodiff;
 void SchrodingerProblem::Config::validate() const {
   domain.validate();
   if (!initial) throw ConfigError("SchrodingerProblem: initial op required");
-  if (!reference_field) {
-    throw ConfigError("SchrodingerProblem: reference field required");
-  }
   if (weight_ic < 0.0 || weight_bc < 0.0 || weight_norm < 0.0) {
     throw ConfigError("SchrodingerProblem: loss weights must be >= 0");
   }

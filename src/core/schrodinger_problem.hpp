@@ -26,7 +26,7 @@ class SchrodingerProblem : public Problem {
     /// a hard IC, but keep it set: it also seeds the IC loss and norm
     /// target checks).
     FieldOp initial;
-    /// Ground truth for metrics.
+    /// Ground truth for metrics (optional: an inverse problem has none).
     quantum::SpaceTimeField reference_field;
     bool periodic_x = false;
     /// Auxiliary loss weights; 0 disables a term.

@@ -5,6 +5,7 @@
 #include "autodiff/grad.hpp"
 #include "core/field_ops.hpp"
 #include "optim/adam.hpp"
+#include "optim/scheduler.hpp"
 #include "util/error.hpp"
 #include "util/logging.hpp"
 #include "util/timer.hpp"
@@ -26,6 +27,12 @@ void Tdse2dConfig::validate() const {
   if (!initial) throw ConfigError("tdse2d: initial op required");
   if (epochs < 1) throw ConfigError("tdse2d: epochs must be >= 1");
   if (lr <= 0.0) throw ConfigError("tdse2d: lr must be positive");
+  if (lr_decay <= 0.0 || lr_decay > 1.0) {
+    throw ConfigError("tdse2d: lr_decay must be in (0, 1]");
+  }
+  if (lr_decay_every < 1) {
+    throw ConfigError("tdse2d: lr_decay_every must be >= 1");
+  }
   if (n_interior < 8) throw ConfigError("tdse2d: n_interior too small");
   if (hidden.empty()) throw ConfigError("tdse2d: need hidden layers");
 }
@@ -219,11 +226,8 @@ Tdse2dResult Tdse2dSolver::fit() {
   Tdse2dResult result;
   result.loss_history.reserve(static_cast<std::size_t>(config_.epochs));
   for (std::int64_t epoch = 0; epoch < config_.epochs; ++epoch) {
-    const double lr =
-        config_.lr * std::pow(config_.lr_decay,
-                              static_cast<double>(epoch /
-                                                  config_.lr_decay_every));
-    optimizer.set_lr(lr);
+    optimizer.set_lr(optim::decayed_lr(config_.lr, config_.lr_decay,
+                                       config_.lr_decay_every, epoch));
 
     const Tensor points =
         latin_hypercube_points_2d(config_.domain, config_.n_interior, rng_);

@@ -10,6 +10,7 @@
 
 #include "autodiff/grad.hpp"
 #include "autodiff/plan_passes.hpp"
+#include "optim/scheduler.hpp"
 #include "parallel/thread_pool.hpp"
 #include "tensor/kernels.hpp"
 #include "util/binary_io.hpp"
@@ -102,20 +103,20 @@ Trainer::Trainer(std::shared_ptr<Problem> problem,
         "TrainConfig: resampling requires a random or LHS sampler");
   }
   params_ = model_->parameters();
+  named_params_ = model_->named_parameters();
+  for (auto& [name, leaf] : problem_->named_parameters()) {
+    params_.push_back(leaf);
+    named_params_.emplace_back("problem." + name, std::move(leaf));
+  }
   optimizer_ = std::make_unique<optim::Adam>(params_, config_.adam);
   QPINN_INVARIANT(
-      optimizer_->params().size() == model_->parameters().size(),
+      optimizer_->params().size() == named_params_.size(),
       "core.trainer", "param-agreement",
       "optimizer parameter count " +
           std::to_string(optimizer_->params().size()) +
-          " disagrees with model parameter count " +
-          std::to_string(model_->parameters().size()));
-  if (config_.lr_decay < 1.0) {
-    schedule_ = std::make_unique<optim::ExponentialDecay>(
-        config_.lr_decay, config_.lr_decay_every);
-  } else {
-    schedule_ = std::make_unique<optim::ConstantLr>();
-  }
+          " disagrees with the checkpointed (model + problem) parameter "
+          "count " +
+          std::to_string(named_params_.size()));
   graph_enabled_ =
       config_.graph == GraphMode::kOn ||
       (config_.graph == GraphMode::kEnv && plan::graph_env_enabled());
@@ -410,7 +411,9 @@ EpochRecord Trainer::step(std::int64_t epoch) {
   if (config_.dist) {
     dist::maybe_fault_kill(config_.dist->rank(), epoch);
   }
-  const double lr = lr_scale_ * schedule_->lr_at(epoch, config_.adam.lr);
+  const double lr =
+      lr_scale_ * optim::decayed_lr(config_.adam.lr, config_.lr_decay,
+                                    config_.lr_decay_every, epoch);
   optimizer_->set_lr(lr);
 
   if (config_.resample_every > 0 && epoch > 0 &&
@@ -472,6 +475,7 @@ void Trainer::rebind_interior(Tensor interior) {
 }
 
 double Trainer::evaluate_l2() {
+  if (!problem_->reference()) return std::numeric_limits<double>::quiet_NaN();
   return relative_l2(*model_, problem_->reference(), problem_->domain(),
                      config_.metric_nx, config_.metric_nt);
 }
@@ -569,8 +573,7 @@ TrainResult Trainer::fit() {
   if (!config_.resume_from.empty()) {
     TrainingState state;
     try {
-      state = Checkpointer::load_state(config_.resume_from,
-                                       model_->named_parameters());
+      state = Checkpointer::load_state(config_.resume_from, named_params_);
     } catch (const IoError& primary) {
       // A torn last.qckpt must not kill the run when an intact best
       // checkpoint sits next to it.
@@ -582,7 +585,7 @@ TrainResult Trainer::fit() {
       log::warn() << problem_->name() << " cannot resume from '"
                   << config_.resume_from << "' (" << primary.what()
                   << "); falling back to '" << fallback << "'";
-      state = Checkpointer::load_state(fallback, model_->named_parameters());
+      state = Checkpointer::load_state(fallback, named_params_);
     }
     restore_state(state);
     // last.qckpt is written on a cadence, so the best_loss it carries can
@@ -676,18 +679,23 @@ TrainResult Trainer::fit() {
       }
       ++result.rank_failures;
       if (result.rank_failures > 8) throw;  // runaway failure loop
-      log::warn() << problem_->name() << " lost rank " << e.rank()
-                  << " at epoch " << epoch << " (failure "
-                  << result.rank_failures << "); recovering via "
-                  << (config_.dist->policy() ==
-                              dist::FailurePolicy::kRejoin
-                          ? "elastic rejoin"
-                          : "graceful degrade");
       if (checkpointer) {
-        checkpointer->save_last(model_->named_parameters(),
-                                make_state(epoch - 1));
+        checkpointer->save_last(named_params_, make_state(epoch - 1));
       }
-      config_.dist->recover(make_dist_sync(epoch - 1));
+      // Only the root's policy decides the mode, so a worker reads it off
+      // the membership recover() hands back: a smaller world is a degrade.
+      const std::int64_t world = config_.dist->world();
+      const dist::RankContext after =
+          config_.dist->recover(make_dist_sync(epoch - 1));
+      auto line = log::warn();
+      line << problem_->name() << " lost rank " << e.rank() << " at epoch "
+           << epoch << " (failure " << result.rank_failures << "); ";
+      if (after.world < world) {
+        line << "graceful degrade (world " << world << " -> " << after.world
+             << ")";
+      } else {
+        line << "elastic rejoin";
+      }
       continue;
     }
     if (failure.empty() && recovery && recovery->explosion_factor > 0.0 &&
@@ -761,11 +769,11 @@ TrainResult Trainer::fit() {
     // `best` tracks every improving epoch (the best model cannot be
     // reconstructed later); `last` rotates on the configured cadence.
     if (checkpointer && improved && config_.checkpoint->keep_best) {
-      checkpointer->save_best(model_->named_parameters(), make_state(epoch));
+      checkpointer->save_best(named_params_, make_state(epoch));
     }
     if (checkpointer && config_.checkpoint->every > 0 &&
         (epoch + 1) % config_.checkpoint->every == 0) {
-      checkpointer->save_last(model_->named_parameters(), make_state(epoch));
+      checkpointer->save_last(named_params_, make_state(epoch));
     }
 
     ++epoch;
@@ -799,8 +807,7 @@ TrainResult Trainer::fit() {
 
   if (checkpointer && last_completed() >= 0) {
     // Final checkpoint — also the graceful-shutdown write.
-    checkpointer->save_last(model_->named_parameters(),
-                            make_state(last_completed()));
+    checkpointer->save_last(named_params_, make_state(last_completed()));
   }
   if (config_.dist) config_.dist->shutdown();
 

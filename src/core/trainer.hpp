@@ -33,7 +33,6 @@
 #include "dist/communicator.hpp"
 #include "optim/adam.hpp"
 #include "optim/lbfgs.hpp"
-#include "optim/scheduler.hpp"
 #include "tensor/simd.hpp"
 
 namespace qpinn::core {
@@ -182,7 +181,8 @@ class Trainer {
   /// epoch record (exposed for benchmarking single-step cost).
   EpochRecord step(std::int64_t epoch);
 
-  /// Relative L2 of the current model against the problem reference.
+  /// Relative L2 of the current model against the problem reference (NaN
+  /// when the problem has none).
   double evaluate_l2();
 
   /// One L-BFGS refinement pass over the current full-batch objective
@@ -352,9 +352,13 @@ class Trainer {
   TrainConfig config_;
   CollocationSet points_;
   Rng resample_rng_{0};
+  /// The model's parameters, then the problem's leaves: what the optimizer
+  /// steps, snapshots restore and the dist all-reduce sums.
   std::vector<autodiff::Variable> params_;
+  /// params_ by name, the problem's under "problem.": the parameter block
+  /// every checkpoint writes and resume loads.
+  nn::NamedParams named_params_;
   std::unique_ptr<optim::Adam> optimizer_;
-  std::unique_ptr<optim::LrSchedule> schedule_;
   bool graph_enabled_ = false;
   /// Bumped by rebind_interior (see PlanKey::interior_generation). The
   /// in-place resample (copy_into) deliberately does NOT bump — same

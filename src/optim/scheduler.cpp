@@ -1,49 +1,16 @@
 #include "optim/scheduler.hpp"
 
 #include <cmath>
-#include <numbers>
 
 #include "util/error.hpp"
 
 namespace qpinn::optim {
 
-ExponentialDecay::ExponentialDecay(double factor, std::int64_t every)
-    : factor_(factor), every_(every) {
+double decayed_lr(double base_lr, double factor, std::int64_t every,
+                  std::int64_t epoch) {
   QPINN_CHECK(factor > 0.0 && factor <= 1.0, "decay factor must be in (0, 1]");
   QPINN_CHECK(every >= 1, "decay interval must be >= 1");
-}
-
-double ExponentialDecay::lr_at(std::int64_t epoch, double base_lr) const {
-  const std::int64_t steps = epoch / every_;
-  return base_lr * std::pow(factor_, static_cast<double>(steps));
-}
-
-CosineAnnealing::CosineAnnealing(std::int64_t t_max, double min_lr)
-    : t_max_(t_max), min_lr_(min_lr) {
-  QPINN_CHECK(t_max >= 1, "t_max must be >= 1");
-  QPINN_CHECK(min_lr >= 0.0, "min_lr must be >= 0");
-}
-
-double CosineAnnealing::lr_at(std::int64_t epoch, double base_lr) const {
-  const double t = std::min<double>(static_cast<double>(epoch),
-                                    static_cast<double>(t_max_));
-  const double cosine =
-      0.5 * (1.0 + std::cos(std::numbers::pi * t / static_cast<double>(t_max_)));
-  return min_lr_ + (base_lr - min_lr_) * cosine;
-}
-
-Warmup::Warmup(std::int64_t warmup, std::shared_ptr<const LrSchedule> inner)
-    : warmup_(warmup), inner_(std::move(inner)) {
-  QPINN_CHECK(warmup >= 1, "warmup must be >= 1");
-  QPINN_CHECK(inner_ != nullptr, "warmup requires an inner schedule");
-}
-
-double Warmup::lr_at(std::int64_t epoch, double base_lr) const {
-  if (epoch < warmup_) {
-    return base_lr * static_cast<double>(epoch + 1) /
-           static_cast<double>(warmup_);
-  }
-  return inner_->lr_at(epoch - warmup_, base_lr);
+  return base_lr * std::pow(factor, static_cast<double>(epoch / every));
 }
 
 }  // namespace qpinn::optim

@@ -1,56 +1,15 @@
-// Learning-rate schedules.
+// Learning-rate schedule.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 
 namespace qpinn::optim {
 
-/// Maps (epoch, base_lr) -> lr. Stateless; the trainer queries per epoch.
-class LrSchedule {
- public:
-  virtual ~LrSchedule() = default;
-  virtual double lr_at(std::int64_t epoch, double base_lr) const = 0;
-};
-
-/// Constant learning rate.
-class ConstantLr : public LrSchedule {
- public:
-  double lr_at(std::int64_t, double base_lr) const override { return base_lr; }
-};
-
-/// lr = base * factor^(epoch / every) — the "decay by 0.85 every 2000
-/// epochs" style schedule standard in PINN work.
-class ExponentialDecay : public LrSchedule {
- public:
-  ExponentialDecay(double factor, std::int64_t every);
-  double lr_at(std::int64_t epoch, double base_lr) const override;
-
- private:
-  double factor_;
-  std::int64_t every_;
-};
-
-/// Cosine annealing from base_lr to min_lr over t_max epochs.
-class CosineAnnealing : public LrSchedule {
- public:
-  CosineAnnealing(std::int64_t t_max, double min_lr = 0.0);
-  double lr_at(std::int64_t epoch, double base_lr) const override;
-
- private:
-  std::int64_t t_max_;
-  double min_lr_;
-};
-
-/// Linear warmup over `warmup` epochs wrapping another schedule.
-class Warmup : public LrSchedule {
- public:
-  Warmup(std::int64_t warmup, std::shared_ptr<const LrSchedule> inner);
-  double lr_at(std::int64_t epoch, double base_lr) const override;
-
- private:
-  std::int64_t warmup_;
-  std::shared_ptr<const LrSchedule> inner_;
-};
+/// lr = base_lr * factor^(epoch / every), with integer division: the "decay
+/// by 0.85 every 2000 epochs" step schedule standard in PINN work. factor =
+/// 1 is the constant rate (pow(1, k) is exactly 1, so lr == base_lr).
+/// Throws ValueError unless factor is in (0, 1] and every >= 1.
+double decayed_lr(double base_lr, double factor, std::int64_t every,
+                  std::int64_t epoch);
 
 }  // namespace qpinn::optim

@@ -84,11 +84,8 @@ void QueryQueue::worker_loop() {
       MutexLock lock(mu_);
       while (count_ == 0 && !stopping_) not_empty_.wait(mu_);
       if (count_ == 0 && stopping_) return;
-      // One registry snapshot per flush: this batch completes on `model`
-      // even if a new checkpoint is published mid-replay; the next flush
-      // re-reads the registry and picks the promotion up.
-      model = registry_->current();
-      const auto rows = static_cast<std::size_t>(model->batch_rows());
+      const auto rows =
+          static_cast<std::size_t>(registry_->current()->batch_rows());
       if (count_ < rows && config_.flush_us > 0 && !stopping_) {
         // Deadline-based coalescing: keep absorbing arrivals until the
         // batch fills or the window (measured from the first wait) closes.
@@ -103,6 +100,12 @@ void QueryQueue::worker_loop() {
                        static_cast<std::int64_t>(remaining) + 1));
         }
       }
+      // One registry snapshot per flush: this batch completes on `model`
+      // even if a new checkpoint is published mid-replay; the next flush
+      // re-reads the registry and picks the promotion up. It is taken after
+      // the coalescing wait, which drops mu_, so snapshots follow dequeue
+      // order: a client once answered on a new model never gets the old.
+      model = registry_->current();
       take = std::min(count_, static_cast<std::size_t>(model->batch_rows()));
       // The coalescing wait drops the lock, so with several workers another
       // drain can win the race for these queries; go back to sleep.

@@ -442,6 +442,36 @@ TEST_F(CheckpointTest, ResumeDoesNotLetWorseEpochOverwriteBest) {
   std::filesystem::remove_all(dir);
 }
 
+// A problem that owns no trainable leaf adds nothing to the parameter
+// block: the trainer's checkpoint is byte for byte the file save_state
+// writes from the model's own named parameters.
+TEST_F(CheckpointTest, LeaflessProblemCheckpointIsTheModelOnlyFile) {
+  const std::string dir = temp_path("leafless_dir");
+  std::filesystem::remove_all(dir);
+
+  auto problem = make_free_packet_problem();
+  TrainConfig config = default_train_config(/*epochs=*/3, /*seed=*/5);
+  config.sampling.n_interior_x = 8;
+  config.sampling.n_interior_t = 8;
+  config.sampling.n_initial = 16;
+  config.sampling.n_boundary = 8;
+  config.metric_nx = 16;
+  config.metric_nt = 8;
+  config.checkpoint = CheckpointConfig{};
+  config.checkpoint->dir = dir;
+  auto model = make_model_for(*problem, /*seed=*/5);
+  Trainer(problem, model, config).fit();
+
+  const std::string last_file = dir + "/last.qckpt";
+  const TrainingState state =
+      Checkpointer::load_state(last_file, model->named_parameters());
+  const std::string twin = temp_path("leafless_twin.qckpt");
+  Checkpointer::save_state(twin, model->named_parameters(), state);
+  EXPECT_EQ(read_file(last_file), read_file(twin));
+  std::filesystem::remove_all(dir);
+  std::filesystem::remove(twin);
+}
+
 // ---- rotating saves with write faults ----------------------------------
 
 TEST_F(CheckpointTest, WriteFailureIsRetriedThenSucceeds) {

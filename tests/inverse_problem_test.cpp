@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 
+#include "autodiff/plan.hpp"
+#include "autodiff/precision.hpp"
 #include "core/inverse_problem.hpp"
 #include "quantum/analytic.hpp"
 #include "util/error.hpp"
@@ -91,6 +96,133 @@ TEST(InverseHarmonic, ConfigValidation) {
   config = base_config();
   config.initial = nullptr;
   EXPECT_THROW(solve_inverse_harmonic(config), ConfigError);
+}
+
+// ---- the inverse problem through the Trainer ----------------------------
+
+/// Pins fp64 for a bit-identity test (mixed replay rounds differently from
+/// eager by design); restores the active mode on scope exit.
+class Fp64Guard {
+ public:
+  Fp64Guard() : saved_(autodiff::precision_mode()) {
+    autodiff::set_precision_mode(autodiff::Precision::kFp64);
+  }
+  ~Fp64Guard() { autodiff::set_precision_mode(saved_); }
+
+ private:
+  autodiff::Precision saved_;
+};
+
+InverseHarmonicConfig tiny_config(std::int64_t epochs) {
+  InverseHarmonicConfig config = base_config();
+  config.epochs = epochs;
+  config.sampling.n_interior_x = 8;
+  config.sampling.n_interior_t = 8;
+  config.sampling.n_initial = 16;
+  return config;
+}
+
+/// Per-epoch loss and omega of `epochs` Trainer steps, then every trained
+/// value: the model's parameters followed by omega.
+std::vector<double> trajectory(GraphMode graph, std::size_t shards,
+                               std::int64_t epochs) {
+  InverseTraining setup = make_inverse_training(tiny_config(epochs));
+  setup.train.graph = graph;
+  setup.train.threads = shards;
+  Trainer trainer(setup.problem, setup.model, setup.train);
+  std::vector<double> out;
+  for (std::int64_t e = 0; e < epochs; ++e) {
+    out.push_back(trainer.step(e).total_loss);
+    out.push_back(inverse_omega(*setup.problem));
+  }
+  for (const autodiff::Variable& p : setup.model->parameters()) {
+    const Tensor& t = p.value();
+    out.insert(out.end(), t.data(), t.data() + t.numel());
+  }
+  out.push_back(inverse_omega(*setup.problem));
+  return out;
+}
+
+TEST(InverseTrainer, EagerMatchesReplayBitForBitAtOneAndFourShards) {
+  const Fp64Guard fp64;
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("shards " + std::to_string(shards));
+    const std::vector<double> eager = trajectory(GraphMode::kOff, shards, 6);
+    autodiff::plan::reset_plan_stats();
+    const std::vector<double> replay = trajectory(GraphMode::kOn, shards, 6);
+    const autodiff::plan::PlanStats stats = autodiff::plan::plan_stats();
+    EXPECT_EQ(stats.plans_captured, shards);
+    EXPECT_EQ(stats.replays, 5 * shards);
+    EXPECT_EQ(stats.fallbacks, 0u);
+    ASSERT_EQ(eager.size(), replay.size());
+    for (std::size_t i = 0; i < eager.size(); ++i) {
+      ASSERT_TRUE(std::isfinite(eager[i]));
+      ASSERT_EQ(eager[i], replay[i]) << "diverged at value " << i;
+    }
+    // omega moved, so the leaf really trained through the plan.
+    EXPECT_NE(replay.back(), 0.6);
+  }
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+/// Runs make_inverse_training's set-up for `epochs` with checkpoints in
+/// `dir`, resuming from `resume_from` when set; returns the set-up.
+InverseTraining fit_checkpointed(const std::string& dir, std::int64_t epochs,
+                                 const std::string& resume_from) {
+  InverseTraining setup = make_inverse_training(tiny_config(epochs));
+  setup.train.checkpoint = CheckpointConfig{};
+  setup.train.checkpoint->dir = dir;
+  setup.train.checkpoint->every = 2;
+  setup.train.resume_from = resume_from;
+  Trainer(setup.problem, setup.model, setup.train).fit();
+  return setup;
+}
+
+TEST(InverseTrainer, ResumedFitMatchesUnbrokenRunBitForBit) {
+  const std::string whole = ::testing::TempDir() + "inverse_whole";
+  const std::string split = ::testing::TempDir() + "inverse_split";
+  std::filesystem::remove_all(whole);
+  std::filesystem::remove_all(split);
+
+  const InverseTraining unbroken = fit_checkpointed(whole, 8, "");
+  fit_checkpointed(split, 5, "");  // stops after epoch 4
+  const InverseTraining resumed =
+      fit_checkpointed(split, 8, split + "/last.qckpt");
+
+  EXPECT_EQ(inverse_omega(*resumed.problem), inverse_omega(*unbroken.problem));
+  EXPECT_NE(inverse_omega(*unbroken.problem), 0.6);
+  // The final checkpoints hold the parameters, omega, the Adam moments and
+  // step count, the resample RNG and the interior: equal bytes mean the
+  // resumed run is the unbroken one.
+  const std::string last = read_file(whole + "/last.qckpt");
+  ASSERT_FALSE(last.empty());
+  EXPECT_EQ(read_file(split + "/last.qckpt"), last);
+
+  // omega is checkpointed under the problem prefix: a model-only parameter
+  // list cannot load the file, and the prefixed list restores w.
+  InverseTraining fresh = make_inverse_training(tiny_config(8));
+  EXPECT_THROW(Checkpointer::load_state(whole + "/last.qckpt",
+                                        fresh.model->named_parameters()),
+               ValueError);
+  nn::NamedParams params = fresh.model->named_parameters();
+  params.emplace_back("problem.w",
+                      fresh.problem->named_parameters().at(0).second);
+  Checkpointer::load_state(whole + "/last.qckpt", params);
+  EXPECT_EQ(inverse_omega(*fresh.problem), inverse_omega(*unbroken.problem));
+
+  std::filesystem::remove_all(whole);
+  std::filesystem::remove_all(split);
+}
+
+TEST(InverseTrainer, HasNoReferenceSoL2IsNotEvaluated) {
+  InverseTraining setup = make_inverse_training(tiny_config(1));
+  Trainer trainer(setup.problem, setup.model, setup.train);
+  EXPECT_TRUE(std::isnan(trainer.evaluate_l2()));
 }
 
 TEST(MakeObservations, Validation) {

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <memory>
 
 #include "autodiff/grad.hpp"
 #include "autodiff/ops.hpp"
@@ -200,37 +199,18 @@ TEST(ClipGradNorm, LeavesSmallGradientsAlone) {
 // ---- schedulers -----------------------------------------------------------------
 
 TEST(Schedulers, ConstantLr) {
-  ConstantLr schedule;
-  EXPECT_DOUBLE_EQ(schedule.lr_at(0, 1e-3), 1e-3);
-  EXPECT_DOUBLE_EQ(schedule.lr_at(10000, 1e-3), 1e-3);
+  EXPECT_EQ(decayed_lr(1e-3, 1.0, 2000, 0), 1e-3);
+  EXPECT_EQ(decayed_lr(1e-3, 1.0, 2000, 10000), 1e-3);
 }
 
 TEST(Schedulers, ExponentialDecaySteps) {
-  ExponentialDecay schedule(0.85, 2000);
-  EXPECT_DOUBLE_EQ(schedule.lr_at(0, 1e-3), 1e-3);
-  EXPECT_DOUBLE_EQ(schedule.lr_at(1999, 1e-3), 1e-3);
-  EXPECT_NEAR(schedule.lr_at(2000, 1e-3), 0.85e-3, 1e-15);
-  EXPECT_NEAR(schedule.lr_at(4000, 1e-3), 0.85 * 0.85e-3, 1e-15);
-  EXPECT_THROW(ExponentialDecay(0.0, 10), ValueError);
-  EXPECT_THROW(ExponentialDecay(0.9, 0), ValueError);
-}
-
-TEST(Schedulers, CosineAnnealingEndpoints) {
-  CosineAnnealing schedule(100, 1e-5);
-  EXPECT_DOUBLE_EQ(schedule.lr_at(0, 1e-3), 1e-3);
-  EXPECT_NEAR(schedule.lr_at(100, 1e-3), 1e-5, 1e-15);
-  EXPECT_NEAR(schedule.lr_at(50, 1e-3), (1e-3 + 1e-5) / 2.0, 1e-10);
-  EXPECT_NEAR(schedule.lr_at(200, 1e-3), 1e-5, 1e-15);  // clamped
-}
-
-TEST(Schedulers, WarmupRampsThenDelegates) {
-  auto inner = std::make_shared<ConstantLr>();
-  Warmup schedule(10, inner);
-  EXPECT_NEAR(schedule.lr_at(0, 1.0), 0.1, 1e-12);
-  EXPECT_NEAR(schedule.lr_at(4, 1.0), 0.5, 1e-12);
-  EXPECT_DOUBLE_EQ(schedule.lr_at(10, 1.0), 1.0);
-  EXPECT_THROW(Warmup(0, inner), ValueError);
-  EXPECT_THROW(Warmup(5, nullptr), ValueError);
+  EXPECT_DOUBLE_EQ(decayed_lr(1e-3, 0.85, 2000, 0), 1e-3);
+  EXPECT_DOUBLE_EQ(decayed_lr(1e-3, 0.85, 2000, 1999), 1e-3);
+  EXPECT_NEAR(decayed_lr(1e-3, 0.85, 2000, 2000), 0.85e-3, 1e-15);
+  EXPECT_NEAR(decayed_lr(1e-3, 0.85, 2000, 4000), 0.85 * 0.85e-3, 1e-15);
+  EXPECT_THROW(decayed_lr(1e-3, 0.0, 10, 0), ValueError);
+  EXPECT_THROW(decayed_lr(1e-3, 1.5, 10, 0), ValueError);
+  EXPECT_THROW(decayed_lr(1e-3, 0.9, 0, 0), ValueError);
 }
 
 TEST(Optimizer, SetLrValidated) {

@@ -163,8 +163,8 @@ TEST(SchrodingerProblem, ConfigValidation) {
   config.initial = nullptr;
   EXPECT_THROW(SchrodingerProblem{config}, ConfigError);
   config = base_config();
-  config.reference_field = nullptr;
-  EXPECT_THROW(SchrodingerProblem{config}, ConfigError);
+  config.reference_field = nullptr;  // optional: an inverse problem has none
+  EXPECT_NO_THROW(SchrodingerProblem{config});
   config = base_config();
   config.weight_ic = -1.0;
   EXPECT_THROW(SchrodingerProblem{config}, ConfigError);
