@@ -31,7 +31,8 @@ std::vector<double> curriculum_weights(const CurriculumConfig& config,
                                        std::int64_t epoch);
 
 /// (N, 1) per-point weights for collocation rows X (columns x, t): each
-/// point gets its time bin's weight.
+/// point gets its time bin's weight. Throws ConfigError on a domain with a
+/// y axis.
 Tensor per_point_weights(const CurriculumConfig& config,
                          const Domain& domain, const Tensor& X,
                          std::int64_t epoch);

@@ -1,14 +1,33 @@
 #include "core/domain.hpp"
 
+#include <utility>
+
 #include "util/error.hpp"
 
 namespace qpinn::core {
 
 void Domain::validate() const {
-  if (!(x_hi > x_lo) || !(t_hi > t_lo)) {
-    throw ConfigError("Domain must satisfy x_hi > x_lo and t_hi > t_lo");
+  if (!(x_hi > x_lo) || !(t_hi > t_lo) || !(y_hi >= y_lo)) {
+    throw ConfigError(
+        "Domain must satisfy x_hi > x_lo, t_hi > t_lo and y_hi >= y_lo");
   }
 }
+
+void Domain::require_no_y(const std::string& what) const {
+  if (has_y()) {
+    throw ConfigError(what + " needs an (x, t) domain; this one has a y axis");
+  }
+}
+
+namespace {
+
+/// (lo, hi) of each point column: x, [y], t.
+std::vector<std::pair<double, double>> axes(const Domain& d) {
+  if (!d.has_y()) return {{d.x_lo, d.x_hi}, {d.t_lo, d.t_hi}};
+  return {{d.x_lo, d.x_hi}, {d.y_lo, d.y_hi}, {d.t_lo, d.t_hi}};
+}
+
+}  // namespace
 
 SamplerKind parse_sampler(const std::string& name) {
   if (name == "grid") return SamplerKind::kGrid;
@@ -29,6 +48,7 @@ std::string to_string(SamplerKind kind) {
 Tensor grid_points(const Domain& domain, std::int64_t nx, std::int64_t nt,
                    bool skip_initial_slice) {
   domain.validate();
+  domain.require_no_y("grid_points");
   QPINN_CHECK(nx >= 2 && nt >= 2, "grid_points needs nx, nt >= 2");
   const Tensor xs = Tensor::linspace(domain.x_lo, domain.x_hi, nx);
   const Tensor ts = Tensor::linspace(domain.t_lo, domain.t_hi, nt);
@@ -49,11 +69,11 @@ Tensor grid_points(const Domain& domain, std::int64_t nx, std::int64_t nt,
 Tensor uniform_points(const Domain& domain, std::int64_t n, Rng& rng) {
   domain.validate();
   QPINN_CHECK(n >= 1, "uniform_points needs n >= 1");
-  Tensor out(Shape{n, 2});
+  const auto cols = axes(domain);
+  Tensor out(Shape{n, static_cast<std::int64_t>(cols.size())});
   double* p = out.data();
   for (std::int64_t r = 0; r < n; ++r) {
-    p[2 * r] = rng.uniform(domain.x_lo, domain.x_hi);
-    p[2 * r + 1] = rng.uniform(domain.t_lo, domain.t_hi);
+    for (const auto& [lo, hi] : cols) *p++ = rng.uniform(lo, hi);
   }
   return out;
 }
@@ -61,28 +81,28 @@ Tensor uniform_points(const Domain& domain, std::int64_t n, Rng& rng) {
 Tensor latin_hypercube_points(const Domain& domain, std::int64_t n, Rng& rng) {
   domain.validate();
   QPINN_CHECK(n >= 1, "latin_hypercube_points needs n >= 1");
-  const auto perm_x = rng.permutation(static_cast<std::size_t>(n));
-  const auto perm_t = rng.permutation(static_cast<std::size_t>(n));
-  Tensor out(Shape{n, 2});
+  const auto cols = axes(domain);
+  const auto rows = static_cast<std::size_t>(n);
+  std::vector<std::vector<std::size_t>> perms;
+  for (std::size_t c = 0; c < cols.size(); ++c) {
+    perms.push_back(rng.permutation(rows));
+  }
+  Tensor out(Shape{n, static_cast<std::int64_t>(cols.size())});
   double* p = out.data();
   const double inv_n = 1.0 / static_cast<double>(n);
-  for (std::int64_t r = 0; r < n; ++r) {
-    const double ux =
-        (static_cast<double>(perm_x[static_cast<std::size_t>(r)]) +
-         rng.uniform()) *
-        inv_n;
-    const double ut =
-        (static_cast<double>(perm_t[static_cast<std::size_t>(r)]) +
-         rng.uniform()) *
-        inv_n;
-    p[2 * r] = domain.x_lo + domain.x_span() * ux;
-    p[2 * r + 1] = domain.t_lo + domain.t_span() * ut;
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t c = 0; c < cols.size(); ++c) {
+      const auto [lo, hi] = cols[c];
+      *p++ = lo + (hi - lo) * ((static_cast<double>(perms[c][r]) +
+                                rng.uniform()) * inv_n);
+    }
   }
   return out;
 }
 
 Tensor initial_points(const Domain& domain, std::int64_t nx) {
   domain.validate();
+  domain.require_no_y("initial_points");
   QPINN_CHECK(nx >= 2, "initial_points needs nx >= 2");
   const Tensor xs = Tensor::linspace(domain.x_lo, domain.x_hi, nx);
   Tensor out(Shape{nx, 2});
@@ -96,6 +116,7 @@ Tensor initial_points(const Domain& domain, std::int64_t nx) {
 
 Tensor boundary_points(const Domain& domain, std::int64_t nt) {
   domain.validate();
+  domain.require_no_y("boundary_points");
   QPINN_CHECK(nt >= 2, "boundary_points needs nt >= 2");
   const Tensor ts = Tensor::linspace(domain.t_lo, domain.t_hi, nt);
   Tensor out(Shape{2 * nt, 2});
@@ -131,7 +152,9 @@ CollocationSet make_collocation(const Domain& domain,
           domain, config.n_interior_x * config.n_interior_t, rng);
       break;
   }
-  set.initial = initial_points(domain, config.n_initial);
+  if (config.n_initial > 0) {
+    set.initial = initial_points(domain, config.n_initial);
+  }
   if (config.n_boundary > 0) {
     set.boundary = boundary_points(domain, config.n_boundary);
   }

@@ -1,4 +1,5 @@
-// Space-time domain and collocation sampling for 1+1-D PINN problems.
+// Space-time domain and collocation sampling for PINN problems in one or
+// two space dimensions.
 #pragma once
 
 #include <cstdint>
@@ -9,16 +10,23 @@
 
 namespace qpinn::core {
 
-/// Rectangular space-time domain [x_lo, x_hi] x [t_lo, t_hi].
+/// Rectangular space-time domain [x_lo, x_hi] x [t_lo, t_hi], with an
+/// optional y axis [y_lo, y_hi] that exists when y_hi > y_lo. Points are
+/// rows (x, [y], t).
 struct Domain {
   double x_lo = -1.0;
   double x_hi = 1.0;
   double t_lo = 0.0;
   double t_hi = 1.0;
+  double y_lo = 0.0;
+  double y_hi = 0.0;
 
   double x_span() const { return x_hi - x_lo; }
   double t_span() const { return t_hi - t_lo; }
+  bool has_y() const { return y_hi > y_lo; }
   void validate() const;  ///< throws ConfigError when degenerate
+  /// Throws ConfigError when there is a y axis: `what` is (x, t) only.
+  void require_no_y(const std::string& what) const;
 };
 
 enum class SamplerKind {
@@ -36,10 +44,11 @@ std::string to_string(SamplerKind kind);
 Tensor grid_points(const Domain& domain, std::int64_t nx, std::int64_t nt,
                    bool skip_initial_slice = false);
 
-/// n i.i.d. uniform points in the domain.
+/// n i.i.d. uniform (x, [y], t) points in the domain.
 Tensor uniform_points(const Domain& domain, std::int64_t n, Rng& rng);
 
-/// n Latin-hypercube points (one per stratum in each coordinate).
+/// n Latin-hypercube (x, [y], t) points (one per stratum in each
+/// coordinate): one permutation per axis, then each row's strata.
 Tensor latin_hypercube_points(const Domain& domain, std::int64_t n, Rng& rng);
 
 /// (nx, 2) points on the initial slice t = t_lo.
@@ -48,10 +57,11 @@ Tensor initial_points(const Domain& domain, std::int64_t nx);
 /// (2 * nt, 2) points on the two spatial walls (x_lo rows first).
 Tensor boundary_points(const Domain& domain, std::int64_t nt);
 
-/// The collocation sets a training run works with.
+/// The collocation sets a training run works with. With a y axis the
+/// interior is the only one (grid, initial and wall points are (x, t)).
 struct CollocationSet {
-  Tensor interior;  ///< (N, 2) PDE residual points
-  Tensor initial;   ///< (Ni, 2) initial-condition points
+  Tensor interior;  ///< (N, S + 1) PDE residual points
+  Tensor initial;   ///< (Ni, 2) initial-condition points (may be empty)
   Tensor boundary;  ///< (Nb, 2) wall points (may be empty for periodic)
 };
 
@@ -59,7 +69,7 @@ struct SamplingConfig {
   SamplerKind kind = SamplerKind::kGrid;
   std::int64_t n_interior_x = 32;  ///< grid: points per axis; random: total
   std::int64_t n_interior_t = 32;
-  std::int64_t n_initial = 64;
+  std::int64_t n_initial = 64;   ///< 0 disables initial points
   std::int64_t n_boundary = 0;  ///< 0 disables wall points
   std::uint64_t seed = 0;
 };

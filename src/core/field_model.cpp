@@ -26,8 +26,9 @@ FieldModel::FieldModel(std::unique_ptr<nn::Module> backbone,
       hard_ic_(std::move(hard_ic)),
       normalization_(normalization) {
   QPINN_CHECK(backbone_ != nullptr, "FieldModel needs a backbone");
-  QPINN_CHECK(backbone_->input_dim() == 2,
-              "FieldModel backbone must take (x, t) input");
+  space_dims_ = backbone_->input_dim() - 1;
+  QPINN_CHECK(space_dims_ == 1 || space_dims_ == 2,
+              "FieldModel backbone must take (x, t) or (x, y, t) input");
   QPINN_CHECK(backbone_->output_dim() == 2,
               "FieldModel backbone must emit (u, v)");
   if (hard_ic_) {
@@ -37,24 +38,27 @@ FieldModel::FieldModel(std::unique_ptr<nn::Module> backbone,
 }
 
 Variable FieldModel::network_input(const Variable& X) const {
-  QPINN_CHECK_SHAPE(X.value().rank() == 2 && X.value().cols() == 2,
-                    "FieldModel expects (N, 2) input, got " +
-                        shape_to_string(X.shape()));
+  const std::int64_t s = space_dims_;
+  QPINN_CHECK_SHAPE(X.value().rank() == 2 && X.value().cols() == s + 1,
+                    "FieldModel expects (N, " + std::to_string(s + 1) +
+                        ") input, got " + shape_to_string(X.shape()));
   if (!normalization_) return X;
   const InputNormalization& n = *normalization_;
-  const Variable x_hat =
-      scale(add_scalar(slice_cols(X, 0, 1), -n.x_center), 1.0 / n.x_half_span);
-  const Variable t_hat =
-      scale(add_scalar(slice_cols(X, 1, 2), -n.t_center), 1.0 / n.t_half_span);
-  return concat_cols({x_hat, t_hat});
+  const auto normalized = [&](std::int64_t c, double center, double half) {
+    return scale(add_scalar(slice_cols(X, c, c + 1), -center), 1.0 / half);
+  };
+  std::vector<Variable> columns{normalized(0, n.x_center, n.x_half_span)};
+  if (s == 2) columns.push_back(normalized(1, n.y_center, n.y_half_span));
+  columns.push_back(normalized(s, n.t_center, n.t_half_span));
+  return concat_cols(columns);
 }
 
 Variable FieldModel::forward(const Variable& X) {
   const Variable raw = backbone_->forward(network_input(X));
   if (!hard_ic_) return raw;
 
-  const Variable x = slice_cols(X, 0, 1);
-  const Variable t = slice_cols(X, 1, 2);
+  const Variable x = slice_cols(X, 0, space_dims_);
+  const Variable t = slice_cols(X, space_dims_, space_dims_ + 1);
   const Variable ramp = add_scalar(t, -hard_ic_->t0);
   auto [u0, v0] = hard_ic_->psi0(x);
   const Variable u = add(u0, mul(ramp, slice_cols(raw, 0, 1)));
@@ -63,39 +67,51 @@ Variable FieldModel::forward(const Variable& X) {
 }
 
 FieldDerivatives FieldModel::derivatives(const Variable& X) {
-  // Coordinate 0 is x (to second order), coordinate 1 is t (first order).
-  // The jet carries the X-derivatives itself, so no reverse sweep needs X:
-  // detaching keeps the parameter sweep out of the input layers. No
-  // normalization is the identity map, whose half-spans are 1.
+  // Coordinates 0..S-1 are space (to second order), coordinate S is t
+  // (first order). The jet carries the X-derivatives itself, so no reverse
+  // sweep needs X: detaching keeps the parameter sweep out of the input
+  // layers. No normalization is the identity map, whose half-spans are 1.
+  const std::int64_t s = space_dims_;
+  const auto ts = static_cast<std::size_t>(s);
   const Variable Xc = X.detach();
   const InputNormalization n = normalization_.value_or(InputNormalization{});
-  const nn::Jet raw = backbone_->forward_jet(nn::input_jet(
-      network_input(Xc), {2, 1}, {1.0 / n.x_half_span, 1.0 / n.t_half_span}));
+  std::vector<int> order(ts + 1, 2);
+  order[ts] = 1;
+  std::vector<double> direction{1.0 / n.x_half_span};
+  if (s == 2) direction.push_back(1.0 / n.y_half_span);
+  direction.push_back(1.0 / n.t_half_span);
+  const nn::Jet raw = backbone_->forward_jet(
+      nn::input_jet(network_input(Xc), order, direction));
   nn::Jet u = raw.slice_cols(0, 1);
   nn::Jet v = raw.slice_cols(1, 2);
   if (hard_ic_) {
     // psi0 on its own leaf over X's storage. It has no parameters, so its
-    // derivatives are data. The ramp runs along coordinate 1 (t).
+    // derivatives are data. The ramp runs along coordinate S (t).
     const Variable Xl = Variable::leaf(X.value());
-    auto [u0, v0] = hard_ic_->psi0(slice_cols(Xl, 0, 1));
-    const Variable ramp = add_scalar(slice_cols(Xc, 1, 2), -hard_ic_->t0);
+    auto [u0, v0] = hard_ic_->psi0(slice_cols(Xl, 0, s));
+    const Variable ramp = add_scalar(slice_cols(Xc, s, s + 1), -hard_ic_->t0);
+    order[ts] = 0;
     const auto field = [&](const Variable& psi0, const nn::Jet& net) {
       const nn::Jet data =
           nn::partial_jet(  // lint-allow: nested-reverse-derivatives
-              psi0, Xl, {2, 0});
-      return nn::hard_ic(data.detached(), ramp, net, 1);
+              psi0, Xl, order);
+      return nn::hard_ic(data.detached(), ramp, net, ts);
     };
     u = field(u0, u);
     v = field(v0, v);
   }
   const Shape& column = u.value.shape();
+  const auto laplacian = [&](const nn::Jet& f) {
+    const Variable xx = nn::or_zeros(f.d2[0], column);
+    return s == 1 ? xx : add(xx, nn::or_zeros(f.d2[1], column));
+  };
   FieldDerivatives d;
   d.u = u.value;
   d.v = v.value;
-  d.u_t = nn::or_zeros(u.d1[1], column);
-  d.v_t = nn::or_zeros(v.d1[1], column);
-  d.u_xx = nn::or_zeros(u.d2[0], column);
-  d.v_xx = nn::or_zeros(v.d2[0], column);
+  d.u_t = nn::or_zeros(u.d1[ts], column);
+  d.v_t = nn::or_zeros(v.d1[ts], column);
+  d.u_xx = laplacian(u);
+  d.v_xx = laplacian(v);
   return d;
 }
 

@@ -1,5 +1,6 @@
-// The PINN field model: a backbone network mapping (x, t) -> (u, v) with
-// an optional hard initial-condition transform
+// The PINN field model: a backbone network mapping (x, t) -> (u, v), or
+// (x, y, t) -> (u, v) in two space dimensions, with an optional hard
+// initial-condition transform
 //
 //   psi_theta(x, t) = psi0(x) + (t - t0) * NN_theta(x, t)
 //
@@ -15,24 +16,27 @@
 
 namespace qpinn::core {
 
+/// psi0 receives the (N, S) block of space columns: x, or (x, y).
 struct HardIc {
   FieldOp psi0;
   double t0 = 0.0;
 };
 
-/// Fixed affine input normalization (x, t) -> ((x - cx)/sx, (t - ct)/st)
-/// mapping the training domain onto [-1, 1]^2. Keeps tanh layers and
+/// Fixed affine input normalization (x, [y], t) -> ((x - cx)/sx, ...)
+/// mapping the training domain onto [-1, 1]^(S+1). Keeps tanh layers and
 /// Fourier features in their useful range regardless of domain size.
 struct InputNormalization {
   double x_center = 0.0, x_half_span = 1.0;
   double t_center = 0.0, t_half_span = 1.0;
+  double y_center = 0.0, y_half_span = 1.0;
 
   static InputNormalization for_domain(double x_lo, double x_hi, double t_lo,
                                        double t_hi);
 };
 
-/// psi = (u, v) and the derivatives every 1+1-D Schrödinger residual
-/// needs, each (N, 1).
+/// psi = (u, v) and the derivatives every Schrödinger residual needs,
+/// each (N, 1). u_xx and v_xx are the spatial Laplacian: the xx derivative
+/// with one space axis, xx + yy with two.
 struct FieldDerivatives {
   autodiff::Variable u, v;
   autodiff::Variable u_t, v_t;
@@ -41,22 +45,23 @@ struct FieldDerivatives {
 
 class FieldModel {
  public:
-  /// Takes ownership of the backbone; out_dim must be 2 (u, v). The
-  /// backbone sees normalized inputs when `normalization` is set.
+  /// Takes ownership of the backbone; input_dim must be S + 1 with S = 1
+  /// or 2 space axes (t is the last column) and out_dim must be 2 (u, v).
+  /// The backbone sees normalized inputs when `normalization` is set.
   FieldModel(std::unique_ptr<nn::Module> backbone,
              std::optional<HardIc> hard_ic = std::nullopt,
              std::optional<InputNormalization> normalization = std::nullopt);
 
-  /// Builds the forward graph for a batch X of (x, t) rows; returns (N, 2).
+  /// The forward graph for a batch X of (x, [y], t) rows; returns (N, 2).
   autodiff::Variable forward(const autodiff::Variable& X);
 
-  /// psi, psi_t and psi_xx at a batch X of (x, t) rows, from one forward
-  /// jet of the backbone (nn::Module::forward_jet). The results carry no
-  /// graph back to X, and the parameter gradient of a loss on them is one
-  /// reverse sweep. psi0 of a hard IC is an arbitrary FieldOp with no
-  /// parameters, so its x-derivatives come from reverse-mode `partial` on
-  /// its own [N, 1] column and enter as constants. u and v equal
-  /// forward(X)'s columns bit for bit.
+  /// psi, psi_t and the Laplacian of psi at a batch X of (x, [y], t) rows,
+  /// from one forward jet of the backbone (nn::Module::forward_jet). The
+  /// results carry no graph back to X, and the parameter gradient of a
+  /// loss on them is one reverse sweep. psi0 of a hard IC is an arbitrary
+  /// FieldOp with no parameters, so its space derivatives come from
+  /// reverse-mode `partial` on its own [N, S] block and enter as
+  /// constants. u and v equal forward(X)'s columns bit for bit.
   FieldDerivatives derivatives(const autodiff::Variable& X);
 
   /// Evaluates without building graphs (metrics / inference).
@@ -80,6 +85,7 @@ class FieldModel {
   std::unique_ptr<nn::Module> backbone_;
   std::optional<HardIc> hard_ic_;
   std::optional<InputNormalization> normalization_;
+  std::int64_t space_dims_ = 1;  ///< S
 };
 
 /// Architecture + feature configuration of the standard QPINN field model.

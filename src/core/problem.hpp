@@ -29,8 +29,8 @@ class Problem {
   virtual std::string name() const = 0;
   virtual Domain domain() const = 0;
 
-  /// PDE residual matrix (N, R) at interior points X (an (N, 2) leaf with
-  /// requires_grad). Each column is one scalar residual equation; training
+  /// PDE residual matrix (N, R) at interior points X (an (N, S + 1) leaf
+  /// of (x, [y], t) rows with requires_grad). Each column is one scalar residual equation; training
   /// drives all entries to zero. Rows stay aligned with X's rows so the
   /// trainer can apply per-point (curriculum) weights.
   virtual autodiff::Variable residual(FieldModel& model,

@@ -30,7 +30,7 @@ Variable SchrodingerProblem::residual(FieldModel& model,
   // Effective potential V + g |psi|^2.
   Variable v_eff;
   if (config_.potential) {
-    v_eff = config_.potential(slice_cols(X, 0, 1));
+    v_eff = config_.potential(slice_cols(X, 0, X.value().cols() - 1));
   }
   if (config_.nonlinearity != 0.0) {
     const Variable density = add(square(u), square(v));

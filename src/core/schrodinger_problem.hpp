@@ -7,6 +7,9 @@
 //
 //   r1 = -v_t + 1/2 u_xx - (V + g (u^2+v^2)) u
 //   r2 =  u_t + 1/2 v_xx - (V + g (u^2+v^2)) v
+//
+// On a domain with a y axis, u_xx is the Laplacian u_xx + u_yy
+// (FieldDerivatives) and V a function of (x, y): the 2+1-D TDSE.
 #pragma once
 
 #include "core/problem.hpp"
@@ -18,7 +21,7 @@ class SchrodingerProblem : public Problem {
   struct Config {
     std::string name = "tdse";
     Domain domain;
-    /// V(x) as a differentiable op; null means V = 0.
+    /// V as a differentiable op on the (N, S) space block; null: V = 0.
     PotentialOp potential;
     /// g in the cubic term.
     double nonlinearity = 0.0;

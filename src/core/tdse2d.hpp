@@ -3,19 +3,19 @@
 //
 //   i psi_t = -1/2 (psi_xx + psi_yy) + V(x, y) psi,   hbar = m = 1.
 //
-// The solver is self-contained (its own sampling, residual assembly, and
-// training loop) because the 1+1-D Problem/Trainer abstractions are
-// specialized to (x, t) inputs; it reuses every substrate underneath
-// (autodiff, nn, optim, metrics conventions). The benchmark solution is
-// the separable free Gaussian packet psi(x,t) * psi(y,t), exact because
-// the free 2-D Hamiltonian separates.
+// The solver is a facade over the 1+1-D pipeline: a FieldModel with two
+// space axes (hard IC, input normalization), the SchrodingerProblem
+// residual, and the Trainer, so it captures, replays, shards and
+// checkpoints like the 1+1-D problems. The benchmark solution is the
+// separable free Gaussian packet psi(x,t) * psi(y,t), exact because the
+// free 2-D Hamiltonian separates.
 #pragma once
 
 #include <functional>
 #include <memory>
 #include <vector>
 
-#include "nn/mlp.hpp"
+#include "core/trainer.hpp"
 #include "quantum/analytic.hpp"
 #include "util/rng.hpp"
 
@@ -50,7 +50,8 @@ FieldOp2d gaussian_packet_2d_ic(double x0, double kx, double sigma_x,
 struct Tdse2dConfig {
   Domain2d domain;
   /// V(x, y) as a plain callable used to build per-batch constant columns
-  /// (potentials without trainable parts need no graph).
+  /// (potentials without trainable parts need no graph). Training calls it
+  /// from every shard task at once, so it must be thread-safe.
   std::function<double(double, double)> potential;  ///< null = free
   /// Exact reference for metrics (required).
   SpaceTimeField2d reference;
@@ -81,11 +82,25 @@ struct Tdse2dResult {
   std::vector<double> loss_history;
 };
 
+/// What Tdse2dSolver hands the Trainer: a linear SchrodingerProblem on the
+/// (x, y, t) domain, whose residual with this model is
+///   r1 = -v_t + 1/2 (u_xx + u_yy) - V u,  r2 = u_t + 1/2 (v_xx + v_yy) - V v
+/// and which has no aux terms or reference; a FieldModel over (x, y, t)
+/// with the hard IC and input normalization; and a TrainConfig with LHS
+/// interior points resampled every epoch, no initial or wall points, and
+/// one shard per global-pool thread.
+struct Tdse2dTraining {
+  std::shared_ptr<Problem> problem;
+  std::shared_ptr<FieldModel> model;
+  TrainConfig train;
+};
+Tdse2dTraining make_tdse2d_training(const Tdse2dConfig& config);
+
 class Tdse2dSolver {
  public:
   explicit Tdse2dSolver(Tdse2dConfig config);
 
-  /// Trains and reports the final metric.
+  /// Trains, one Trainer step per epoch, and reports the final metric.
   Tdse2dResult fit();
 
   /// (N, 2) prediction (Re, Im) for (x, y, t) rows.
@@ -99,16 +114,8 @@ class Tdse2dSolver {
   Tensor residual_at(const Tensor& points);
 
  private:
-  autodiff::Variable forward(const autodiff::Variable& X);
-  autodiff::Variable network_input(const autodiff::Variable& X) const;
-  /// Jets of u and v over (x, y, t) with x, y to second order and t to
-  /// first, from one forward jet of the backbone.
-  std::pair<nn::Jet, nn::Jet> jets(const autodiff::Variable& X);
-  autodiff::Variable residual(const autodiff::Variable& X);
-
   Tdse2dConfig config_;
-  std::unique_ptr<nn::Mlp> net_;
-  Rng rng_;
+  Tdse2dTraining setup_;
 };
 
 /// n Latin-hypercube samples of (x, y, t) in the domain.

@@ -112,7 +112,7 @@ std::pair<Jet, Jet> sin_cos(const Jet& a) {
 
 Jet hard_ic(const Jet& psi0, const Variable& ramp, const Jet& net,
             std::size_t t_dim) {
-  QPINN_CHECK(t_dim < net.dims() && psi0.dims() <= net.dims(),
+  QPINN_CHECK(t_dim < net.dims() && psi0.dims() == net.dims(),
               "hard_ic: coordinate mismatch");
   QPINN_CHECK(net.order[t_dim] <= 1, "hard_ic: t is carried to first order");
   Jet out =
@@ -125,12 +125,9 @@ Jet hard_ic(const Jet& psi0, const Variable& ramp, const Jet& net,
       out.d1[k] = plus(net.value, times(ramp, net.d1[k]));
       continue;
     }
-    const bool in_psi0 = k < psi0.dims();
-    out.d1[k] = plus(in_psi0 ? psi0.d1[k] : Variable(),
-                     times(ramp, net.d1[k]));
+    out.d1[k] = plus(psi0.d1[k], times(ramp, net.d1[k]));
     if (net.order[k] >= 2) {
-      out.d2[k] = plus(in_psi0 ? psi0.d2[k] : Variable(),
-                       times(ramp, net.d2[k]));
+      out.d2[k] = plus(psi0.d2[k], times(ramp, net.d2[k]));
     }
   }
   return out;

@@ -73,7 +73,7 @@ std::pair<Jet, Jet> sin_cos(const Jet& a);
 /// Jet of the hard initial-condition transform psi0 + ramp · net, where
 /// ramp = x_{t_dim} − t0 (so ∂ramp/∂x_{t_dim} = 1, all else 0) and psi0
 /// does not depend on x_{t_dim}; t is carried to first order only. psi0
-/// may carry fewer coordinates than net; the missing ones are zero.
+/// carries the same coordinates as net.
 Jet hard_ic(const Jet& psi0, const autodiff::Variable& ramp, const Jet& net,
             std::size_t t_dim);
 

@@ -126,5 +126,63 @@ TEST(MakeCollocation, DeterministicPerSeed) {
   }
 }
 
+// ---- a domain with a y axis ---------------------------------------------
+
+const Domain kPlane{-2.0, 3.0, 0.0, 1.5, 1.0, 2.0};
+
+TEST(Domain, YAxisExistsOnlyWithPositiveSpan) {
+  EXPECT_FALSE(kDomain.has_y());
+  EXPECT_TRUE(kPlane.has_y());
+  Domain inverted = kPlane;
+  inverted.y_hi = 0.5;
+  EXPECT_THROW(inverted.validate(), ConfigError);
+}
+
+TEST(UniformPoints, YAxisAddsAMiddleColumn) {
+  Rng rng(4);
+  const Tensor points = uniform_points(kPlane, 200, rng);
+  ASSERT_EQ(points.shape(), (Shape{200, 3}));
+  for (std::int64_t r = 0; r < points.rows(); ++r) {
+    EXPECT_GE(points.at(r, 0), -2.0);
+    EXPECT_LE(points.at(r, 0), 3.0);
+    EXPECT_GE(points.at(r, 1), 1.0);
+    EXPECT_LE(points.at(r, 1), 2.0);
+    EXPECT_GE(points.at(r, 2), 0.0);
+    EXPECT_LE(points.at(r, 2), 1.5);
+  }
+}
+
+TEST(LatinHypercube, YAxisDrawsPermutationsFirstInAxisOrder) {
+  // Permutations come first, x's first of all, so with the same seed every
+  // row's x stratum matches the (x, t) draw's; the y column is stratified.
+  const std::int64_t n = 25;
+  Rng rng_line(6), rng_plane(6);
+  const Tensor line = latin_hypercube_points(kDomain, n, rng_line);
+  const Tensor plane = latin_hypercube_points(kPlane, n, rng_plane);
+  ASSERT_EQ(plane.shape(), (Shape{n, 3}));
+  const auto stratum = [&](double v, double lo, double span) {
+    return static_cast<std::int64_t>((v - lo) / span * n);
+  };
+  std::set<std::int64_t> sy;
+  for (std::int64_t r = 0; r < n; ++r) {
+    EXPECT_EQ(stratum(plane.at(r, 0), -2.0, 5.0),
+              stratum(line.at(r, 0), -2.0, 5.0)) << "row " << r;
+    sy.insert(stratum(plane.at(r, 1), 1.0, 1.0));
+  }
+  EXPECT_EQ(sy.size(), static_cast<std::size_t>(n));
+}
+
+TEST(CollocationSets, XtOnlySetsRejectAYAxis) {
+  EXPECT_THROW(grid_points(kPlane, 4, 3), ConfigError);
+  EXPECT_THROW(initial_points(kPlane, 4), ConfigError);
+  EXPECT_THROW(boundary_points(kPlane, 4), ConfigError);
+  SamplingConfig config;
+  config.kind = SamplerKind::kLatinHypercube;
+  config.n_initial = 0;
+  const CollocationSet set = make_collocation(kPlane, config);
+  EXPECT_EQ(set.interior.cols(), 3);
+  EXPECT_NE(set.initial.rank(), 2);  // n_initial = 0: no initial set
+}
+
 }  // namespace
 }  // namespace qpinn::core

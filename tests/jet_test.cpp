@@ -11,6 +11,8 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <numbers>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -365,6 +367,132 @@ TEST(JetTdse2d, ResidualMatchesPartial) {
   config.activation = nn::Activation::kGelu;
   Tdse2dSolver fallback(config);
   EXPECT_TRUE(fallback.residual_at(points).all_finite());
+}
+
+// --- FieldModel with two space axes ----------------------------------------
+
+TEST(JetFieldModel2d, DerivativesMatchPartial) {
+  const Domain domain{-3.0, 3.0, 0.0, 0.4, -2.0, 2.0};
+  const FieldOp2d initial =
+      gaussian_packet_2d_ic(-0.5, 0.5, 0.6, 0.2, -0.3, 0.7);
+  const Variable X = interior_points(domain, 40);
+  for (const bool hard_ic : {true, false}) {
+    for (const bool normalized : {true, false}) {
+      SCOPED_TRACE(std::string(hard_ic ? "hard IC" : "soft IC") +
+                   (normalized ? ", normalized" : ", raw inputs"));
+      nn::MlpConfig mc;
+      mc.in_dim = 3;
+      mc.out_dim = 2;
+      mc.hidden = {12, 12};
+      mc.fourier = nn::FourierConfig{6, 1.0};
+      mc.seed = 9;
+      std::optional<HardIc> ic;
+      if (hard_ic) {
+        ic = HardIc{[initial](const Variable& xy) {
+                      return initial(ad::slice_cols(xy, 0, 1),
+                                     ad::slice_cols(xy, 1, 2));
+                    },
+                    domain.t_lo};
+      }
+      std::optional<InputNormalization> norm;
+      if (normalized) {
+        norm = InputNormalization::for_domain(domain.x_lo, domain.x_hi,
+                                              domain.t_lo, domain.t_hi);
+        norm->y_center = 0.0;
+        norm->y_half_span = 2.0;
+      }
+      FieldModel model(std::make_unique<nn::Mlp>(mc), ic, norm);
+      const FieldDerivatives d = model.derivatives(X);
+      const Variable out = model.forward(X);
+      const Variable u = ad::slice_cols(out, 0, 1);
+      const Variable v = ad::slice_cols(out, 1, 2);
+      expect_bitwise(d.u, u, "u");
+      expect_bitwise(d.v, v, "v");
+      const auto lap = [&](const Variable& f) {
+        return ad::add(ad::partial_n(f, X, 0, 2), ad::partial_n(f, X, 1, 2));
+      };
+      EXPECT_LE(max_rel(d.u_t, ad::partial(u, X, 2)), 1e-12);
+      EXPECT_LE(max_rel(d.v_t, ad::partial(v, X, 2)), 1e-12);
+      EXPECT_LE(max_rel(d.u_xx, lap(u)), 1e-12);
+      EXPECT_LE(max_rel(d.v_xx, lap(v)), 1e-12);
+    }
+  }
+}
+
+/// The free Gaussian packet (matches quantum::free_gaussian_packet) as
+/// tape ops on an x column and a t column:
+///   psi = N a^(-1/2) exp(-(X - k t)^2 / (4 s^2 a) + i k (X - k t / 2)),
+/// X = x - x0, a = 1 + i tau, tau = t / (2 s^2). With D = 1 + tau^2 and
+/// theta = atan(tau), a^(-1/2) = D^(-1/4) e^(-i theta / 2), where
+/// cos(theta / 2) = sqrt((1 + D^(-1/2)) / 2) and
+/// sin(theta / 2) = tau D^(-1/2) / (2 cos(theta / 2)).
+std::pair<Variable, Variable> packet_ops(const Variable& x, const Variable& t,
+                                         double x0, double k, double s) {
+  const double norm = std::pow(2.0 * std::numbers::pi * s * s, -0.25);
+  const Variable dx = ad::add_scalar(x, -x0);
+  const Variable tau = ad::scale(t, 1.0 / (2.0 * s * s));
+  const Variable d = ad::add_scalar(ad::square(tau), 1.0);
+  const Variable inv_sqrt_d = ad::reciprocal(ad::sqrt(d));
+  const Variable c = ad::sqrt(ad::scale(ad::add_scalar(inv_sqrt_d, 1.0), 0.5));
+  const Variable sn = ad::div(ad::mul(tau, inv_sqrt_d), ad::scale(c, 2.0));
+  const Variable q = ad::div(ad::square(ad::sub(dx, ad::scale(t, k))),
+                             ad::scale(d, 4.0 * s * s));
+  const Variable phase =
+      ad::add(ad::mul(q, tau),
+              ad::sub(ad::scale(dx, k), ad::scale(t, 0.5 * k * k)));
+  const Variable envelope =
+      ad::scale(ad::mul(ad::sqrt(inv_sqrt_d), ad::exp(ad::neg(q))), norm);
+  const Variable cp = ad::cos(phase);
+  const Variable sp = ad::sin(phase);
+  return {ad::mul(envelope, ad::add(ad::mul(cp, c), ad::mul(sp, sn))),
+          ad::mul(envelope, ad::sub(ad::mul(sp, c), ad::mul(cp, sn)))};
+}
+
+/// A parameterless backbone computing the exact separable packet
+/// psi_x(x, t) psi_y(y, t) from (x, y, t) rows; its derivatives come from
+/// Module's default jet.
+class ExactPacket2d : public nn::Module {
+ public:
+  Variable forward(const Variable& X) override {
+    const Variable t = ad::slice_cols(X, 2, 3);
+    const auto [ux, vx] =
+        packet_ops(ad::slice_cols(X, 0, 1), t, -0.5, 0.5, 0.6);
+    const auto [uy, vy] =
+        packet_ops(ad::slice_cols(X, 1, 2), t, 0.2, -0.3, 0.7);
+    return ad::concat_cols({ad::sub(ad::mul(ux, uy), ad::mul(vx, vy)),
+                            ad::add(ad::mul(ux, vy), ad::mul(vx, uy))});
+  }
+  std::vector<Variable> parameters() const override { return {}; }
+  std::vector<std::pair<std::string, Variable>> named_parameters()
+      const override {
+    return {};
+  }
+  std::int64_t input_dim() const override { return 3; }
+  std::int64_t output_dim() const override { return 2; }
+};
+
+TEST(JetTdse2d, ExactPacketResidualVanishes) {
+  Tdse2dConfig config;
+  config.domain = Domain2d{-3.0, 3.0, -2.0, 2.0, 0.0, 0.4};
+  config.reference = free_gaussian_packet_2d(-0.5, 0.5, 0.6, 0.2, -0.3, 0.7);
+  config.initial = gaussian_packet_2d_ic(-0.5, 0.5, 0.6, 0.2, -0.3, 0.7);
+  const Tdse2dTraining setup = make_tdse2d_training(config);
+  FieldModel exact(std::make_unique<ExactPacket2d>());
+  Rng rng(17);
+  const Tensor points = latin_hypercube_points_2d(config.domain, 64, rng);
+  const Tensor psi = exact.evaluate(points);
+  for (std::int64_t r = 0; r < points.rows(); ++r) {
+    const auto want =
+        config.reference(points.at(r, 0), points.at(r, 1), points.at(r, 2));
+    ASSERT_NEAR(psi.at(r, 0), want.real(), 1e-12) << "row " << r;
+    ASSERT_NEAR(psi.at(r, 1), want.imag(), 1e-12) << "row " << r;
+  }
+  const Tensor residual =
+      setup.problem->residual(exact, Variable::leaf(points)).value();
+  ASSERT_EQ(residual.shape(), (Shape{64, 2}));
+  for (std::int64_t i = 0; i < residual.numel(); ++i) {
+    EXPECT_LE(std::abs(residual[i]), 1e-10) << "entry " << i;
+  }
 }
 
 TEST(JetEigenPinn, EnvelopeFieldMatchesPartial) {

@@ -1,9 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <filesystem>
+#include <fstream>
+#include <functional>
+#include <iterator>
 #include <numbers>
 #include <set>
 
+#include "autodiff/plan.hpp"
+#include "autodiff/precision.hpp"
 #include "core/tdse2d.hpp"
 #include "util/error.hpp"
 
@@ -151,6 +158,149 @@ TEST(Tdse2d, ConfigValidation) {
   config = base_config();
   config.n_interior = 2;
   EXPECT_THROW(Tdse2dSolver{config}, ConfigError);
+}
+
+// ---- the 2-D problem through the Trainer ---------------------------------
+
+/// Pins fp64 for a bit-identity test (mixed replay rounds differently from
+/// eager by design); restores the active mode on scope exit.
+class Fp64Guard {
+ public:
+  Fp64Guard() : saved_(autodiff::precision_mode()) {
+    autodiff::set_precision_mode(autodiff::Precision::kFp64);
+  }
+  ~Fp64Guard() { autodiff::set_precision_mode(saved_); }
+
+ private:
+  autodiff::Precision saved_;
+};
+
+/// base_config with the harmonic trap, so every replayed epoch must
+/// recompute V at the freshly resampled points.
+Tdse2dConfig trap_config(std::int64_t epochs) {
+  Tdse2dConfig config = base_config();
+  config.potential = [](double x, double y) { return 0.5 * (x * x + y * y); };
+  config.epochs = epochs;
+  config.n_interior = 64;
+  return config;
+}
+
+/// Per-epoch losses of `epochs` Trainer steps, then every trained value.
+std::vector<double> trajectory(GraphMode graph, std::size_t shards,
+                               std::int64_t epochs) {
+  Tdse2dTraining setup = make_tdse2d_training(trap_config(epochs));
+  setup.train.graph = graph;
+  setup.train.threads = shards;
+  Trainer trainer(setup.problem, setup.model, setup.train);
+  std::vector<double> out;
+  for (std::int64_t e = 0; e < epochs; ++e) {
+    out.push_back(trainer.step(e).total_loss);
+  }
+  for (const autodiff::Variable& p : setup.model->parameters()) {
+    const Tensor& t = p.value();
+    out.insert(out.end(), t.data(), t.data() + t.numel());
+  }
+  return out;
+}
+
+TEST(Tdse2dTrainer, EagerMatchesReplayBitForBitAtOneAndFourShards) {
+  const Fp64Guard fp64;
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("shards " + std::to_string(shards));
+    const std::vector<double> eager = trajectory(GraphMode::kOff, shards, 5);
+    autodiff::plan::reset_plan_stats();
+    const std::vector<double> replay = trajectory(GraphMode::kOn, shards, 5);
+    const autodiff::plan::PlanStats stats = autodiff::plan::plan_stats();
+    // Epochs 1-4 resample in place and replay the epoch-0 plans.
+    EXPECT_EQ(stats.plans_captured, shards);
+    EXPECT_EQ(stats.replays, 4 * shards);
+    EXPECT_EQ(stats.fallbacks, 0u);
+    ASSERT_EQ(eager.size(), replay.size());
+    for (std::size_t i = 0; i < eager.size(); ++i) {
+      ASSERT_TRUE(std::isfinite(eager[i]));
+      ASSERT_EQ(eager[i], replay[i]) << "diverged at value " << i;
+    }
+  }
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+/// Trainer::fit over make_tdse2d_training's set-up for `epochs` with
+/// checkpoints in `dir`, resuming from `resume_from` when set and stopping
+/// after the first epoch when `stop` is set.
+TrainResult fit_checkpointed(const std::string& dir, std::int64_t epochs,
+                             const std::string& resume_from, bool stop) {
+  Tdse2dTraining setup = make_tdse2d_training(trap_config(epochs));
+  setup.train.checkpoint = CheckpointConfig{};
+  setup.train.checkpoint->dir = dir;
+  setup.train.checkpoint->every = 2;
+  setup.train.resume_from = resume_from;
+  const std::atomic<bool> stop_flag{stop};
+  setup.train.stop_flag = &stop_flag;
+  return Trainer(setup.problem, setup.model, setup.train).fit();
+}
+
+TEST(Tdse2dTrainer, StoppedAndResumedFitMatchesUnbrokenRunBitForBit) {
+  const std::string whole = ::testing::TempDir() + "tdse2d_whole";
+  const std::string split = ::testing::TempDir() + "tdse2d_split";
+  std::filesystem::remove_all(whole);
+  std::filesystem::remove_all(split);
+
+  const TrainResult unbroken = fit_checkpointed(whole, 6, "", false);
+  const TrainResult stopped = fit_checkpointed(split, 6, "", true);
+  EXPECT_TRUE(stopped.interrupted);
+  EXPECT_EQ(stopped.epochs_run, 1);
+  const TrainResult resumed =
+      fit_checkpointed(split, 6, split + "/last.qckpt", false);
+  EXPECT_EQ(resumed.start_epoch, 1);
+  EXPECT_EQ(resumed.final_loss, unbroken.final_loss);
+  // The final checkpoints hold the parameters, the Adam moments and step
+  // count, the resample RNG and the (x, y, t) interior: equal bytes mean
+  // the resumed run is the unbroken one.
+  const std::string last = read_file(whole + "/last.qckpt");
+  ASSERT_FALSE(last.empty());
+  EXPECT_EQ(read_file(split + "/last.qckpt"), last);
+
+  std::filesystem::remove_all(whole);
+  std::filesystem::remove_all(split);
+}
+
+/// A y-axis domain has no grid, time-curriculum, initial or wall sets:
+/// the Trainer must say so at construction, not from a shard task at the
+/// first step.
+void expect_trainer_rejects(const std::function<void(TrainConfig&)>& edit) {
+  Tdse2dTraining setup = make_tdse2d_training(base_config());
+  EXPECT_NO_THROW(Trainer(setup.problem, setup.model, setup.train));
+  edit(setup.train);
+  EXPECT_THROW(Trainer(setup.problem, setup.model, setup.train), ConfigError);
+}
+
+TEST(Tdse2dTrainer, GridSamplerIsAConfigError) {
+  expect_trainer_rejects([](TrainConfig& train) {
+    train.sampling.kind = SamplerKind::kGrid;
+    train.sampling.n_interior_x = 8;
+    train.sampling.n_interior_t = 8;
+    train.resample_every = 0;
+  });
+}
+
+TEST(Tdse2dTrainer, CurriculumIsAConfigError) {
+  expect_trainer_rejects(
+      [](TrainConfig& train) { train.curriculum = CurriculumConfig{}; });
+}
+
+TEST(Tdse2dTrainer, InitialPointsAreAConfigError) {
+  expect_trainer_rejects(
+      [](TrainConfig& train) { train.sampling.n_initial = 16; });
+}
+
+TEST(Tdse2dTrainer, BoundaryPointsAreAConfigError) {
+  expect_trainer_rejects(
+      [](TrainConfig& train) { train.sampling.n_boundary = 8; });
 }
 
 }  // namespace
