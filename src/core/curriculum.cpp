@@ -42,7 +42,7 @@ std::vector<double> curriculum_weights(const CurriculumConfig& config,
 
 Tensor per_point_weights(const CurriculumConfig& config, const Domain& domain,
                          const Tensor& X, std::int64_t epoch) {
-  domain.require_no_y("curriculum");
+  domain.require_xt("curriculum");
   QPINN_CHECK_SHAPE(X.rank() == 2 && X.cols() == 2,
                     "per_point_weights expects (N, 2) collocation points");
   const std::vector<double> bin_weights = curriculum_weights(config, epoch);

@@ -7,24 +7,27 @@
 namespace qpinn::core {
 
 void Domain::validate() const {
-  if (!(x_hi > x_lo) || !(t_hi > t_lo) || !(y_hi >= y_lo)) {
+  if (!(x_hi > x_lo) || !(t_hi >= t_lo) || !(y_hi >= y_lo)) {
     throw ConfigError(
-        "Domain must satisfy x_hi > x_lo, t_hi > t_lo and y_hi >= y_lo");
+        "Domain must satisfy x_hi > x_lo, t_hi >= t_lo and y_hi >= y_lo");
   }
 }
 
-void Domain::require_no_y(const std::string& what) const {
-  if (has_y()) {
-    throw ConfigError(what + " needs an (x, t) domain; this one has a y axis");
+void Domain::require_xt(const std::string& what) const {
+  if (has_y() || !has_t()) {
+    throw ConfigError(what + " needs an (x, t) domain; this one has " +
+                      (has_y() ? "a y axis" : "no t axis"));
   }
 }
 
 namespace {
 
-/// (lo, hi) of each point column: x, [y], t.
+/// (lo, hi) of each point column: x, [y], [t].
 std::vector<std::pair<double, double>> axes(const Domain& d) {
-  if (!d.has_y()) return {{d.x_lo, d.x_hi}, {d.t_lo, d.t_hi}};
-  return {{d.x_lo, d.x_hi}, {d.y_lo, d.y_hi}, {d.t_lo, d.t_hi}};
+  std::vector<std::pair<double, double>> cols{{d.x_lo, d.x_hi}};
+  if (d.has_y()) cols.emplace_back(d.y_lo, d.y_hi);
+  if (d.has_t()) cols.emplace_back(d.t_lo, d.t_hi);
+  return cols;
 }
 
 }  // namespace
@@ -48,7 +51,10 @@ std::string to_string(SamplerKind kind) {
 Tensor grid_points(const Domain& domain, std::int64_t nx, std::int64_t nt,
                    bool skip_initial_slice) {
   domain.validate();
-  domain.require_no_y("grid_points");
+  if (!domain.has_t() && !domain.has_y()) {
+    return Tensor::linspace(domain.x_lo, domain.x_hi, nx).reshape({nx, 1});
+  }
+  domain.require_xt("grid_points");
   QPINN_CHECK(nx >= 2 && nt >= 2, "grid_points needs nx, nt >= 2");
   const Tensor xs = Tensor::linspace(domain.x_lo, domain.x_hi, nx);
   const Tensor ts = Tensor::linspace(domain.t_lo, domain.t_hi, nt);
@@ -102,7 +108,7 @@ Tensor latin_hypercube_points(const Domain& domain, std::int64_t n, Rng& rng) {
 
 Tensor initial_points(const Domain& domain, std::int64_t nx) {
   domain.validate();
-  domain.require_no_y("initial_points");
+  domain.require_xt("initial_points");
   QPINN_CHECK(nx >= 2, "initial_points needs nx >= 2");
   const Tensor xs = Tensor::linspace(domain.x_lo, domain.x_hi, nx);
   Tensor out(Shape{nx, 2});
@@ -116,7 +122,7 @@ Tensor initial_points(const Domain& domain, std::int64_t nx) {
 
 Tensor boundary_points(const Domain& domain, std::int64_t nt) {
   domain.validate();
-  domain.require_no_y("boundary_points");
+  domain.require_xt("boundary_points");
   QPINN_CHECK(nt >= 2, "boundary_points needs nt >= 2");
   const Tensor ts = Tensor::linspace(domain.t_lo, domain.t_hi, nt);
   Tensor out(Shape{2 * nt, 2});
@@ -131,6 +137,15 @@ Tensor boundary_points(const Domain& domain, std::int64_t nt) {
     p[2 * r + 1] = ts[j];
   }
   return out;
+}
+
+Tensor trapezoid_weights(const Domain& domain, std::int64_t nx) {
+  QPINN_CHECK(nx >= 2, "trapezoid_weights needs nx >= 2");
+  const double dx = domain.x_span() / static_cast<double>(nx - 1);
+  Tensor weights = Tensor::full({nx, 1}, dx);
+  weights[0] *= 0.5;
+  weights[nx - 1] *= 0.5;
+  return weights;
 }
 
 CollocationSet make_collocation(const Domain& domain,

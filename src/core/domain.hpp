@@ -11,8 +11,9 @@
 namespace qpinn::core {
 
 /// Rectangular space-time domain [x_lo, x_hi] x [t_lo, t_hi], with an
-/// optional y axis [y_lo, y_hi] that exists when y_hi > y_lo. Points are
-/// rows (x, [y], t).
+/// optional y axis [y_lo, y_hi] that exists when y_hi > y_lo. The t axis
+/// exists when t_hi > t_lo; a domain with t_hi == t_lo is stationary.
+/// Points are rows (x, [y], [t]).
 struct Domain {
   double x_lo = -1.0;
   double x_hi = 1.0;
@@ -24,9 +25,11 @@ struct Domain {
   double x_span() const { return x_hi - x_lo; }
   double t_span() const { return t_hi - t_lo; }
   bool has_y() const { return y_hi > y_lo; }
+  bool has_t() const { return t_hi > t_lo; }
   void validate() const;  ///< throws ConfigError when degenerate
-  /// Throws ConfigError when there is a y axis: `what` is (x, t) only.
-  void require_no_y(const std::string& what) const;
+  /// Throws ConfigError unless the points are (x, t) rows: `what` needs a
+  /// t axis and no y axis.
+  void require_xt(const std::string& what) const;
 };
 
 enum class SamplerKind {
@@ -40,7 +43,7 @@ std::string to_string(SamplerKind kind);
 
 /// (nx * nt, 2) tensor of (x, t) rows on a tensor-product grid. Interior
 /// excludes t = t_lo slice when `skip_initial_slice` (those points belong
-/// to the IC loss).
+/// to the IC loss). On a stationary (x) domain: the (nx, 1) x-linspace.
 Tensor grid_points(const Domain& domain, std::int64_t nx, std::int64_t nt,
                    bool skip_initial_slice = false);
 
@@ -57,10 +60,14 @@ Tensor initial_points(const Domain& domain, std::int64_t nx);
 /// (2 * nt, 2) points on the two spatial walls (x_lo rows first).
 Tensor boundary_points(const Domain& domain, std::int64_t nt);
 
-/// The collocation sets a training run works with. With a y axis the
-/// interior is the only one (grid, initial and wall points are (x, t)).
+/// (nx, 1) trapezoid weights over the nx-point x-linspace: dx at interior
+/// points, dx / 2 at the walls.
+Tensor trapezoid_weights(const Domain& domain, std::int64_t nx);
+
+/// The collocation sets a training run works with. With a y axis or no t
+/// axis the interior is the only one (initial and wall points are (x, t)).
 struct CollocationSet {
-  Tensor interior;  ///< (N, S + 1) PDE residual points
+  Tensor interior;  ///< (N, S + [1]) PDE residual points
   Tensor initial;   ///< (Ni, 2) initial-condition points (may be empty)
   Tensor boundary;  ///< (Nb, 2) wall points (may be empty for periodic)
 };

@@ -1,8 +1,10 @@
 #include "core/eigen_pinn.hpp"
 
+#include <algorithm>
 #include <cmath>
 
-#include "autodiff/grad.hpp"
+#include "parallel/thread_pool.hpp"
+#include "tensor/kernels.hpp"
 #include "util/error.hpp"
 #include "util/logging.hpp"
 
@@ -31,142 +33,157 @@ EigenPinn::EigenPinn(EigenPinnConfig config) : config_(std::move(config)) {
 
 namespace {
 
-/// Trapezoid row-weights as an (N, 1) constant.
-Variable trapezoid_weights(std::int64_t n, double dx) {
-  Tensor w(Shape{n, 1});
-  for (std::int64_t i = 0; i < n; ++i) w[i] = dx;
-  w[0] *= 0.5;
-  w[n - 1] *= 0.5;
-  return Variable::constant(w);
-}
+/// H phi = E phi on a t-less domain, with E a leaf the problem owns.
+class EigenProblem : public Problem {
+ public:
+  EigenProblem(const EigenPinnConfig& config, double energy_guess,
+               Tensor anchor_weight,
+               const std::vector<EigenState>& lower_states)
+      : config_(config),
+        energy_guess_(energy_guess),
+        energy_(Variable::leaf(Tensor::full({1, 1}, energy_guess))),
+        anchor_weight_(std::move(anchor_weight)),
+        grid_(grid_points(domain(), config.n_collocation, /*nt=*/1)),
+        weights_(trapezoid_weights(domain(), config.n_collocation)) {
+    // Previously found states as constants for the deflation penalties.
+    const double* x = grid_.data();
+    for (const EigenState& state : lower_states) {
+      const bool same_grid =
+          state.psi.size() == state.x.size() &&
+          std::equal(state.x.begin(), state.x.end(), x, x + grid_.numel());
+      QPINN_CHECK(same_grid, "lower state sampled on a different grid");
+      lower_.push_back(Tensor::from_vector(state.psi, grid_.shape()));
+    }
+  }
 
-/// 4 (x - a)(b - x) / (b - a)^2: zero at the walls, O(1) inside.
-Variable envelope(const Variable& x, double a, double b) {
-  const double envelope_scale = 4.0 / ((b - a) * (b - a));
-  return scale(mul(add_scalar(x, -a), add_scalar(neg(x), b)), envelope_scale);
-}
+  std::string name() const override { return "eigen"; }
+  Domain domain() const override {
+    return {config_.x_lo, config_.x_hi, 0.0, 0.0};
+  }
+  Variable residual(FieldModel& model, const Variable& X) const override {
+    const FieldDerivatives d = model.derivatives(X);
+    Variable h_phi = scale(d.u_xx, -0.5);
+    if (config_.potential) {
+      h_phi = add(h_phi, mul(config_.potential(X.detach()), d.u));
+    }
+    return sub(h_phi, mul(energy_, d.u));
+  }
+  std::int64_t residual_dim() const override { return 1; }
+
+  std::vector<LossTerm> auxiliary_losses(
+      FieldModel& model, const CollocationSet&) const override {
+    const Variable phi = model.forward(Variable::constant(grid_));
+    const Variable weights = Variable::constant(weights_);
+    const Variable norm = sum_all(mul(weights, square(phi)));
+    std::vector<LossTerm> losses;
+    losses.push_back(
+        {"norm", config_.weight_norm, square(add_scalar(norm, -1.0))});
+    for (std::size_t k = 0; k < lower_.size(); ++k) {
+      const Variable overlap =
+          sum_all(mul(weights, mul(phi, Variable::constant(lower_[k]))));
+      losses.push_back({"overlap" + std::to_string(k), config_.weight_ortho,
+                        square(overlap)});
+    }
+    const Variable anchor = square(add_scalar(energy_, -energy_guess_));
+    losses.push_back(
+        {"anchor", 1.0, mul(Variable::constant(anchor_weight_), anchor)});
+    return losses;
+  }
+
+  std::vector<std::pair<std::string, Variable>> named_parameters()
+      const override {
+    return {{"E", energy_}};
+  }
+
+  const Tensor& grid() const { return grid_; }
+  const Tensor& weights() const { return weights_; }
+
+ private:
+  EigenPinnConfig config_;
+  double energy_guess_;
+  Variable energy_;
+  Tensor anchor_weight_;
+  Tensor grid_;     ///< (n, 1) x-linspace: the interior and the quadrature
+  Tensor weights_;  ///< its trapezoid weights
+  std::vector<Tensor> lower_;
+};
 
 }  // namespace
 
-std::pair<Variable, Variable> envelope_field(nn::Module& net, const Variable& x,
-                                             double a, double b) {
-  const Variable e = envelope(x, a, b);
-  const nn::Jet n = net.forward_jet(nn::input_jet(x.detach(), {2}, {1.0}));
-  // e = s (x - a)(b - x), so e' = s (a + b - 2x) and e'' = -2s.
-  const double s = 4.0 / ((b - a) * (b - a));
-  const Variable e_x = scale(add_scalar(scale(x.detach(), -2.0), a + b), s);
-  Variable psi_xx =
-      add(scale(mul(e_x, n.d1[0]), 2.0), scale(n.value, -2.0 * s));
-  if (n.d2[0].defined()) psi_xx = add(mul(e, n.d2[0]), psi_xx);
-  return {mul(e, n.value), psi_xx};
-}
-
-EigenState EigenPinn::solve_state(
-    double energy_guess, const std::vector<EigenState>& lower_states) const {
-  const std::int64_t n = config_.n_collocation;
-  const Tensor xs =
-      Tensor::linspace(config_.x_lo, config_.x_hi, n).reshape({n, 1});
-  const double dx =
-      (config_.x_hi - config_.x_lo) / static_cast<double>(n - 1);
+EigenTraining make_eigen_training(const EigenPinnConfig& config,
+                                  double energy_guess,
+                                  const std::vector<EigenState>& lower_states) {
+  config.validate();
+  EigenTraining setup;
+  setup.anchor_epochs = config.anchor_epochs;
+  setup.anchor_weight = Tensor::full({1, 1}, config.weight_energy_anchor);
+  setup.problem = std::make_shared<EigenProblem>(
+      config, energy_guess, setup.anchor_weight, lower_states);
 
   // Fresh network per state; input x, output raw amplitude.
   nn::MlpConfig mlp;
   mlp.in_dim = 1;
   mlp.out_dim = 1;
-  mlp.hidden = config_.hidden;
-  mlp.activation = config_.activation;
-  mlp.seed = config_.seed + 7919 * (lower_states.size() + 1);
-  nn::Mlp net(mlp);
+  mlp.hidden = config.hidden;
+  mlp.activation = config.activation;
+  mlp.seed = config.seed + 7919 * (lower_states.size() + 1);
+  setup.model = std::make_shared<FieldModel>(std::make_unique<nn::Mlp>(mlp),
+                                             config.x_lo, config.x_hi);
 
-  Variable energy = Variable::leaf(Tensor::full({1, 1}, energy_guess));
-  std::vector<Variable> params = net.parameters();
-  params.push_back(energy);
+  TrainConfig& train = setup.train;
+  train.epochs = config.epochs;
+  train.adam = config.adam;
+  // The trainer's PDE term is sum(r^2) / N with one residual column.
+  train.weight_pde = config.weight_residual;
+  train.sampling.n_interior_x = config.n_collocation;
+  train.sampling.n_initial = 0;
+  train.threads = global_pool().size();
+  return setup;
+}
 
-  optim::AdamConfig adam_config = config_.adam;
-  optim::Adam optimizer(params, adam_config);
-
-  const Variable weights = trapezoid_weights(n, dx);
-  // Previously found states as constants for the deflation penalties.
-  std::vector<Variable> lower;
-  lower.reserve(lower_states.size());
-  for (const EigenState& state : lower_states) {
-    QPINN_CHECK(static_cast<std::int64_t>(state.psi.size()) == n,
-                "lower state sampled on a different grid");
-    lower.push_back(Variable::constant(
-        Tensor::from_vector(state.psi, Shape{n, 1})));
+EpochRecord eigen_step(Trainer& trainer, const EigenTraining& setup,
+                       std::int64_t epoch) {
+  if (epoch >= setup.anchor_epochs) {
+    Tensor weight = setup.anchor_weight;  // shares the plan's storage
+    weight[0] = 0.0;
   }
+  return trainer.step(epoch);
+}
 
-  const double a = config_.x_lo, b = config_.x_hi;
-  double last_residual = 0.0;
-
+EigenState EigenPinn::solve_state(
+    double energy_guess, const std::vector<EigenState>& lower_states) const {
+  const EigenTraining setup =
+      make_eigen_training(config_, energy_guess, lower_states);
+  Trainer trainer(setup.problem, setup.model, setup.train);
+  const auto& problem = static_cast<const EigenProblem&>(*setup.problem);
+  const auto energy = [&] {
+    return problem.named_parameters().at(0).second.value()[0];
+  };
+  EigenState state;
   for (std::int64_t epoch = 0; epoch < config_.epochs; ++epoch) {
-    // Exact Dirichlet envelope; the jet carries the x-derivatives.
-    const Variable x = Variable::constant(xs);
-    const auto [psi, psi_xx] = envelope_field(net, x, a, b);
-    Variable h_psi = scale(psi_xx, -0.5);
-    if (config_.potential) {
-      h_psi = add(h_psi, mul(config_.potential(x), psi));
-    }
-    const Variable residual = sub(h_psi, mul(energy, psi));
-    const Variable residual_loss = mse(residual);
-
-    // (integral psi^2 dx - 1)^2.
-    const Variable norm_integral = sum_all(mul(weights, square(psi)));
-    const Variable norm_loss = square(add_scalar(norm_integral, -1.0));
-
-    Variable loss = scale(residual_loss, config_.weight_residual);
-    loss = add(loss, scale(norm_loss, config_.weight_norm));
-    for (const Variable& lower_psi : lower) {
-      const Variable overlap = sum_all(mul(weights, mul(psi, lower_psi)));
-      loss = add(loss, scale(square(overlap), config_.weight_ortho));
-    }
-    if (epoch < config_.anchor_epochs && config_.weight_energy_anchor > 0.0) {
-      const Variable anchor = square(add_scalar(energy, -energy_guess));
-      loss = add(loss, scale(anchor, config_.weight_energy_anchor));
-    }
-
-    last_residual = residual_loss.item();
+    const EpochRecord record = eigen_step(trainer, setup, epoch);
+    state.residual_loss = record.pde_loss / config_.weight_residual;
     if (config_.log_every > 0 && epoch % config_.log_every == 0) {
       log::info() << "eigen state " << lower_states.size() << " epoch "
-                  << epoch << " loss " << loss.item() << " E "
-                  << energy.item();
+                  << epoch << " loss " << record.total_loss << " E "
+                  << energy();
     }
-
-    const std::vector<Variable> grads = grad(loss, params);
-    std::vector<Tensor> grad_tensors;
-    grad_tensors.reserve(grads.size());
-    for (const Variable& g : grads) grad_tensors.push_back(g.value());
-    optimizer.step(grad_tensors);
   }
 
   // Extract the final normalized, sign-fixed wavefunction.
-  EigenState state;
-  state.energy = energy.item();
-  state.residual_loss = last_residual;
-  state.x.resize(static_cast<std::size_t>(n));
-  state.psi.resize(static_cast<std::size_t>(n));
-  {
-    NoGradGuard guard;
-    const Variable x = Variable::constant(xs);
-    const Tensor psi = mul(envelope(x, a, b), net.forward(x)).value();
-    double norm = 0.0;
-    for (std::int64_t i = 0; i < n; ++i) {
-      const double w = (i == 0 || i == n - 1) ? 0.5 : 1.0;
-      norm += w * psi[i] * psi[i] * dx;
-    }
-    norm = std::sqrt(norm);
-    QPINN_CHECK(norm > 1e-12, "eigen-PINN collapsed to the zero function");
-    double sign = 1.0;
-    for (std::int64_t i = 0; i < n; ++i) {
-      if (std::abs(psi[i]) > 1e-6) {
-        sign = psi[i] > 0.0 ? 1.0 : -1.0;
-        break;
-      }
-    }
-    for (std::int64_t i = 0; i < n; ++i) {
-      state.x[static_cast<std::size_t>(i)] = xs[i];
-      state.psi[static_cast<std::size_t>(i)] = sign * psi[i] / norm;
-    }
+  state.energy = energy();
+  const Tensor& xs = problem.grid();
+  const Tensor psi = setup.model->evaluate(xs);
+  const double* end = psi.data() + psi.numel();
+  const double norm =
+      std::sqrt(kernels::dot(kernels::mul(problem.weights(), psi), psi));
+  QPINN_CHECK(norm > 1e-12, "eigen-PINN collapsed to the zero function");
+  const double* first = std::find_if(
+      psi.data(), end, [](double v) { return std::abs(v) > 1e-6; });
+  const double sign = (first != end && *first < 0.0) ? -1.0 : 1.0;
+  state.x.assign(xs.data(), xs.data() + xs.numel());
+  for (const double* p = psi.data(); p != end; ++p) {
+    state.psi.push_back(sign * *p / norm);
   }
   return state;
 }

@@ -8,15 +8,17 @@
 // penalties against previously found states (spectral deflation), so the
 // spectrum is recovered state by state from the ground state up.
 // Dirichlet boundary conditions are enforced exactly by the envelope
-// psi = (x - a)(b - x) * NN(x).
+// psi = (x - a)(b - x) * NN(x): a stationary FieldModel.
+//
+// Each state trains through the Trainer on a t-less Domain, so it
+// captures, replays, shards and demotes like every other problem.
 #pragma once
 
 #include <memory>
 #include <vector>
 
 #include "core/field_ops.hpp"
-#include "nn/mlp.hpp"
-#include "optim/adam.hpp"
+#include "core/trainer.hpp"
 
 namespace qpinn::core {
 
@@ -53,18 +55,35 @@ struct EigenState {
   double residual_loss = 0.0;
 };
 
-/// The Dirichlet envelope model psi = 4 (x - a)(b - x) / (b - a)^2 * NN(x)
-/// and psi_xx at a column x (N, 1), from one forward jet of `net` (product
-/// rule psi'' = e NN'' + 2 e' NN' + e'' NN).
-std::pair<autodiff::Variable, autodiff::Variable> envelope_field(
-    nn::Module& net, const autodiff::Variable& x, double a, double b);
+/// What solve_state hands the Trainer: residual -1/2 phi_xx + V phi - E phi
+/// on the x-linspace of a t-less Domain (one shard per global-pool thread),
+/// with E a problem leaf ("problem.E"). Its aux terms, on the same grid,
+/// are the norm, one overlap^2 per lower state and the energy anchor.
+struct EigenTraining {
+  std::shared_ptr<Problem> problem;
+  std::shared_ptr<FieldModel> model;
+  TrainConfig train;
+  /// The anchor's (1, 1) weight, a plan input: eigen_step zeroes it in
+  /// place from anchor_epochs on, so a captured plan stays valid.
+  Tensor anchor_weight;
+  std::int64_t anchor_epochs = 0;
+};
+/// Throws ValueError when a lower state was sampled on another grid.
+EigenTraining make_eigen_training(const EigenPinnConfig& config,
+                                  double energy_guess,
+                                  const std::vector<EigenState>& lower_states);
+
+/// One epoch of solve_state: releases the anchor at anchor_epochs, then
+/// runs Trainer::step.
+EpochRecord eigen_step(Trainer& trainer, const EigenTraining& setup,
+                       std::int64_t epoch);
 
 class EigenPinn {
  public:
   explicit EigenPinn(EigenPinnConfig config);
 
   /// Trains one state with the given energy initialization, orthogonal to
-  /// `lower_states`.
+  /// `lower_states` (which must share this solver's grid).
   EigenState solve_state(double energy_guess,
                          const std::vector<EigenState>& lower_states) const;
 

@@ -1,5 +1,7 @@
 #include "core/field_model.hpp"
 
+#include <tuple>
+
 #include "util/error.hpp"
 
 namespace qpinn::core {
@@ -37,6 +39,38 @@ FieldModel::FieldModel(std::unique_ptr<nn::Module> backbone,
   }
 }
 
+FieldModel::FieldModel(std::unique_ptr<nn::Module> backbone, double a,
+                       double b)
+    : backbone_(std::move(backbone)), walls_(std::pair{a, b}) {
+  QPINN_CHECK(backbone_ != nullptr, "FieldModel needs a backbone");
+  QPINN_CHECK(backbone_->input_dim() == 1 && backbone_->output_dim() == 1,
+              "a stationary FieldModel backbone maps x to one output");
+  QPINN_CHECK(b > a, "stationary FieldModel walls need a < b");
+}
+
+namespace {
+
+/// 4 (x - a)(b - x) / (b - a)^2: zero at the walls, O(1) inside.
+Variable envelope(const Variable& x, double a, double b) {
+  const double envelope_scale = 4.0 / ((b - a) * (b - a));
+  return scale(mul(add_scalar(x, -a), add_scalar(neg(x), b)), envelope_scale);
+}
+
+}  // namespace
+
+std::pair<Variable, Variable> envelope_field(nn::Module& net, const Variable& x,
+                                             double a, double b) {
+  const Variable e = envelope(x, a, b);
+  const nn::Jet n = net.forward_jet(nn::input_jet(x.detach(), {2}, {1.0}));
+  // e = s (x - a)(b - x), so e' = s (a + b - 2x) and e'' = -2s.
+  const double s = 4.0 / ((b - a) * (b - a));
+  const Variable e_x = scale(add_scalar(scale(x.detach(), -2.0), a + b), s);
+  Variable psi_xx =
+      add(scale(mul(e_x, n.d1[0]), 2.0), scale(n.value, -2.0 * s));
+  if (n.d2[0].defined()) psi_xx = add(mul(e, n.d2[0]), psi_xx);
+  return {mul(e, n.value), psi_xx};
+}
+
 Variable FieldModel::network_input(const Variable& X) const {
   const std::int64_t s = space_dims_;
   QPINN_CHECK_SHAPE(X.value().rank() == 2 && X.value().cols() == s + 1,
@@ -54,6 +88,10 @@ Variable FieldModel::network_input(const Variable& X) const {
 }
 
 Variable FieldModel::forward(const Variable& X) {
+  if (walls_) {
+    return mul(envelope(X, walls_->first, walls_->second),
+               backbone_->forward(X));
+  }
   const Variable raw = backbone_->forward(network_input(X));
   if (!hard_ic_) return raw;
 
@@ -67,6 +105,12 @@ Variable FieldModel::forward(const Variable& X) {
 }
 
 FieldDerivatives FieldModel::derivatives(const Variable& X) {
+  if (walls_) {
+    FieldDerivatives d;
+    std::tie(d.u, d.u_xx) =
+        envelope_field(*backbone_, X.detach(), walls_->first, walls_->second);
+    return d;
+  }
   // Coordinates 0..S-1 are space (to second order), coordinate S is t
   // (first order). The jet carries the X-derivatives itself, so no reverse
   // sweep needs X: detaching keeps the parameter sweep out of the input

@@ -5,7 +5,9 @@
 //   psi_theta(x, t) = psi0(x) + (t - t0) * NN_theta(x, t)
 //
 // which enforces the IC exactly (the IC loss becomes unnecessary) — one of
-// the ablation dimensions in the experiments.
+// the ablation dimensions in the experiments. A stationary model maps x
+// alone to one real output phi(x) = e(x) * NN_theta(x), with an envelope e
+// vanishing at two Dirichlet walls (the eigen-PINN).
 #pragma once
 
 #include <memory>
@@ -36,7 +38,8 @@ struct InputNormalization {
 
 /// psi = (u, v) and the derivatives every Schrödinger residual needs,
 /// each (N, 1). u_xx and v_xx are the spatial Laplacian: the xx derivative
-/// with one space axis, xx + yy with two.
+/// with one space axis, xx + yy with two. A stationary model fills u and
+/// u_xx only.
 struct FieldDerivatives {
   autodiff::Variable u, v;
   autodiff::Variable u_t, v_t;
@@ -52,7 +55,12 @@ class FieldModel {
              std::optional<HardIc> hard_ic = std::nullopt,
              std::optional<InputNormalization> normalization = std::nullopt);
 
+  /// The stationary kind: a backbone with one input and one output, and
+  /// phi = e(x) NN(x) with Dirichlet walls at a < b (envelope_field).
+  FieldModel(std::unique_ptr<nn::Module> backbone, double a, double b);
+
   /// The forward graph for a batch X of (x, [y], t) rows; returns (N, 2).
+  /// A stationary model takes (N, 1) x rows and returns phi, (N, 1).
   autodiff::Variable forward(const autodiff::Variable& X);
 
   /// psi, psi_t and the Laplacian of psi at a batch X of (x, [y], t) rows,
@@ -86,7 +94,14 @@ class FieldModel {
   std::optional<HardIc> hard_ic_;
   std::optional<InputNormalization> normalization_;
   std::int64_t space_dims_ = 1;  ///< S
+  std::optional<std::pair<double, double>> walls_;  ///< stationary kind
 };
+
+/// The Dirichlet envelope field phi = 4 (x - a)(b - x) / (b - a)^2 * NN(x)
+/// and phi_xx at a column x (N, 1), from one forward jet of `net` (product
+/// rule phi'' = e NN'' + 2 e' NN' + e'' NN).
+std::pair<autodiff::Variable, autodiff::Variable> envelope_field(
+    nn::Module& net, const autodiff::Variable& x, double a, double b);
 
 /// Architecture + feature configuration of the standard QPINN field model.
 struct FieldModelConfig {

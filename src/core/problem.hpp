@@ -29,10 +29,10 @@ class Problem {
   virtual std::string name() const = 0;
   virtual Domain domain() const = 0;
 
-  /// PDE residual matrix (N, R) at interior points X (an (N, S + 1) leaf
-  /// of (x, [y], t) rows with requires_grad). Each column is one scalar residual equation; training
-  /// drives all entries to zero. Rows stay aligned with X's rows so the
-  /// trainer can apply per-point (curriculum) weights.
+  /// PDE residual matrix (N, R) at interior points X (a leaf of (x, [y],
+  /// [t]) rows with requires_grad). Each column is one scalar residual
+  /// equation; training drives all entries to zero. Rows stay aligned with
+  /// X's rows so the trainer can apply per-point (curriculum) weights.
   virtual autodiff::Variable residual(FieldModel& model,
                                       const autodiff::Variable& X) const = 0;
 
@@ -45,9 +45,9 @@ class Problem {
   virtual std::vector<LossTerm> auxiliary_losses(
       FieldModel& model, const CollocationSet& points) const = 0;
 
-  /// Ground truth psi(x, t) for metrics; null when the problem has none
-  /// (the trainer's relative L2 then reads NaN).
-  virtual quantum::SpaceTimeField reference() const = 0;
+  /// Ground truth psi(x, t) for metrics; null (the default) when the
+  /// problem has none (the trainer's relative L2 then reads NaN).
+  virtual quantum::SpaceTimeField reference() const { return {}; }
 
   /// Trainable leaves the problem owns besides the model's (e.g. a
   /// potential parameter of an inverse problem). The trainer optimizes,
@@ -60,7 +60,7 @@ class Problem {
 
   /// Whether the model should use exact x-periodicity (informs model
   /// construction; periodic problems need no wall loss).
-  virtual bool periodic_x() const = 0;
+  virtual bool periodic_x() const { return false; }
 };
 
 }  // namespace qpinn::core

@@ -9,6 +9,7 @@ using namespace autodiff;
 
 void SchrodingerProblem::Config::validate() const {
   domain.validate();
+  if (!domain.has_t()) throw ConfigError("SchrodingerProblem: needs a t axis");
   if (!initial) throw ConfigError("SchrodingerProblem: initial op required");
   if (weight_ic < 0.0 || weight_bc < 0.0 || weight_norm < 0.0) {
     throw ConfigError("SchrodingerProblem: loss weights must be >= 0");
@@ -86,34 +87,14 @@ Variable SchrodingerProblem::norm_conservation_loss(FieldModel& model) const {
 
   // Quadrature points: nt time slices, each with the same nx x-grid,
   // rows grouped by slice so a reshape recovers (nt, nx).
-  Tensor quad(Shape{nx * nt, 2});
-  {
-    const Tensor xs = Tensor::linspace(d.x_lo, d.x_hi, nx);
-    const Tensor ts = Tensor::linspace(d.t_lo, d.t_hi, nt);
-    double* p = quad.data();
-    for (std::int64_t j = 0; j < nt; ++j) {
-      for (std::int64_t i = 0; i < nx; ++i) {
-        *p++ = xs[i];
-        *p++ = ts[j];
-      }
-    }
-  }
-
-  // Trapezoid weights (dx at interior points, dx/2 at the walls).
-  Tensor weights(Shape{nx, 1});
-  {
-    const double dx = d.x_span() / static_cast<double>(nx - 1);
-    for (std::int64_t i = 0; i < nx; ++i) weights[i] = dx;
-    weights[0] *= 0.5;
-    weights[nx - 1] *= 0.5;
-  }
-
+  const Tensor quad = grid_points(d, nx, nt);
+  const Variable weights = Variable::constant(trapezoid_weights(d, nx));
   const Variable Xq = Variable::constant(quad);
   const Variable out = model.forward(Xq);
   const Variable density =
       add(square(slice_cols(out, 0, 1)), square(slice_cols(out, 1, 2)));
   const Variable per_slice = reshape(density, Shape{nt, nx});
-  const Variable norms = matmul(per_slice, Variable::constant(weights));
+  const Variable norms = matmul(per_slice, weights);
   return mse(add_scalar(norms, -config_.norm_target));
 }
 

@@ -97,7 +97,7 @@ Trainer::Trainer(std::shared_ptr<Problem> problem,
 
   points_ = make_collocation(problem_->domain(), config_.sampling);
   // per_point_weights would throw this only at the first step.
-  if (config_.curriculum) problem_->domain().require_no_y("curriculum");
+  if (config_.curriculum) problem_->domain().require_xt("curriculum");
   resample_rng_ = Rng(config_.sampling.seed ^ 0xA5A5A5A5ULL);
   if (config_.resample_every > 0 &&
       config_.sampling.kind == SamplerKind::kGrid) {

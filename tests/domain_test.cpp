@@ -2,7 +2,9 @@
 
 #include <set>
 
+#include "core/curriculum.hpp"
 #include "core/domain.hpp"
+#include "core/schrodinger_problem.hpp"
 #include "util/error.hpp"
 
 namespace qpinn::core {
@@ -182,6 +184,41 @@ TEST(CollocationSets, XtOnlySetsRejectAYAxis) {
   const CollocationSet set = make_collocation(kPlane, config);
   EXPECT_EQ(set.interior.cols(), 3);
   EXPECT_NE(set.initial.rank(), 2);  // n_initial = 0: no initial set
+}
+
+// ---- a stationary domain (no t axis) --------------------------------------
+
+const Domain kLine{-2.0, 3.0, 0.5, 0.5};
+
+TEST(Domain, StationaryGridIsTheXLinspace) {
+  EXPECT_FALSE(kLine.has_t());
+  EXPECT_TRUE(kDomain.has_t());
+  Domain inverted = kLine;
+  inverted.t_hi = 0.0;
+  EXPECT_THROW(inverted.validate(), ConfigError);
+
+  const Tensor xs = Tensor::linspace(-2.0, 3.0, 9);
+  SamplingConfig config;
+  config.n_interior_x = 9;
+  config.n_initial = 0;
+  const CollocationSet set = make_collocation(kLine, config);
+  ASSERT_EQ(set.interior.shape(), (Shape{9, 1}));
+  for (std::int64_t i = 0; i < 9; ++i) EXPECT_EQ(set.interior[i], xs[i]);
+  config.kind = SamplerKind::kLatinHypercube;
+  EXPECT_EQ(make_collocation(kLine, config).interior.shape(),
+            (Shape{9 * 32, 1}));
+}
+
+TEST(Domain, TimeDependentSetsRejectAStationaryDomain) {
+  EXPECT_THROW(initial_points(kLine, 4), ConfigError);
+  EXPECT_THROW(boundary_points(kLine, 4), ConfigError);
+  Tensor X = Tensor::linspace(-2.0, 3.0, 4).reshape({4, 1});
+  EXPECT_THROW(per_point_weights(CurriculumConfig{}, kLine, X, 0),
+               ConfigError);
+  SchrodingerProblem::Config problem;
+  problem.domain = kLine;
+  problem.initial = gaussian_packet_ic(0.0, 0.0, 1.0);
+  EXPECT_THROW(SchrodingerProblem{problem}, ConfigError);
 }
 
 }  // namespace

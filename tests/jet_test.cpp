@@ -513,6 +513,26 @@ TEST(JetEigenPinn, EnvelopeFieldMatchesPartial) {
   EXPECT_LE(max_rel(psi_xx, psi_xx_ref), 1e-12);
 }
 
+/// The stationary FieldModel is the envelope ansatz: derivatives() takes
+/// u and u_xx from envelope_field, forward() is e(x) NN(x).
+TEST(JetEigenPinn, StationaryFieldModelMatchesPartial) {
+  nn::MlpConfig mc;
+  mc.in_dim = 1;
+  mc.out_dim = 1;
+  mc.hidden = {12, 12};
+  mc.seed = 6;
+  FieldModel model(std::make_unique<nn::Mlp>(mc), -1.0, 2.0);
+  const std::int64_t n = 33;
+  const Variable X =
+      Variable::leaf(Tensor::linspace(-1.0, 2.0, n).reshape({n, 1}));
+  const FieldDerivatives d = model.derivatives(X);
+  const Variable phi = model.forward(X);
+  expect_bitwise(d.u, phi, "u");
+  EXPECT_LE(max_rel(d.u_xx, ad::partial_n(phi, X, 0, 2)), 1e-12);
+  EXPECT_FALSE(d.v.defined());
+  EXPECT_THROW(FieldModel(std::make_unique<nn::Mlp>(mc)), ValueError);
+}
+
 // --- training ------------------------------------------------------------
 
 /// Shards capture jet graphs concurrently on pool threads: replay stays

@@ -76,6 +76,13 @@ Rules (exit 1 if any finding survives suppression):
                   ``Module::forward_jet`` (one forward pass), not from
                   nested create_graph reverse sweeps; ``partial`` stays the
                   oracle the jets are tested against.
+  single-training-driver
+                  no ``grad(`` and no optimizer construction
+                  (``optim::Adam``/``Sgd``/``Rmsprop``,
+                  ``lbfgs_minimize``) in src/ outside src/autodiff/,
+                  src/optim/ and src/core/trainer.cpp — every problem
+                  trains through ``core::Trainer``, the one loop that
+                  captures, replays, shards, demotes and checkpoints.
   banned-unordered-float-reduce
                   no ``unordered_map``/``unordered_set`` whose element or
                   mapped type is directly ``float``/``double`` — iteration
@@ -463,6 +470,21 @@ def build_rules(src: pathlib.Path, tests: pathlib.Path,
              r"\s*\("],
             exempt=["src/nn/jet.hpp", "src/nn/jet.cpp"],
             exempt_prefixes=["src/autodiff/"]),
+        RegexRule(
+            "single-training-driver",
+            "gradients and optimizers are driven only by core::Trainer",
+            "grad() and optimizer construction are banned in src/ outside "
+            "src/autodiff/, src/optim/ and src/core/trainer.cpp; train a "
+            "Problem through core::Trainer::step instead of a private loop",
+            # The lookbehinds skip longer identifiers (tanh_grad,
+            # requires_grad) and member calls; a declared optimizer type
+            # (unique_ptr<optim::Adam>) or config is not a construction.
+            [r"(?<![\w.>:])(?:(?:autodiff|ad)\s*::\s*)?grad(?:_single)?\s*\(",
+             r"\boptim\s*::\s*(?:Adam|Sgd|Rmsprop)\b\s*"
+             r"(?:>\s*\(|[({]|\w+\s*[({])",
+             r"(?<![\w.>])(?:optim\s*::\s*)?lbfgs_minimize\s*\("],
+            exempt=["src/core/trainer.cpp"],
+            exempt_prefixes=["src/autodiff/", "src/optim/"]),
         RegexRule(
             "banned-unordered-float-reduce",
             "no unordered containers of float/double elements",

@@ -196,6 +196,54 @@ class NestedReverseDerivativesTest(unittest.TestCase):
         self.assertNotIn("nested-reverse-derivatives", rules_hit(report))
 
 
+class SingleTrainingDriverTest(unittest.TestCase):
+    def test_fires_on_private_training_loops(self):
+        for snippet in (
+                "const std::vector<Variable> g = grad(loss, params);\n",
+                "auto g = autodiff::grad(loss, params);\n",
+                "auto g = ad::grad_single(loss, energy);\n",
+                "optim::Adam optimizer(params, adam_config);\n",
+                "auto o = std::make_unique<optim::Sgd>(params, c);\n",
+                "optim::Rmsprop optimizer{params, c};\n",
+                "auto r = optim::lbfgs_minimize(params, closure, c);\n"):
+            report = lint({"src/core/eigen_pinn.cpp": snippet})
+            self.assertIn("single-training-driver", rules_hit(report),
+                          f"should fire on: {snippet!r}")
+
+    def test_exempts_trainer_autodiff_and_optim(self):
+        report = lint({
+            "src/core/trainer.cpp":
+                "const auto grads = grad(loss, params_);\n"
+                "optimizer_ = std::make_unique<optim::Adam>(params_, c);\n"
+                "return optim::lbfgs_minimize(params_, closure, c);\n",
+            "src/autodiff/derivatives.cpp":
+                "return grad(y, {x}, {}, options)[0];\n",
+            "src/optim/lbfgs.cpp": "optim::Sgd probe(params, c);\n"})
+        self.assertNotIn("single-training-driver", rules_hit(report))
+
+    def test_types_configs_and_similar_names_are_clean(self):
+        report = lint({"src/core/trainer.hpp": HEADER +
+                       "std::unique_ptr<optim::Adam> optimizer_;\n"
+                       "optim::AdamConfig adam{};\n"
+                       "optim::LbfgsResult run_second_stage(int e);\n"
+                       "Tensor tanh_grad(const Tensor& g, const Tensor& t);\n"
+                       "bool b = y.requires_grad();\n"
+                       "auto g = node->grad(x);\n"})
+        self.assertNotIn("single-training-driver", rules_hit(report))
+
+    def test_fires_on_the_private_eigen_loop(self):
+        # The eigen-PINN's former private Adam loop.
+        report = lint({"src/core/eigen_pinn.cpp":
+                       "  optim::Adam optimizer(params, adam_config);\n"
+                       "  for (;;) {\n"
+                       "    const std::vector<Variable> grads = "
+                       "grad(loss, params);\n"
+                       "  }\n"})
+        lines = [f.line for f in report.findings
+                 if f.rule == "single-training-driver"]
+        self.assertEqual([1, 3], lines)
+
+
 class DeterminismRuleTest(unittest.TestCase):
     def test_banned_fma_fires_on_std_and_builtin(self):
         report = lint({"src/a.cpp": "double y = std::fma(a, b, c);\n"
