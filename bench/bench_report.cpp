@@ -15,6 +15,7 @@
 //   bench_report [--quick] [--out BENCH_qpinn.json] [--threads N]
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <fstream>
 #include <limits>
@@ -164,6 +165,7 @@ int main(int argc, char** argv) {
   Rng rng(7);
   StoragePool& pool = StoragePool::instance();
   std::vector<Result> results;
+  double speedup_sincos = 1.0;
 
   // ---- tensor suite ------------------------------------------------------
   {
@@ -200,6 +202,58 @@ int main(int argc, char** argv) {
                               [&] { k::matmul_tn(x900, g900); }, b1_flops));
     results.push_back(time_op("tensor", "matmul_nt", "900x64x64^T", r_mid,
                               [&] { k::matmul_nt(g900, b64); }, b1_flops));
+    // The B1 output layer: 64 hidden units to the 2 field components, and
+    // its weight gradient. Two output columns run the micro-kernels'
+    // narrow fringe, not the 8-column vector tile.
+    {
+      Rng narrow_rng(9);
+      const Tensor w_out = Tensor::rand({64, 2}, narrow_rng, -1.0, 1.0);
+      const Tensor g_out = Tensor::rand({900, 2}, narrow_rng, -1.0, 1.0);
+      const double narrow_flops = 2.0 * 900.0 * 64.0 * 2.0;
+      results.push_back(time_op("tensor", "matmul", "900x64x2", r_mid,
+                                [&] { k::matmul(x900, w_out); },
+                                narrow_flops));
+      results.push_back(time_op("tensor", "matmul_tn", "64x900x2", r_mid,
+                                [&] { k::matmul_tn(x900, g_out); },
+                                narrow_flops));
+    }
+    // The Fourier-feature block: sin and cos of 2*pi*x*B over the 900 B1
+    // collocation points and 64 features (one flop per element), and the
+    // fp32 sin of one of the mixed workload's four shards.
+    {
+      Rng rff_rng(11);
+      const Tensor rff = Tensor::rand({900, 64}, rff_rng, -20.0, 20.0);
+      const double rff_elems = 900.0 * 64.0;
+      results.push_back(time_op("tensor", "sin", "900x64", r_mid,
+                                [&] { k::sin(rff); }, rff_elems));
+      results.push_back(time_op("tensor", "cos", "900x64", r_mid,
+                                [&] { k::cos(rff); }, rff_elems));
+      namespace f32 = qpinn::kernels_f32;
+      const std::size_t shard = 225 * 64;
+      std::vector<float> fx(shard), fo(shard);
+      f32::downcast(fx.data(), rff.data(), shard);
+      results.push_back(time_op(
+          "tensor", "sin_f32", "225x64", r_small,
+          [&] { f32::sin(fx.data(), fo.data(), shard); },
+          static_cast<double>(shard)));
+      // The table sweep against the libm loop it replaced, one thread
+      // each, timed back to back on the same buffers.
+      const std::size_t ne = static_cast<std::size_t>(rff.numel());
+      const double* px = rff.data();
+      std::vector<double> out(ne);
+      const auto& table = qpinn::simd::active();
+      const Result with_table =
+          time_op("tensor", "sincos-table", "900x64", r_mid, [&] {
+            table.sin(px, out.data(), ne);
+            table.cos(px, out.data(), ne);
+          });
+      const Result with_libm =
+          time_op("tensor", "sincos-libm", "900x64", r_mid, [&] {
+            for (std::size_t i = 0; i < ne; ++i) out[i] = std::sin(px[i]);
+            for (std::size_t i = 0; i < ne; ++i) out[i] = std::cos(px[i]);
+          });
+      speedup_sincos = with_libm.ns_per_op / with_table.ns_per_op;
+    }
     results.push_back(time_op("tensor", "dot", "65536", r_small,
                               [&] { k::dot(v1, v2); }, 2.0 * n_vec));
     results.push_back(time_op("tensor", "axpy_inplace", "65536", r_small,
@@ -879,6 +933,7 @@ int main(int argc, char** argv) {
        << ",\n";
   json << "    \"speedup_train_step_vs_scalar\": " << fmt(speedup_train)
        << ",\n";
+  json << "    \"speedup_sincos_vs_libm\": " << fmt(speedup_sincos) << ",\n";
   json << "    \"graph_overhead_x\": " << fmt(graph_overhead) << ",\n";
   json << "    \"mixed_speedup_x\": " << fmt(mixed_speedup) << ",\n";
   json << "    \"mixed_demoted_thunks\": " << demote_stats.demoted << ",\n";

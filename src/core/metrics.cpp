@@ -71,7 +71,7 @@ std::vector<double> norm_series(FieldModel& model, const Domain& domain,
   QPINN_CHECK(nx >= 2, "norm_series needs nx >= 2");
   QPINN_CHECK(!times.empty(), "norm_series needs at least one time");
   const Tensor xs = Tensor::linspace(domain.x_lo, domain.x_hi, nx);
-  const double dx = domain.x_span() / static_cast<double>(nx - 1);
+  const Tensor weights = trapezoid_weights(domain, nx);
 
   std::vector<double> series;
   series.reserve(times.size());
@@ -86,11 +86,10 @@ std::vector<double> norm_series(FieldModel& model, const Domain& domain,
     const double* po = out.data();
     double acc = 0.0;
     for (std::int64_t i = 0; i < nx; ++i) {
-      const double density = po[2 * i] * po[2 * i] + po[2 * i + 1] * po[2 * i + 1];
-      const double weight = (i == 0 || i == nx - 1) ? 0.5 : 1.0;
-      acc += weight * density;
+      acc += weights[i] *
+             (po[2 * i] * po[2 * i] + po[2 * i + 1] * po[2 * i + 1]);
     }
-    series.push_back(acc * dx);
+    series.push_back(acc);
   }
   return series;
 }

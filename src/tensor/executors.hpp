@@ -271,11 +271,11 @@ void log(const T* a, T* o, std::size_t n) {
 }
 template <class T>
 void sin(const T* a, T* o, std::size_t n) {
-  detail::map(a, o, n, [](T x) { return std::sin(x); });
+  detail::sweep(a, o, n, simd::table<T>().sin);
 }
 template <class T>
 void cos(const T* a, T* o, std::size_t n) {
-  detail::map(a, o, n, [](T x) { return std::cos(x); });
+  detail::sweep(a, o, n, simd::table<T>().cos);
 }
 template <class T>
 void sigmoid(const T* a, T* o, std::size_t n) {
@@ -313,20 +313,12 @@ void bias_tanh(const T* a, const T* b, T* o, std::size_t rows,
                     simd::table<T>().bias_tanh);
 }
 
-/// o[r][c] = sin(a[r][c] + b[c]): no table entry, but still one pass
-/// instead of a broadcast add followed by a unary.
+/// o[r][c] = sin(a[r][c] + b[c]) — fused sin-activation forward.
 template <class T>
 void bias_sin(const T* a, const T* b, T* o, std::size_t rows,
               std::size_t cols) {
   detail::row_sweep(a, b, o, rows, cols, kActivationGrain,
-                    [](const T* pa, const T* pb, T* po, std::size_t nr,
-                       std::size_t nc) {
-                      for (std::size_t r = 0; r < nr; ++r) {
-                        for (std::size_t c = 0; c < nc; ++c) {
-                          po[r * nc + c] = std::sin(pa[r * nc + c] + pb[c]);
-                        }
-                      }
-                    });
+                    simd::table<T>().bias_sin);
 }
 
 /// o[i] = g[i] * (1 - t[i]^2) — fused tanh backward.

@@ -32,25 +32,30 @@
 // cast for the fp64 tables, so fp64 behavior is unchanged).
 //
 // Bit-identity contract (fp64 tables): for the elementwise arithmetic
-// kernels (bin_same/bin_row, neg, scale, add_scalar, square,
-// reciprocal, sqrt, abs, relu, step, sign, tanh, bias_tanh, axpy,
-// scale_inplace, axpby, acc_add, adam) the vector body performs exactly
-// the lane-wise IEEE operation sequence of the scalar code and fringe
-// elements run the identical scalar expressions, so results are
-// bit-identical across every dispatch variant (the per-ISA TUs are
-// compiled with -ffp-contract=off so the compiler cannot fuse a*b+c
-// differently per target). tanh is a branchless polynomial
-// implementation (tanh_lanes below) accurate to a few ulp of std::tanh
-// but NOT bit-equal to it — the scalar fringe runs the same lane
-// algorithm, never libm, so every variant (and every thread-count
-// chunking) produces identical bits. Reductions (dot, sum, square_sum,
-// weighted_square_sum) and the matmul micro-kernels reassociate and may
-// use FMA, so they agree across variants only to rounding; they stay
+// kernels (bin_same/bin_row, neg, scale, add_scalar, square, reciprocal,
+// sqrt, abs, relu, step, sign, tanh, bias_tanh, sin, cos, bias_sin, axpy,
+// scale_inplace, axpby, acc_add, adam) the vector body performs exactly the
+// lane-wise IEEE operation sequence of the scalar code and fringe elements
+// run the identical scalar expressions, so results are bit-identical across
+// every dispatch variant (the per-ISA TUs are compiled with
+// -ffp-contract=off so the compiler cannot fuse a*b+c differently per
+// target). tanh, sin and cos (and the fused bias_tanh and bias_sin) are
+// branchless polynomial implementations (tanh_lanes, sincos_lanes below),
+// NOT bit-equal to libm: tanh is within a few ulp of std::tanh, fp64 sin/cos
+// within 2 ulp of glibc (1 ulp measured) and fp32 within 2 ulp of sinf/cosf.
+// The scalar fringe runs the same lane algorithm, never libm, so every
+// variant (and every thread-count chunking) produces identical bits. The one
+// libm use is sin/cos of |x| > SinCosTraits<T>::kMaxArg (about 2^20*pi/2 in
+// fp64, 2^14*pi/2 in fp32), past the exact Cody-Waite reduction: those lanes
+// are replaced per element, identically on the vector and scalar paths, so
+// the bits stay table- and chunk-invariant there too. Reductions (dot, sum,
+// square_sum, weighted_square_sum) and the matmul micro-kernels reassociate
+// and may use FMA, so they agree across variants only to rounding; they stay
 // deterministic for a fixed variant. Within one table the three matmul
 // micro-kernels give every output element the same operation sequence, so
 // matmul_tn_rows / matmul_nt_rows equal matmul_rows on a materialized
-// transpose bit for bit (the autodiff matmul backward relies on this; it
-// is asserted in tests/kernels_test.cpp). IEEE semantics are preserved
+// transpose bit for bit (the autodiff matmul backward relies on this; it is
+// asserted in tests/kernels_test.cpp). IEEE semantics are preserved
 // everywhere: no operand value is skipped (0 * NaN stays NaN) and
 // comparisons are ordered/non-signaling, so NaN takes the "else" branch
 // exactly like the scalar ternaries.
@@ -139,6 +144,12 @@ struct KernelTableT {
   /// Fused tanh backward: o[i] = g[i] * (1 - t[i]^2); bit-identical to the
   /// square/neg/add_scalar/mul composition (see detail::OpTanhGrad).
   void (*tanh_grad)(const T* g, const T* t, T* o, std::size_t n);
+  void (*sin)(const T* a, T* o, std::size_t n);
+  void (*cos)(const T* a, T* o, std::size_t n);
+  /// Fused bias + sin: o[r][c] = sin(a[r][c] + b[c]); bit-identical to
+  /// composing bin_row[kAdd] with sin.
+  void (*bias_sin)(const T* a, const T* b, T* o, std::size_t rows,
+                   std::size_t cols);
 
   double (*dot)(const T* a, const T* b, std::size_t n);
   double (*sum)(const T* a, std::size_t n);
@@ -884,6 +895,17 @@ inline typename V::reg vsel(typename V::reg m, typename V::reg a,
   return V::bor(V::band(m, a), V::andnot(m, b));
 }
 
+/// c[0] * z^(N-1) + ... + c[N-1], by Horner (high to low, no FMA).
+template <class V, std::size_t N>
+inline typename V::reg horner(typename V::reg z,
+                              const typename V::elem (&c)[N]) {
+  typename V::reg p = V::set1(c[0]);
+  for (std::size_t d = 1; d < N; ++d) {
+    p = V::add(V::mul(p, z), V::set1(c[d]));
+  }
+  return p;
+}
+
 /// Per-element-type constants of the polynomial tanh. The double
 /// parameters are the original PR 5 values; the float ones follow the
 /// same construction with 32-bit magic numbers, the fdlibm single-
@@ -951,11 +973,7 @@ inline typename V::reg tanh_lanes(typename V::reg x) {
   // exponent range.
   const R r = V::sub(V::sub(y, V::mul(nd, V::set1(Tr::kLn2Hi))),
                      V::mul(nd, V::set1(Tr::kLn2Lo)));
-  constexpr std::size_t deg = sizeof(Tr::kCoef) / sizeof(Tr::kCoef[0]);
-  R q = V::set1(Tr::kCoef[0]);
-  for (std::size_t d = 1; d < deg; ++d) {
-    q = V::add(V::mul(q, r), V::set1(Tr::kCoef[d]));
-  }
+  const R q = horner<V>(r, Tr::kCoef);
   const R p = V::add(V::mul(V::mul(q, r), r), r);  // expm1(r)
   // expm1(y) = 2^n * (expm1(r) + 1) - 1; for n == 0 that difference
   // cancels the low bits of a tiny p, so keep p directly (nd >= 0 here).
@@ -998,6 +1016,172 @@ void ew_bias_tanh(const typename V::elem* a, const typename V::elem* b,
       }
     }
     for (; i < cols; ++i) orow[i] = tanh_lanes<S>(ar[i] + b[i]);
+  }
+}
+
+/// Per-element-type constants of the polynomial sin/cos. pi/2 is split
+/// Cody-Waite style into kPio2[0..2], whose products with any n up to
+/// kMaxArg * 2/pi are exact, plus a full-width tail kPio2[3]. The fp64
+/// split and the kernel coefficients are fdlibm's (e_rem_pio2.c,
+/// k_sin.c, k_cos.c; minimax on |r| <= pi/4). The fp32 split is pi/2 in
+/// 8/9/9/24-bit parts and its polynomials are the Cephes sinf/cosf
+/// minimax fits. kSin holds S6..S2 and kCos C6..C1 (Horner, high to low).
+template <class T>
+struct SinCosTraits;
+
+template <>
+struct SinCosTraits<double> {
+  static constexpr double kMagic = 6755399441055744.0;  // 1.5 * 2^52
+  static constexpr double kTwoOverPi = 6.36619772367581382433e-01;
+  static constexpr double kPio2[4] = {
+      1.57079632673412561417e+00, 6.07710050630396597660e-11,
+      2.02226624871116645580e-21, 8.47842766036889956997e-32};
+  /// Just below 2^20 * pi/2: n <= 2^20 keeps n * kPio2[0..2] exact.
+  static constexpr double kMaxArg = 1647099.0;
+  static constexpr double kS1 = -1.66666666666666324348e-01;
+  static constexpr double kSin[5] = {
+      1.58969099521155010221e-10, -2.50507602534068634195e-08,
+      2.75573137070700676789e-06, -1.98412698298579493134e-04,
+      8.33333333332248946124e-03};
+  static constexpr double kCos[6] = {
+      -1.13596475577881948265e-11, 2.08757232129817482790e-09,
+      -2.75573143513906633035e-07, 2.48015872894767294178e-05,
+      -1.38888888888741095749e-03, 4.16666666666666019037e-02};
+};
+
+template <>
+struct SinCosTraits<float> {
+  static constexpr float kMagic = 12582912.0F;  // 1.5 * 2^23
+  static constexpr float kTwoOverPi = 6.36619772e-01F;
+  static constexpr float kPio2[4] = {1.5703125F, 4.8351287841796875e-04F,
+                                     3.13855707645416259765625e-07F,
+                                     6.077100628276710381e-11F};
+  /// Just below 2^14 * pi/2: n <= 2^14 keeps n * kPio2[0..2] exact.
+  static constexpr float kMaxArg = 25735.0F;
+  static constexpr float kS1 = -1.6666654611e-01F;
+  static constexpr float kSin[2] = {-1.9515295891e-04F, 8.3321608736e-03F};
+  static constexpr float kCos[3] = {2.443315711809948e-05F,
+                                    -1.388731625493765e-03F,
+                                    4.166664568298827e-02F};
+};
+
+// Branchless polynomial sin (kCos = false) or cos (kCos = true), the same
+// lane algorithm on every variant of a given element type (add/sub/mul +
+// compares and bitwise selects only; no FMA, no libm, no float->int
+// conversion), so results are bit-identical across ISAs and chunk
+// boundaries. |x| = n*pi/2 + r with n from the magic-number round and r
+// carried as a double-length y0 + y1: the first Cody-Waite step is exact,
+// the next two keep their rounding errors (Fast2Sum). fdlibm's kernels
+// take (y0, y1) to sin r and cos r on |r| <= pi/4, and n mod 4 selects
+// and signs the quadrant. sin is odd, so its result is multiplied by
+// sign(x) = +-1 (exact; keeps sin(-0) = -0). Lanes with |x| > kMaxArg
+// compute garbage here and are replaced by sincos_store; NaN propagates
+// through the arithmetic.
+template <class V, bool kCos>
+inline typename V::reg sincos_lanes(typename V::reg x) {
+  using R = typename V::reg;
+  using T = typename V::elem;
+  using Tr = SinCosTraits<T>;
+  const R one = V::set1(T(1.0));
+  const R half = V::set1(T(0.5));
+  const R magic = V::set1(Tr::kMagic);
+  const R ax = V::abs(x);
+  const R fn =
+      V::sub(V::add(V::mul(ax, V::set1(Tr::kTwoOverPi)), magic), magic);
+  const R r1 = V::sub(ax, V::mul(fn, V::set1(Tr::kPio2[0])));
+  const R p2 = V::mul(fn, V::set1(Tr::kPio2[1]));
+  const R r2 = V::sub(r1, p2);
+  const R e2 = V::sub(V::sub(r1, r2), p2);
+  const R p3 = V::mul(fn, V::set1(Tr::kPio2[2]));
+  const R r3 = V::sub(r2, p3);
+  const R e3 = V::sub(V::sub(r2, r3), p3);
+  const R tail =
+      V::sub(V::add(e2, e3), V::mul(fn, V::set1(Tr::kPio2[3])));
+  const R y0 = V::add(r3, tail);
+  const R y1 = V::sub(tail, V::sub(y0, r3));
+
+  const R z = V::mul(y0, y0);
+  // sin r = y0 - ((z*(y1/2 - v*q) - y1) - v*S1), v = y0^3 (k_sin.c).
+  const R v = V::mul(z, y0);
+  const R qs = horner<V>(z, Tr::kSin);
+  const R sn = V::sub(
+      y0, V::sub(V::sub(V::mul(z, V::sub(V::mul(half, y1), V::mul(v, qs))),
+                        y1),
+                 V::mul(v, V::set1(Tr::kS1))));
+  // cos r = w + (((1 - w) - z/2) + (z*q - y0*y1)), w = 1 - z/2 (k_cos.c).
+  const R qc = V::mul(z, horner<V>(z, Tr::kCos));
+  const R hz = V::mul(half, z);
+  const R w = V::sub(one, hz);
+  const R cs = V::add(w, V::add(V::sub(V::sub(one, w), hz),
+                                V::sub(V::mul(z, qc), V::mul(y0, y1))));
+
+  // n mod 4: floor(n/4) = round(n/4 - 3/8) for integral n, exactly.
+  const R q4 = V::sub(
+      V::add(V::sub(V::mul(fn, V::set1(T(0.25))), V::set1(T(0.375))), magic),
+      magic);
+  const R m4 = V::sub(fn, V::mul(q4, V::set1(T(4.0))));
+  const R upper = V::cmp_gt(m4, V::set1(T(1.5)));  // n mod 4 in {2, 3}
+  const R odd = V::cmp_gt(V::sub(m4, V::band(upper, V::set1(T(2.0)))), half);
+  if constexpr (kCos) {
+    // cos: C, -S, -C, S.
+    const R c = vsel<V>(odd, sn, cs);
+    const R flip =
+        V::band(V::cmp_gt(m4, half), V::cmp_gt(V::set1(T(2.5)), m4));
+    return vsel<V>(flip, V::neg(c), c);
+  } else {
+    // sin: S, C, -S, -C.
+    const R s = vsel<V>(odd, cs, sn);
+    const R sign_x = V::bor(one, V::band(x, V::set1(T(-0.0))));
+    return V::mul(vsel<V>(upper, V::neg(s), s), sign_x);
+  }
+}
+
+/// Stores sincos_lanes of one register of arguments, then replaces every
+/// lane with |x| > kMaxArg (+-inf included, NaN either way) by libm. The
+/// vector body and the scalar fringe both go through here, so the
+/// replacement is the same on every path.
+template <class V, bool kCos>
+inline void sincos_store(typename V::elem* o, typename V::reg x) {
+  using T = typename V::elem;
+  alignas(64) T xs[V::kWidth];
+  V::store(xs, x);
+  V::store(o, sincos_lanes<V, kCos>(x));
+  for (std::size_t j = 0; j < V::kWidth; ++j) {
+    if (std::abs(xs[j]) > SinCosTraits<T>::kMaxArg) {
+      o[j] = kCos ? std::cos(xs[j]) : std::sin(xs[j]);  // lint-allow: banned-libm-sincos
+    }
+  }
+}
+
+template <class V, bool kCos>
+void ew_sincos(const typename V::elem* a, typename V::elem* o,
+               std::size_t n) {
+  using S = typename ScalarVecFor<typename V::elem>::type;
+  constexpr std::size_t w = V::kWidth;
+  std::size_t i = 0;
+  if constexpr (w > 1) {
+    for (; i + w <= n; i += w) sincos_store<V, kCos>(o + i, V::load(a + i));
+  }
+  for (; i < n; ++i) sincos_store<S, kCos>(o + i, a[i]);
+}
+
+template <class V>
+void ew_bias_sin(const typename V::elem* a, const typename V::elem* b,
+                 typename V::elem* o, std::size_t rows, std::size_t cols) {
+  using T = typename V::elem;
+  using S = typename ScalarVecFor<T>::type;
+  constexpr std::size_t w = V::kWidth;
+  for (std::size_t row = 0; row < rows; ++row) {
+    const T* ar = a + row * cols;
+    T* orow = o + row * cols;
+    std::size_t i = 0;
+    if constexpr (w > 1) {
+      for (; i + w <= cols; i += w) {
+        sincos_store<V, false>(orow + i,
+                               V::add(V::load(ar + i), V::load(b + i)));
+      }
+    }
+    for (; i < cols; ++i) sincos_store<S, false>(orow + i, ar[i] + b[i]);
   }
 }
 
@@ -1303,8 +1487,10 @@ void adam_sweep(typename V::elem* p, const typename V::elem* g,
 //
 // Register-tiled accumulator blocks of V::kMmRowTile output rows by 8
 // output columns (8 / kWidth vector registers per row). Each loaded
-// element feeds several FMAs; remainder fringes run plain scalar loops.
-// No operand value is ever skipped (0 * NaN stays NaN).
+// element feeds several FMAs. Fringe tiles (fewer rows or columns) run
+// mm_fringe: scalar multiply-then-add in k order, accumulated in
+// registers for up to kMmRowTile rows at once. No operand value is ever
+// skipped (0 * NaN stays NaN).
 
 inline constexpr std::int64_t kMmColTile = 8;
 
@@ -1313,6 +1499,67 @@ inline constexpr std::int64_t kMmColTile = 8;
 /// (32 KiB of doubles) of stack — no heap traffic. Deeper k runs mm_tn_rows
 /// on the unpacked tile loop and mm_nt_rows over several panels.
 inline constexpr std::int64_t kMmPackK = 512;
+
+/// A strided matrix operand: element (u, v) is p[u * su + v * sv].
+template <class T>
+struct MmView {
+  const T* p;
+  std::int64_t su, sv;
+  T at(std::int64_t u, std::int64_t v) const { return p[u * su + v * sv]; }
+};
+
+/// One fringe tile: RT output rows (the first `ib` of them stored) by JB
+/// columns at po (row stride m) from a(r, kk) and b(kk, c). The
+/// accumulators stay in registers across the whole k loop, and every
+/// element gets the scalar operation sequence: start from 0, then add
+/// a(r, kk) * b(kk, c) (a rounded multiply, then an add) in k order. Rows
+/// past `ib` repeat row ib - 1 and are dropped.
+template <class T, std::int64_t RT, std::int64_t JB>
+void mm_fringe_tile(MmView<T> a, MmView<T> b, T* po, std::int64_t m,
+                    std::int64_t ib, std::int64_t k) {
+  T acc[RT][JB] = {};
+  for (std::int64_t kk = 0; kk < k; ++kk) {
+    T bv[JB];
+    for (std::int64_t c = 0; c < JB; ++c) bv[c] = b.at(kk, c);
+    for (std::int64_t r = 0; r < RT; ++r) {
+      const T a_rk = a.at(std::min(r, ib - 1), kk);
+      for (std::int64_t c = 0; c < JB; ++c) acc[r][c] += a_rk * bv[c];
+    }
+  }
+  for (std::int64_t r = 0; r < ib; ++r) {
+    for (std::int64_t c = 0; c < JB; ++c) po[r * m + c] = acc[r][c];
+  }
+}
+
+/// The fringe of the three matmul micro-kernels: `ib` <= kMmRowTile rows
+/// by `jb` <= kMmColTile columns that the vector tile does not cover, run
+/// as column pieces of kMmColTile, 4, 2 and 1. Each kernel passes its operands as
+/// views relative to the tile, so every kernel gives an element the
+/// sequence mm_rows gives it on the materialized operands.
+template <class V>
+void mm_fringe(MmView<typename V::elem> a, MmView<typename V::elem> b,
+               typename V::elem* po, std::int64_t m, std::int64_t ib,
+               std::int64_t jb, std::int64_t k) {
+  using T = typename V::elem;
+  constexpr std::int64_t rt = V::kMmRowTile;
+  for (std::int64_t c = 0; c < jb;) {
+    const MmView<T> bc{b.p + c * b.sv, b.su, b.sv};
+    const std::int64_t left = jb - c;
+    if (left >= kMmColTile) {
+      mm_fringe_tile<T, rt, kMmColTile>(a, bc, po + c, m, ib, k);
+      c += kMmColTile;
+    } else if (left >= 4) {
+      mm_fringe_tile<T, rt, 4>(a, bc, po + c, m, ib, k);
+      c += 4;
+    } else if (left >= 2) {
+      mm_fringe_tile<T, rt, 2>(a, bc, po + c, m, ib, k);
+      c += 2;
+    } else {
+      mm_fringe_tile<T, rt, 1>(a, bc, po + c, m, ib, k);
+      c += 1;
+    }
+  }
+}
 
 template <class V>
 void mm_rows(const typename V::elem* pa, const typename V::elem* pb,
@@ -1352,17 +1599,8 @@ void mm_rows(const typename V::elem* pa, const typename V::elem* pb,
           }
         }
       } else {
-        for (std::int64_t r = 0; r < ib; ++r) {
-          T* out_row = po + (i + r) * m + j;
-          const T* a_row = pa + (i + r) * k;
-          for (std::int64_t kk = 0; kk < k; ++kk) {
-            const T a_rk = a_row[kk];
-            const T* b_row = pb + kk * m + j;
-            for (std::int64_t c = 0; c < jb; ++c) {
-              out_row[c] += a_rk * b_row[c];
-            }
-          }
-        }
+        mm_fringe<V>({pa + i * k, k, 1}, {pb + j, m, 1}, po + i * m + j, m,
+                     ib, jb, k);
       }
     }
   }
@@ -1420,17 +1658,8 @@ void mm_tn_rows(const typename V::elem* pa, const typename V::elem* pb,
           }
         }
       } else {
-        for (std::int64_t kk = 0; kk < k; ++kk) {
-          const T* a_col = pa + kk * n + i;
-          const T* b_row = pb + kk * m + j;
-          for (std::int64_t r = 0; r < ib; ++r) {
-            T* out_row = po + (i + r) * m + j;
-            const T a_rk = a_col[r];
-            for (std::int64_t c = 0; c < jb; ++c) {
-              out_row[c] += a_rk * b_row[c];
-            }
-          }
-        }
+        mm_fringe<V>({pa + i, 1, n}, {pb + j, m, 1}, po + i * m + j, m, ib,
+                     jb, k);
       }
     }
   }
@@ -1442,7 +1671,7 @@ void mm_tn_rows(const typename V::elem* pa, const typename V::elem* pb,
 // stack buffer — amortized over every row tile of `a` — and runs the
 // mm_rows schedule on it; deeper k takes several panels, carrying the
 // accumulators through the output rows between them (a store and reload
-// round nothing). Fringe elements run mm_rows' scalar loop. Every output
+// round nothing). Fringe elements run mm_rows' mm_fringe. Every output
 // element therefore sees exactly the operation sequence mm_rows gives it
 // on a materialized b^T, so mm_nt_rows(a, b) == mm_rows(a, b^T) bit for
 // bit under every table.
@@ -1499,22 +1728,12 @@ void mm_nt_rows(const typename V::elem* pa, const typename V::elem* pb,
       }
     }
     // Fringe: a partial column tile, or the rows past the last full row
-    // tile, accumulated in mm_rows' scalar order into the pre-zeroed rows.
+    // tile, in mm_rows' fringe order.
     for (std::int64_t i = i0; i < i1; i += rt) {
       const std::int64_t ib = std::min(rt, i1 - i);
       if (ib == rt && jb == kMmColTile) continue;
-      for (std::int64_t r = 0; r < ib; ++r) {
-        T* out_row = po + (i + r) * m + j;
-        const T* a_row = pa + (i + r) * k;
-        for (std::int64_t c = 0; c < jb; ++c) {
-          const T* b_row = pb + (j + c) * k;
-          T total = out_row[c];
-          for (std::int64_t kk = 0; kk < k; ++kk) {
-            total += a_row[kk] * b_row[kk];
-          }
-          out_row[c] = total;
-        }
-      }
+      mm_fringe<V>({pa + i * k, k, 1}, {pb + j * k, 1, k}, po + i * m + j, m,
+                   ib, jb, k);
     }
   }
 }
@@ -1549,6 +1768,9 @@ KernelTableT<typename V::elem> make_table(Isa isa, const char* name) {
   t.tanh = &ew_tanh<V>;
   t.bias_tanh = &ew_bias_tanh<V>;
   t.tanh_grad = &ew_bin<V, OpTanhGrad>;
+  t.sin = &ew_sincos<V, false>;
+  t.cos = &ew_sincos<V, true>;
+  t.bias_sin = &ew_bias_sin<V>;
   t.dot = &red_dot<V>;
   t.sum = &red_sum<V>;
   t.square_sum = &red_square_sum<V>;

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "parallel/thread_pool.hpp"
+#include "tensor/executors.hpp"
 #include "tensor/kernels.hpp"
 #include "tensor/kernels_f32.hpp"
 #include "tensor/simd.hpp"
@@ -221,6 +222,105 @@ TEST(Kernels, TiledMatmulVariantsMatchOnAwkwardShapes) {
   for (std::int64_t i = 0; i < nt.numel(); ++i) {
     ASSERT_NEAR(nt[i], nt_ref[i], 1e-11);
   }
+}
+
+/// out[i][c] = sum_kk a(i, kk) * b(kk, c), each element started from 0 and
+/// accumulated in k order with a rounded product (volatile keeps the
+/// compiler from contracting it): the operation sequence of the matmul
+/// micro-kernels' fringe.
+template <class T, class A, class B>
+std::vector<T> fringe_reference(std::int64_t n, std::int64_t k,
+                                std::int64_t m, A a, B b) {
+  std::vector<T> out(static_cast<std::size_t>(n * m));
+  for (std::int64_t i = 0; i < n; ++i) {
+    for (std::int64_t c = 0; c < m; ++c) {
+      T acc = T(0);
+      for (std::int64_t kk = 0; kk < k; ++kk) {
+        const volatile T prod = a(i, kk) * b(kk, c);
+        acc = acc + prod;
+      }
+      out[static_cast<std::size_t>(i * m + c)] = acc;
+    }
+  }
+  return out;
+}
+
+template <class T>
+void expect_narrow_fringe_matches_reference(std::int64_t n, std::int64_t k,
+                                            std::int64_t m,
+                                            std::uint64_t seed) {
+  Rng rng(seed);
+  const auto fill = [&](std::int64_t count) {
+    std::vector<T> v(static_cast<std::size_t>(count));
+    for (T& x : v) x = static_cast<T>(rng.uniform() * 4.0 - 2.0);
+    return v;
+  };
+  const std::vector<T> a = fill(n * k), at = fill(k * n);
+  const std::vector<T> b = fill(k * m), bt = fill(m * k);
+  const std::string what = std::string(simd::active().name) + " " +
+                           std::to_string(n) + "x" + std::to_string(k) +
+                           "x" + std::to_string(m);
+  // Every column of an output narrower than the 8-column tile is fringe,
+  // and so is column 8 of a 9-wide one, wherever the chunks cut the rows.
+  // The last row of an odd row count is fringe under every row tile, so
+  // whole-range table calls also check the full column tiles' row fringe.
+  const auto check = [&](const std::vector<T>& got, const std::vector<T>& ref,
+                         const char* op, bool whole_range) {
+    for (std::int64_t i = 0; i < n; ++i) {
+      for (std::int64_t c = 0; c < m; ++c) {
+        if (c < 8 * (m / 8) && !(whole_range && i == n - 1)) continue;
+        const auto e = static_cast<std::size_t>(i * m + c);
+        ASSERT_EQ(std::memcmp(&got[e], &ref[e], sizeof(T)), 0)
+            << op << " " << what << " element (" << i << ", " << c << ")";
+      }
+    }
+  };
+  std::vector<T> got(static_cast<std::size_t>(n * m));
+  const auto& table = simd::table<T>();
+
+  const auto ref_nn = fringe_reference<T>(
+      n, k, m, [&](auto i, auto kk) { return a[i * k + kk]; },
+      [&](auto kk, auto c) { return b[kk * m + c]; });
+  exec::matmul(a.data(), b.data(), got.data(), n, k, m);
+  check(got, ref_nn, "matmul", false);
+  std::fill(got.begin(), got.end(), T(0));
+  table.matmul_rows(a.data(), b.data(), got.data(), 0, n, k, m);
+  check(got, ref_nn, "matmul_rows", true);
+
+  const auto ref_tn = fringe_reference<T>(
+      n, k, m, [&](auto i, auto kk) { return at[kk * n + i]; },
+      [&](auto kk, auto c) { return b[kk * m + c]; });
+  exec::matmul_tn(at.data(), b.data(), got.data(), n, k, m);
+  check(got, ref_tn, "matmul_tn", false);
+  std::fill(got.begin(), got.end(), T(0));
+  table.matmul_tn_rows(at.data(), b.data(), got.data(), 0, n, k, n, m);
+  check(got, ref_tn, "matmul_tn_rows", true);
+
+  const auto ref_nt = fringe_reference<T>(
+      n, k, m, [&](auto i, auto kk) { return a[i * k + kk]; },
+      [&](auto kk, auto c) { return bt[c * k + kk]; });
+  exec::matmul_nt(a.data(), bt.data(), got.data(), n, k, m);
+  check(got, ref_nt, "matmul_nt", false);
+  std::fill(got.begin(), got.end(), T(0));
+  table.matmul_nt_rows(a.data(), bt.data(), got.data(), 0, n, k, m);
+  check(got, ref_nt, "matmul_nt_rows", true);
+}
+
+TEST(Kernels, NarrowMatmulFringeMatchesTheScalarLoopBitForBit) {
+  const simd::Isa original = simd::active_isa();
+  std::uint64_t seed = 300;
+  for (const simd::Isa isa : simd::available_isas()) {
+    ASSERT_TRUE(simd::force_isa(isa));
+    for (const std::int64_t m : {1, 2, 3, 7, 9}) {
+      for (const std::int64_t n : {1, 5, 11, 903}) {
+        for (const std::int64_t k : {1, 7, 64, 600}) {
+          expect_narrow_fringe_matches_reference<double>(n, k, m, seed);
+          expect_narrow_fringe_matches_reference<float>(n, k, m, seed++);
+        }
+      }
+    }
+  }
+  simd::force_isa(original);
 }
 
 // Regression for the IEEE zero-skip bug: the old inner loops skipped

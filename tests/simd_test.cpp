@@ -11,6 +11,9 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <numbers>
+#include <string>
+#include <type_traits>
 #include <vector>
 
 #include "tensor/kernels.hpp"
@@ -567,6 +570,201 @@ TEST(SimdKernels, TrainingKernelsAgreeAcrossVariantsOnOddShapes) {
       ASSERT_NEAR(mm_v[i], mm_ref[i], 1e-12) << isa_name(isa);
     }
     ASSERT_NEAR(kernels::dot(a, b), dot_ref, 1e-10) << isa_name(isa);
+  }
+}
+
+// ---- polynomial sin/cos --------------------------------------------------
+
+template <class T>
+bool same_bits(T a, T b) {
+  return std::memcmp(&a, &b, sizeof(T)) == 0;
+}
+
+/// Arguments for the sin/cos sweeps: log-spread magnitudes up to `hi`
+/// with random signs, so every quadrant and exponent range is covered.
+template <class T>
+std::vector<T> sincos_args(std::size_t n, std::uint64_t seed, double hi) {
+  Rng rng(seed);
+  std::vector<T> xs(n);
+  for (T& x : xs) {
+    const double mag = std::pow(hi, rng.uniform()) - 1.0 + rng.uniform();
+    x = static_cast<T>(rng.uniform() < 0.5 ? -mag : mag);
+  }
+  return xs;
+}
+
+/// Distance in units in the last place (both finite, same sign or tiny).
+template <class T>
+std::int64_t ulp_distance(T a, T b) {
+  using Bits = std::conditional_t<sizeof(T) == 8, std::int64_t, std::int32_t>;
+  const auto ordered = [](T v) {
+    Bits bits;
+    std::memcpy(&bits, &v, sizeof(T));
+    return bits < 0 ? std::numeric_limits<Bits>::min() - bits : bits;
+  };
+  const std::int64_t d = static_cast<std::int64_t>(ordered(a)) -
+                         static_cast<std::int64_t>(ordered(b));
+  return d < 0 ? -d : d;
+}
+
+template <class T>
+void expect_sincos_partition_invariant() {
+  // Reference: the scalar table over the whole array. Every other table,
+  // and every (offset, length) window of it, must reproduce those bits:
+  // the element's position relative to the vector body/fringe split is
+  // exactly what a chunk boundary changes.
+  std::vector<T> xs = sincos_args<T>(80, 71, 1e3);
+  xs[9] = static_cast<T>(3e7);  // one lane past the reduction range
+  const std::size_t n = xs.size();
+  for (const bool want_cos : {false, true}) {
+    ASSERT_TRUE(force_isa(Isa::kScalar));
+    std::vector<T> ref(n);
+    (want_cos ? table<T>().cos : table<T>().sin)(xs.data(), ref.data(), n);
+    for (Isa isa : available_isas()) {
+      ASSERT_TRUE(force_isa(isa));
+      const auto fn = want_cos ? table<T>().cos : table<T>().sin;
+      for (std::size_t offset : {0, 1, 2, 3, 5, 9}) {
+        for (std::size_t len = 1; len <= 67 && offset + len <= n; ++len) {
+          std::vector<T> got(n, T(7));
+          fn(xs.data() + offset, got.data() + offset, len);
+          for (std::size_t i = offset; i < offset + len; ++i) {
+            ASSERT_TRUE(same_bits(got[i], ref[i]))
+                << (want_cos ? "cos" : "sin") << " " << isa_name(isa)
+                << " offset " << offset << " len " << len << " x "
+                << xs[i];
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdSinCos, BitIdenticalAcrossTablesAndChunkPartitions) {
+  IsaGuard guard;
+  expect_sincos_partition_invariant<double>();
+  expect_sincos_partition_invariant<float>();
+}
+
+TEST(SimdSinCos, Fp64StaysWithinTwoUlpOfLibm) {
+  IsaGuard guard;
+  const double hi = 1048576.0;  // 2^20
+  std::vector<double> xs = sincos_args<double>(200000, 72, hi);
+  // Near multiples of pi/2, where the reduction cancels the most.
+  for (int j = 1; j <= 2000; ++j) {
+    const double q = std::nextafter(0.5 * std::numbers::pi * j * 521.0, 0.0);
+    xs.push_back(q);
+    xs.push_back(-std::nextafter(q, 1e9));
+  }
+  const std::size_t n = xs.size();
+  std::vector<double> s(n), c(n);
+  for (Isa isa : available_isas()) {
+    ASSERT_TRUE(force_isa(isa));
+    active().sin(xs.data(), s.data(), n);
+    active().cos(xs.data(), c.data(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_LE(ulp_distance(s[i], std::sin(xs[i])), 2)
+          << isa_name(isa) << " sin(" << xs[i] << ")";
+      ASSERT_LE(ulp_distance(c[i], std::cos(xs[i])), 2)
+          << isa_name(isa) << " cos(" << xs[i] << ")";
+    }
+  }
+}
+
+TEST(SimdSinCos, Fp32TracksTheFp64ResultWithinTheMixedTolerance) {
+  // The lane tolerance KernelsF32.EveryDemotedExecutorTracks... applies
+  // to every demoted executor: 1e-5 * max(1, |want|).
+  IsaGuard guard;
+  const std::vector<float> xs =
+      sincos_args<float>(50000, 73, detail::SinCosTraits<float>::kMaxArg);
+  const std::size_t n = xs.size();
+  std::vector<float> s(n), c(n);
+  for (Isa isa : available_isas()) {
+    ASSERT_TRUE(force_isa(isa));
+    active_f32().sin(xs.data(), s.data(), n);
+    active_f32().cos(xs.data(), c.data(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const double x = xs[i];
+      ASSERT_NEAR(s[i], std::sin(x), 1e-5) << isa_name(isa) << " x " << x;
+      ASSERT_NEAR(c[i], std::cos(x), 1e-5) << isa_name(isa) << " x " << x;
+    }
+  }
+}
+
+template <class T>
+void expect_sincos_special_values() {
+  const T inf = std::numeric_limits<T>::infinity();
+  const T nan = std::numeric_limits<T>::quiet_NaN();
+  const T edge = detail::SinCosTraits<T>::kMaxArg;
+  const T past = std::nextafter(edge, inf);
+  // Wide lanes sit between ordinary ones so the vector body's fix-up has
+  // to patch single lanes of a register.
+  const std::vector<T> xs = {T(0.0),   T(-0.0), inf,       -inf,
+                             nan,      T(1.0),  edge,      -edge,
+                             past,     T(2.5),  T(-3e7),   T(0.5),
+                             T(1e30),  T(-1.25), T(4e6),   T(3.0)};
+  const std::size_t n = xs.size();
+  std::vector<T> s(n), c(n);
+  table<T>().sin(xs.data(), s.data(), n);
+  table<T>().cos(xs.data(), c.data(), n);
+  const std::string isa = isa_name(active_isa());
+  EXPECT_TRUE(same_bits(s[0], T(0.0))) << isa;
+  EXPECT_TRUE(same_bits(s[1], T(-0.0))) << isa;
+  EXPECT_EQ(c[0], T(1.0)) << isa;
+  EXPECT_EQ(c[1], T(1.0)) << isa;
+  for (std::size_t i : {2, 3, 4}) {
+    EXPECT_TRUE(std::isnan(s[i])) << isa << " lane " << i;
+    EXPECT_TRUE(std::isnan(c[i])) << isa << " lane " << i;
+  }
+  for (std::size_t i = 5; i < n; ++i) {
+    if (std::abs(xs[i]) > edge) {
+      // Past the exact-reduction range: libm's bits, whatever the lane.
+      EXPECT_TRUE(same_bits(s[i], static_cast<T>(std::sin(xs[i]))))
+          << isa << " sin(" << xs[i] << ")";
+      EXPECT_TRUE(same_bits(c[i], static_cast<T>(std::cos(xs[i]))))
+          << isa << " cos(" << xs[i] << ")";
+    } else {
+      // At the edge of the range the polynomial path is still accurate.
+      EXPECT_LE(ulp_distance(s[i], static_cast<T>(std::sin(xs[i]))), 2)
+          << isa << " sin(" << xs[i] << ")";
+      EXPECT_LE(ulp_distance(c[i], static_cast<T>(std::cos(xs[i]))), 2)
+          << isa << " cos(" << xs[i] << ")";
+    }
+  }
+}
+
+TEST(SimdSinCos, SpecialValuesAreExactAndWideLanesTakeTheFixUp) {
+  IsaGuard guard;
+  for (Isa isa : available_isas()) {
+    ASSERT_TRUE(force_isa(isa));
+    expect_sincos_special_values<double>();
+    expect_sincos_special_values<float>();
+  }
+}
+
+template <class T>
+void expect_bias_sin_is_row_add_then_sin() {
+  const std::size_t rows = 5;
+  for (std::size_t cols : {1, 3, 4, 7, 8, 9, 19, 64}) {
+    std::vector<T> a = sincos_args<T>(rows * cols, 74 + cols, 50.0);
+    const std::vector<T> b = sincos_args<T>(cols, 75 + cols, 5.0);
+    a[rows * cols / 2] = static_cast<T>(5e7);  // a wide lane
+    std::vector<T> fused(rows * cols), sum(rows * cols), chain(rows * cols);
+    table<T>().bias_sin(a.data(), b.data(), fused.data(), rows, cols);
+    table<T>().bin_row[kAdd](a.data(), b.data(), sum.data(), rows, cols);
+    table<T>().sin(sum.data(), chain.data(), rows * cols);
+    for (std::size_t i = 0; i < rows * cols; ++i) {
+      ASSERT_TRUE(same_bits(fused[i], chain[i]))
+          << isa_name(active_isa()) << " cols " << cols << " element " << i;
+    }
+  }
+}
+
+TEST(SimdSinCos, BiasSinEqualsRowAddThenSinBitForBit) {
+  IsaGuard guard;
+  for (Isa isa : available_isas()) {
+    ASSERT_TRUE(force_isa(isa));
+    expect_bias_sin_is_row_add_then_sin<double>();
+    expect_bias_sin_is_row_add_then_sin<float>();
   }
 }
 

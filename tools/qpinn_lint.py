@@ -423,6 +423,19 @@ def build_rules(src: pathlib.Path, tests: pathlib.Path,
              r"#pragma\s+STDC\s+FP_CONTRACT\s+ON"],
             exempt=["src/tensor/simd.hpp"]),
         RegexRule(
+            "banned-libm-sincos",
+            "sin/cos in src/tensor/ run through the SIMD kernel table",
+            "libm sin/cos is banned in src/tensor/; use the simd table's "
+            "sin/cos/bias_sin kernels so every ISA, chunking and precision "
+            "computes the same bits (only simd.hpp's large-argument fix-up "
+            "may call libm, under a lint-allow tag)",
+            # std::sin, std::cosf, ::sin and sincos spellings; member calls
+            # (table.sin) and namespaced kernels (exec::sin) stay legal.
+            [r"\bstd\s*::\s*(?:sin|cos|sincos)[fl]?\s*\(",
+             r"(?<![\w.>:])::\s*(?:sin|cos|sincos)[fl]?\s*\(",
+             r"(?<![\w.>:])(?:sincos|sinf|cosf|sinl|cosl)\s*\("],
+            only_prefixes=["src/tensor/"]),
+        RegexRule(
             "banned-wallclock",
             "time sources only inside util/timer.hpp and util/logging.cpp",
             "time sources are banned outside util/timer.hpp and "

@@ -255,6 +255,38 @@ class DeterminismRuleTest(unittest.TestCase):
         report = lint({"src/a.cpp": "acc = V::fma(x, w, acc);\n"})
         self.assertNotIn("banned-fma", rules_hit(report))
 
+    def test_libm_sincos_fires_in_the_tensor_layer(self):
+        report = lint({"src/tensor/executors.hpp":
+                       HEADER + "o[i] = std::sin(a[i]);\n"
+                       "o[i] = std::cosf(a[i]);\n"
+                       "o[i] = ::sin(a[i]);\n"
+                       "sincos(x, &s, &c);\n"})
+        lines = [f.line for f in report.findings
+                 if f.rule == "banned-libm-sincos"]
+        self.assertEqual([2, 3, 4, 5], lines)
+
+    def test_libm_sincos_allows_table_kernels_and_other_layers(self):
+        report = lint({
+            "src/tensor/executors.hpp":
+                HEADER + "template <class T>\n"
+                "void sin(const T* a, T* o, std::size_t n) {\n"
+                "  detail::sweep(a, o, n, simd::table<T>().sin);\n"
+                "}\n"
+                "exec::cos<double>(a, o, n);\n"
+                "t.bias_sin = &ew_bias_sin<V>;\n",
+            "src/quantum/analytic.cpp": "double y = std::sin(k * x);\n"})
+        self.assertNotIn("banned-libm-sincos", rules_hit(report))
+
+    def test_libm_sincos_fix_up_needs_its_allow_tag(self):
+        body = ("return kCos ? std::cos(x) : std::sin(x);"
+                "  // lint-allow: banned-libm-sincos\n")
+        tagged = lint({"src/tensor/simd.hpp": HEADER + body})
+        bare = lint({"src/tensor/simd.hpp":
+                     HEADER + "return kCos ? std::cos(x) : std::sin(x);\n"})
+        self.assertNotIn("banned-libm-sincos", rules_hit(tagged))
+        self.assertEqual(1, tagged.suppressions_used)
+        self.assertIn("banned-libm-sincos", rules_hit(bare))
+
     def test_banned_fma_exempts_simd_header(self):
         report = lint(
             {"src/tensor/simd.hpp":
