@@ -40,6 +40,7 @@
 #include "serve/query_queue.hpp"
 #include "optim/adam.hpp"
 #include "optim/lbfgs.hpp"
+#include "parallel/parallel_for.hpp"
 #include "parallel/thread_pool.hpp"
 #include "tensor/kernels.hpp"
 #include "tensor/kernels_f32.hpp"
@@ -331,6 +332,25 @@ int main(int argc, char** argv) {
                                     256); },
                   2.0 * 256.0 * n_elem));
     }
+  }
+
+  // ---- parallel suite ----------------------------------------------------
+  // One empty for_each_chunk round trip on the global pool (all its chunks,
+  // chunk 0 on this thread): the dispatch cost the policy in
+  // parallel/parallel_for.hpp weighs every call's work against. A 1-thread
+  // pool runs its one chunk inline, so the row reads the call overhead.
+  double dispatch_us = 0.0;
+  {
+    qpinn::ThreadPool& tp = qpinn::global_pool();
+    const std::size_t chunks = tp.size();
+    const Result row = time_op(
+        "parallel", "dispatch_us", std::to_string(chunks) + "-chunks",
+        r_small, [&] {
+          tp.for_each_chunk(chunks,
+                            [](std::size_t, std::size_t, std::size_t) {});
+        });
+    dispatch_us = row.ns_per_op / 1e3;
+    results.push_back(row);
   }
 
   // Flop model for the 2-64-64-1 tanh MLP on the 256-row batch (one flop
@@ -936,6 +956,9 @@ int main(int argc, char** argv) {
   json << "    \"speedup_sincos_vs_libm\": " << fmt(speedup_sincos) << ",\n";
   json << "    \"graph_overhead_x\": " << fmt(graph_overhead) << ",\n";
   json << "    \"mixed_speedup_x\": " << fmt(mixed_speedup) << ",\n";
+  json << "    \"dispatch_us\": " << fmt(dispatch_us) << ",\n";
+  json << "    \"dispatch_policy_us\": " << fmt(qpinn::kDispatchNs / 1e3)
+       << ",\n";
   json << "    \"mixed_demoted_thunks\": " << demote_stats.demoted << ",\n";
   json << "    \"mixed_kept_fp64_thunks\": " << demote_stats.kept_fp64
        << ",\n";

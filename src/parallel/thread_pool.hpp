@@ -71,8 +71,7 @@ class ThreadPool {
   /// every chunk runs inline, in chunk order, on the calling thread (no
   /// task submitted, no future waited on) when
   ///  - there is one chunk,
-  ///  - `dispatch` is false (the caller judged the work too small to pay
-  ///    for a dispatch), or
+  ///  - `dispatch` is false (dispatch_pays judged the work too small), or
   ///  - the call is nested: made from inside a chunk of this pool, i.e. on
   ///    one of its workers or in the calling thread's own chunk 0.
   /// One level of parallelism owns the pool: a kernel called inside a
@@ -92,11 +91,9 @@ class ThreadPool {
   bool idle() const;
 
   /// Lifetime count of tasks handed to workers via submit(). Work run
-  /// inline on the calling thread (small-n parallel_for, chunk 0 of
-  /// for_each_chunk, and every chunk of a nested or non-dispatching
-  /// for_each_chunk) is NOT counted — the counter measures dispatch, which
-  /// is what grain heuristics are tuned against (see the serial-dispatch
-  /// tests in tests/kernels_test.cpp).
+  /// inline on the calling thread (chunk 0 of for_each_chunk, every chunk
+  /// of a nested or non-dispatching call) is NOT counted — the counter
+  /// measures dispatch, which parallel/parallel_for.hpp's policy decides.
   std::uint64_t tasks_submitted() const {
     return submitted_.load(std::memory_order_relaxed);
   }

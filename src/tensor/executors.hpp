@@ -1,26 +1,24 @@
 // Precision-generic kernel bodies: every chunked kernel written once.
 //
 // Each template here takes raw pointers and extents, dispatches through
-// simd::table<T>() and owns its op's chunking policy. They are
+// simd::table<T>() and owns its op's work estimate and split floor. They are
 // instantiated for T = double by the Tensor kernels (tensor/kernels.cpp,
 // which validate operands and shapes and then make one call here) and for
 // T = float by mixed-precision plan replay (the kernels_f32:: names in
 // tensor/kernels_f32.hpp are aliases of these templates). Because both
 // element types run the same body, fp64 eager, fp64 replay and mixed
-// replay cannot drift apart in grain or fast-path choice.
+// replay cannot drift apart in dispatch, partition or fast-path choice.
 //
 // Nothing here checks shapes. Scalar immediates arrive as double and are
 // cast to T once at entry (an identity cast for fp64). Reductions
 // accumulate in and return double for both element types, so mixed-mode
 // losses keep fp64 accumulation.
 //
-// Chunking policy: contiguous sweeps and reductions use parallel_for's
-// default grain; row-broadcast binaries and the sum_to row collapse use
-// kRowGrain (the collapse dispatches to the pool only from
-// kStreamDispatch elements on, as do the casts in kernels_f32.cpp); fused
-// bias activations and per-row weighted reductions use kActivationGrain;
-// the matmul family derives its grain from the flops per output row
-// (detail::matmul_sweep).
+// Each executor states its work to the dispatch policy in
+// parallel/parallel_for.hpp. Elementwise bits do not depend on the chunk
+// cut; reductions, the sum_to row collapse and matmul rows do, so those
+// split into the pool's partition only from a split floor on (the floors
+// set the bits at pool sizes above 1 and decide no dispatch).
 #pragma once
 
 #include <algorithm>
@@ -37,13 +35,11 @@ namespace qpinn::exec {
 
 using Strides = std::vector<std::int64_t>;
 
-inline constexpr std::size_t kRowGrain = 64;
-inline constexpr std::size_t kActivationGrain = 16;
-/// Elements from which the cheapest streaming passes (the sum_to row
-/// collapse, the precision casts) dispatch to the pool; below it one pass
-/// costs less than the dispatch (serial and pooled cross at ~2^18
-/// elements on a 4-core x86 VM, fp64 and fp32).
-inline constexpr std::size_t kStreamDispatch = std::size_t{1} << 18;
+/// Split floors: elements of a reduction, rows of a per-row weighted
+/// reduction and of a sum_to row collapse (matmul: detail::matmul_sweep).
+inline constexpr std::size_t kReduceSplit = 2048;
+inline constexpr std::size_t kRowReduceSplit = 16;
+inline constexpr std::size_t kCollapseSplit = 64;
 
 namespace detail {
 
@@ -67,84 +63,102 @@ void with_op(simd::BinOp op, F&& f) {
   }
 }
 
+/// A cost:: class for element type T (float registers hold twice the lanes).
+template <class T>
+constexpr double per_elem(double fp64_ns) {
+  return fp64_ns * static_cast<double>(sizeof(T)) / sizeof(double);
+}
+
 /// o[i] = f(a[i]) over parallel chunks — for ops with no table kernel
 /// (transcendentals, scalar operands).
 template <class T, class F>
 void map(const T* a, T* o, std::size_t n, F f) {
-  parallel_for(n, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) o[i] = f(a[i]);
-  });
+  parallel_for(n, per_elem<T>(cost::kScalar),
+               [&](std::size_t begin, std::size_t end) {
+                 for (std::size_t i = begin; i < end; ++i) o[i] = f(a[i]);
+               });
 }
 
 /// fn(a + begin, o + begin, count) over parallel chunks: one contiguous
-/// table sweep per chunk.
+/// table sweep per chunk, at `ns` fp64 ns per element.
 template <class T, class Fn>
-void sweep(const T* a, T* o, std::size_t n, Fn fn) {
-  parallel_for(n, [&](std::size_t begin, std::size_t end) {
+void sweep(const T* a, T* o, std::size_t n, Fn fn,
+           double ns = cost::kStream) {
+  parallel_for(n, per_elem<T>(ns), [&](std::size_t begin, std::size_t end) {
     fn(a + begin, o + begin, end - begin);
   });
-}
-
-/// fn(a + begin, s, o + begin, count) over parallel chunks: a table sweep
-/// with a scalar immediate (scale, add_scalar).
-template <class T>
-void scalar_sweep(void (*fn)(const T*, double, T*, std::size_t), const T* a,
-                  double s, T* o, std::size_t n) {
-  sweep(a, o, n, [fn, s](const T* p, T* q, std::size_t c) { fn(p, s, q, c); });
 }
 
 /// Two-input contiguous table sweep.
 template <class T>
 void zip(void (*fn)(const T*, const T*, T*, std::size_t), const T* a,
          const T* b, T* o, std::size_t n) {
-  parallel_for(n, [&](std::size_t begin, std::size_t end) {
-    fn(a + begin, b + begin, o + begin, end - begin);
-  });
+  parallel_for(n, per_elem<T>(cost::kStream),
+               [&](std::size_t begin, std::size_t end) {
+                 fn(a + begin, b + begin, o + begin, end - begin);
+               });
 }
 
 /// Row kernel fn(a, b, o, rows, cols) over chunks of whole rows; `b` is
 /// one row shared by every row of `a`.
 template <class T, class Fn>
 void row_sweep(const T* a, const T* b, T* o, std::size_t rows,
-               std::size_t cols, std::size_t grain, Fn fn) {
-  parallel_for(
-      rows,
-      [&](std::size_t begin, std::size_t end) {
-        fn(a + begin * cols, b, o + begin * cols, end - begin, cols);
-      },
-      grain);
+               std::size_t cols, double ns, Fn fn) {
+  parallel_for(rows, per_elem<T>(ns) * static_cast<double>(cols),
+               [&](std::size_t begin, std::size_t end) {
+                 fn(a + begin * cols, b, o + begin * cols, end - begin, cols);
+               });
 }
 
-/// Sum of fn(begin, count) over parallel chunks, combined in chunk order
-/// (deterministic for a given thread count).
+/// fn(i, ia, ib) for the `n` elements of an output with row-major strides
+/// `so`: ia and ib offset operands with strides `sa` and `sb`.
 template <class Fn>
-double reduce(std::size_t n, Fn fn, std::size_t grain = 2048) {
+void strided(const Strides& sa, const Strides& sb, const Strides& so,
+             std::size_t n, Fn fn) {
+  parallel_for(n, cost::kScalar, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      std::int64_t rem = static_cast<std::int64_t>(i), ia = 0, ib = 0;
+      for (std::size_t d = 0; d < so.size(); ++d) {
+        const std::int64_t coord = rem / so[d];
+        rem -= coord * so[d];
+        ia += coord * sa[d];
+        ib += coord * sb[d];
+      }
+      fn(i, ia, ib);
+    }
+  });
+}
+
+/// Sum of fn(begin, count) over `n` items of `width` T elements: one chunk
+/// below `split` items, else the pool's partition combined in chunk order.
+template <class T, class Fn>
+double reduce(std::size_t n, Fn fn, std::size_t split = kReduceSplit,
+              std::size_t width = 1) {
+  const auto chunk = [&](std::size_t begin, std::size_t end, double acc) {
+    return acc + fn(begin, end - begin);
+  };
+  if (n < split) return n == 0 ? 0.0 : chunk(0, n, 0.0);
   return parallel_reduce<double>(
-      n, 0.0,
-      [&](std::size_t begin, std::size_t end, double acc) {
-        return acc + fn(begin, end - begin);
-      },
-      [](double x, double y) { return x + y; }, grain);
+      n, per_elem<T>(cost::kStream) * static_cast<double>(width), 0.0, chunk,
+      [](double x, double y) { return x + y; });
 }
 
-// Matmul serial-dispatch heuristic: run on the calling thread unless a
-// chunk of at least kMinRowsPerChunk rows carries ~kSerialFlops of
-// multiply-adds. The floor keeps tiny matmuls (few output rows) off the
-// pool entirely — per-task dispatch costs more than the work itself.
-inline constexpr std::int64_t kMinRowsPerChunk = 4;
-inline constexpr std::int64_t kSerialFlops = 16384;
-
-/// fn(i0, i1) over chunks of output rows [0, rows).
-template <class Fn>
-void matmul_sweep(std::int64_t rows, std::int64_t flops_per_row, Fn fn) {
-  parallel_for(
-      static_cast<std::size_t>(rows),
-      [&](std::size_t begin, std::size_t end) {
+/// fn(i0, i1) over chunks of output rows; each chunk's rows are tiled
+/// separately, so rows split from max(4, 16384 / macs_per_row) on.
+template <class T, class Fn>
+void matmul_sweep(std::int64_t rows, std::int64_t macs_per_row, Fn fn) {
+  const std::int64_t floor = 16384 / std::max<std::int64_t>(1, macs_per_row);
+  if (rows < std::max<std::int64_t>(4, floor)) return fn(0, rows);
+  const auto n = static_cast<std::size_t>(rows);
+  ThreadPool& pool = global_pool();
+  pool.for_each_chunk(
+      n,
+      [&](std::size_t, std::size_t begin, std::size_t end) {
         fn(static_cast<std::int64_t>(begin), static_cast<std::int64_t>(end));
       },
-      static_cast<std::size_t>(std::max<std::int64_t>(
-          kMinRowsPerChunk,
-          kSerialFlops / std::max<std::int64_t>(1, flops_per_row))));
+      dispatch_pays(static_cast<double>(rows * macs_per_row) *
+                        per_elem<T>(cost::kMac),
+                    std::min(pool.size(), n)));
 }
 
 }  // namespace detail
@@ -161,7 +175,7 @@ void bin_same(simd::BinOp op, const T* a, const T* b, T* o, std::size_t n) {
 template <class T>
 void bin_row(simd::BinOp op, const T* a, const T* b, T* o, std::size_t rows,
              std::size_t cols) {
-  detail::row_sweep(a, b, o, rows, cols, kRowGrain,
+  detail::row_sweep(a, b, o, rows, cols, cost::kStream,
                     simd::table<T>().bin_row[op]);
 }
 
@@ -173,7 +187,9 @@ void bin_scalar_rhs(simd::BinOp op, const T* a, double s, T* o,
                     std::size_t n) {
   if (op == simd::kAdd || op == simd::kMul) {
     const auto& t = simd::table<T>();
-    detail::scalar_sweep(op == simd::kAdd ? t.add_scalar : t.scale, a, s, o, n);
+    auto* fn = op == simd::kAdd ? t.add_scalar : t.scale;
+    detail::sweep(a, o, n,
+                  [fn, s](const T* p, T* q, std::size_t c) { fn(p, s, q, c); });
     return;
   }
   const T sv = static_cast<T>(s);
@@ -203,20 +219,9 @@ void bin_scalar_lhs(simd::BinOp op, double s, const T* b, T* o,
 template <class T>
 void bin_strided(simd::BinOp op, const T* a, const Strides& sa, const T* b,
                  const Strides& sb, T* o, const Strides& so, std::size_t n) {
-  const std::size_t rank = so.size();
   detail::with_op(op, [&](auto f) {
-    parallel_for(n, [&](std::size_t begin, std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i) {
-        std::int64_t rem = static_cast<std::int64_t>(i);
-        std::int64_t ia = 0, ib = 0;
-        for (std::size_t d = 0; d < rank; ++d) {
-          const std::int64_t coord = rem / so[d];
-          rem -= coord * so[d];
-          ia += coord * sa[d];
-          ib += coord * sb[d];
-        }
-        o[i] = f(a[ia], b[ib]);
-      }
+    detail::strided(sa, sb, so, n, [&](std::size_t i, auto ia, auto ib) {
+      o[i] = f(a[ia], b[ib]);
     });
   });
 }
@@ -258,7 +263,7 @@ void sign(const T* a, T* o, std::size_t n) {
 }
 template <class T>
 void tanh(const T* a, T* o, std::size_t n) {
-  detail::sweep(a, o, n, simd::table<T>().tanh);
+  detail::sweep(a, o, n, simd::table<T>().tanh, cost::kPoly);
 }
 
 template <class T>
@@ -271,11 +276,11 @@ void log(const T* a, T* o, std::size_t n) {
 }
 template <class T>
 void sin(const T* a, T* o, std::size_t n) {
-  detail::sweep(a, o, n, simd::table<T>().sin);
+  detail::sweep(a, o, n, simd::table<T>().sin, cost::kPoly);
 }
 template <class T>
 void cos(const T* a, T* o, std::size_t n) {
-  detail::sweep(a, o, n, simd::table<T>().cos);
+  detail::sweep(a, o, n, simd::table<T>().cos, cost::kPoly);
 }
 template <class T>
 void sigmoid(const T* a, T* o, std::size_t n) {
@@ -291,11 +296,11 @@ void softplus(const T* a, T* o, std::size_t n) {
 
 template <class T>
 void scale(const T* a, double s, T* o, std::size_t n) {
-  detail::scalar_sweep(simd::table<T>().scale, a, s, o, n);
+  bin_scalar_rhs(simd::kMul, a, s, o, n);
 }
 template <class T>
 void add_scalar(const T* a, double s, T* o, std::size_t n) {
-  detail::scalar_sweep(simd::table<T>().add_scalar, a, s, o, n);
+  bin_scalar_rhs(simd::kAdd, a, s, o, n);
 }
 template <class T>
 void pow_scalar(const T* a, double p, T* o, std::size_t n) {
@@ -309,7 +314,7 @@ void pow_scalar(const T* a, double p, T* o, std::size_t n) {
 template <class T>
 void bias_tanh(const T* a, const T* b, T* o, std::size_t rows,
                std::size_t cols) {
-  detail::row_sweep(a, b, o, rows, cols, kActivationGrain,
+  detail::row_sweep(a, b, o, rows, cols, cost::kPoly,
                     simd::table<T>().bias_tanh);
 }
 
@@ -317,7 +322,7 @@ void bias_tanh(const T* a, const T* b, T* o, std::size_t rows,
 template <class T>
 void bias_sin(const T* a, const T* b, T* o, std::size_t rows,
               std::size_t cols) {
-  detail::row_sweep(a, b, o, rows, cols, kActivationGrain,
+  detail::row_sweep(a, b, o, rows, cols, cost::kPoly,
                     simd::table<T>().bias_sin);
 }
 
@@ -341,6 +346,14 @@ void fill_zero(T* o, std::size_t n) {
 template <class T>
 void fill_value(T* o, double v, std::size_t n) {
   std::fill(o, o + n, static_cast<T>(v));
+}
+
+/// dst[i] = (To)src[i], the precision casts of kernels_f32.
+template <class To, class From>
+void convert(To* dst, const From* src, std::size_t n) {
+  parallel_for(n, cost::kStream, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) dst[i] = static_cast<To>(src[i]);
+  });
 }
 
 /// dst[i] += s * src[i].
@@ -372,9 +385,11 @@ template <class T>
 void adam(T* p, const T* g, T* m, T* v, std::size_t n,
           const simd::AdamParams& cfg) {
   auto* fn = simd::table<T>().adam;
-  parallel_for(n, [&](std::size_t begin, std::size_t end) {
-    fn(p + begin, g + begin, m + begin, v + begin, end - begin, cfg);
-  });
+  parallel_for(n, detail::per_elem<T>(cost::kPoly),
+               [&](std::size_t begin, std::size_t end) {
+                 fn(p + begin, g + begin, m + begin, v + begin, end - begin,
+                    cfg);
+               });
 }
 
 /// o[j][i] = a[i][j] for a (rows, cols) input.
@@ -390,33 +405,20 @@ void transpose(const T* a, T* o, std::int64_t rows, std::int64_t cols) {
 template <class T>
 void broadcast_strided(const T* a, const Strides& sa, T* o, const Strides& so,
                        std::size_t n) {
-  const std::size_t rank = so.size();
-  parallel_for(n, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      std::int64_t rem = static_cast<std::int64_t>(i);
-      std::int64_t ia = 0;
-      for (std::size_t d = 0; d < rank; ++d) {
-        const std::int64_t coord = rem / so[d];
-        rem -= coord * so[d];
-        ia += coord * sa[d];
-      }
-      o[i] = a[ia];
-    }
-  });
+  detail::strided(sa, sa, so, n,
+                  [&](std::size_t i, auto ia, auto) { o[i] = a[ia]; });
 }
 
 /// o[c] = sum_r a[r][c] — the rank-2 row collapse of sum_to (the bias
-/// gradient). From kRowGrain rows on, the rows are cut into the pool's
-/// chunk partition (chunk_range) and the per-chunk partial rows combine
-/// in chunk order, so the result is deterministic for a given thread
-/// count. Below kStreamDispatch input elements the pool runs the same
-/// chunks inline (for_each_chunk's `dispatch` flag): the same bits
-/// without a dispatch, which costs more than a collapse of that size.
+/// gradient). From kCollapseSplit rows on, the rows are cut into the
+/// pool's chunk partition (chunk_range) and the per-chunk partial rows
+/// combine in chunk order, so the result is deterministic for a given
+/// pool size, dispatched or inline.
 template <class T>
 void sum_to_rows(const T* a, T* o, std::size_t rows, std::size_t cols) {
   auto* fn = simd::table<T>().acc_add;
   std::fill(o, o + cols, T{0});
-  if (rows < kRowGrain) {
+  if (rows < kCollapseSplit) {
     for (std::size_t r = 0; r < rows; ++r) fn(o, a + r * cols, cols);
     return;
   }
@@ -430,7 +432,9 @@ void sum_to_rows(const T* a, T* o, std::size_t rows, std::size_t cols) {
         T* acc = c == 0 ? o : partials.data() + (c - 1) * cols;
         for (std::size_t r = begin; r < end; ++r) fn(acc, a + r * cols, cols);
       },
-      rows * cols >= kStreamDispatch);
+      dispatch_pays(static_cast<double>(rows * cols) *
+                        detail::per_elem<T>(cost::kStream),
+                    chunks));
   for (std::size_t c = 1; c < chunks; ++c) {
     const T* p = partials.data() + (c - 1) * cols;
     for (std::size_t j = 0; j < cols; ++j) o[j] += p[j];
@@ -467,7 +471,7 @@ void matmul(const T* a, const T* b, T* o, std::int64_t n, std::int64_t k,
             std::int64_t m) {
   std::fill(o, o + n * m, T{0});
   auto* fn = simd::table<T>().matmul_rows;
-  detail::matmul_sweep(n, k * m, [&](std::int64_t i0, std::int64_t i1) {
+  detail::matmul_sweep<T>(n, k * m, [&](std::int64_t i0, std::int64_t i1) {
     fn(a, b, o, i0, i1, k, m);
   });
 }
@@ -478,7 +482,7 @@ void matmul_tn(const T* a, const T* b, T* o, std::int64_t n, std::int64_t k,
                std::int64_t m) {
   std::fill(o, o + n * m, T{0});
   auto* fn = simd::table<T>().matmul_tn_rows;
-  detail::matmul_sweep(n, k * m, [&](std::int64_t i0, std::int64_t i1) {
+  detail::matmul_sweep<T>(n, k * m, [&](std::int64_t i0, std::int64_t i1) {
     fn(a, b, o, i0, i1, k, n, m);
   });
 }
@@ -489,7 +493,7 @@ void matmul_nt(const T* a, const T* b, T* o, std::int64_t n, std::int64_t k,
                std::int64_t m) {
   std::fill(o, o + n * m, T{0});
   auto* fn = simd::table<T>().matmul_nt_rows;
-  detail::matmul_sweep(n, k * m, [&](std::int64_t i0, std::int64_t i1) {
+  detail::matmul_sweep<T>(n, k * m, [&](std::int64_t i0, std::int64_t i1) {
     fn(a, b, o, i0, i1, k, m);
   });
 }
@@ -499,20 +503,20 @@ void matmul_nt(const T* a, const T* b, T* o, std::int64_t n, std::int64_t k,
 template <class T>
 double sum(const T* a, std::size_t n) {
   auto* fn = simd::table<T>().sum;
-  return detail::reduce(
+  return detail::reduce<T>(
       n, [&](std::size_t i, std::size_t c) { return fn(a + i, c); });
 }
 template <class T>
 double square_sum(const T* a, std::size_t n) {
   auto* fn = simd::table<T>().square_sum;
-  return detail::reduce(
+  return detail::reduce<T>(
       n, [&](std::size_t i, std::size_t c) { return fn(a + i, c); });
 }
 /// sum_i w[i] * a[i]^2, same-shape contiguous operands.
 template <class T>
 double weighted_square_sum(const T* w, const T* a, std::size_t n) {
   auto* fn = simd::table<T>().weighted_square_sum;
-  return detail::reduce(
+  return detail::reduce<T>(
       n, [&](std::size_t i, std::size_t c) { return fn(w + i, a + i, c); });
 }
 /// sum_r w[r] * sum_c a[r][c]^2 — per-row weights (the PINN loss shape).
@@ -520,7 +524,7 @@ template <class T>
 double weighted_square_sum_rows(const T* w, const T* a, std::size_t rows,
                                 std::size_t cols) {
   auto* fn = simd::table<T>().square_sum;
-  return detail::reduce(
+  return detail::reduce<T>(
       rows,
       [&](std::size_t r0, std::size_t count) {
         double acc = 0.0;
@@ -529,12 +533,12 @@ double weighted_square_sum_rows(const T* w, const T* a, std::size_t rows,
         }
         return acc;
       },
-      kActivationGrain);
+      kRowReduceSplit, cols);
 }
 template <class T>
 double dot(const T* a, const T* b, std::size_t n) {
   auto* fn = simd::table<T>().dot;
-  return detail::reduce(
+  return detail::reduce<T>(
       n, [&](std::size_t i, std::size_t c) { return fn(a + i, b + i, c); });
 }
 

@@ -54,8 +54,8 @@ Tensor sign(const Tensor& a);
 
 // ---- linear algebra ------------------------------------------------------
 // The matmul trio shares a register-tiled micro-kernel (4x8 accumulator
-// blocks, remainder fringes handled scalar) and a serial-dispatch floor:
-// below ~4 output rows per chunk the work runs inline on the caller.
+// blocks, remainder fringes multiply-then-add) and reaches the thread pool
+// only when its multiply-adds pay for a dispatch.
 /// (N,K) x (K,M) -> (N,M); rank-2 only.
 Tensor matmul(const Tensor& a, const Tensor& b);
 /// a^T b without materializing the transpose: (K,N)^T (K,M) -> (N,M).

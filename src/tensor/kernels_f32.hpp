@@ -28,9 +28,13 @@ namespace qpinn::kernels_f32 {
 /// dst[i] = (float)src[i]. Runs on every replay of a demoted plan for
 /// fp64-resident inputs (parameters included), which is what makes Adam's
 /// fp64 master-weight updates visible to the fp32 sweeps.
-void downcast(float* dst, const double* src, std::size_t n);
+inline void downcast(float* dst, const double* src, std::size_t n) {
+  exec::convert(dst, src, n);
+}
 /// dst[i] = (double)src[i] — exact (every float is a double).
-void upcast(double* dst, const float* src, std::size_t n);
+inline void upcast(double* dst, const float* src, std::size_t n) {
+  exec::convert(dst, src, n);
+}
 
 // ---- executors (see tensor/executors.hpp for each contract) --------------
 

@@ -272,8 +272,8 @@ struct VecScalar {
   static reg neg(reg a) { return -a; }
   static reg abs(reg a) { return std::abs(a); }
   static reg gt_and(reg a, reg b, reg c) { return a > b ? c : 0.0; }
-  static reg cmp_gt(reg a, reg b) {
-    return a > b ? std::bit_cast<double>(~std::uint64_t{0}) : 0.0;
+  static reg cmp_gt(reg a, reg b) {  // branch-free: -1 or 0 as a bit mask
+    return std::bit_cast<double>(-static_cast<std::uint64_t>(a > b));
   }
   static reg band(reg a, reg b) {
     return std::bit_cast<double>(std::bit_cast<std::uint64_t>(a) &
@@ -319,8 +319,8 @@ struct VecScalarF {
   static reg neg(reg a) { return -a; }
   static reg abs(reg a) { return std::abs(a); }
   static reg gt_and(reg a, reg b, reg c) { return a > b ? c : 0.0F; }
-  static reg cmp_gt(reg a, reg b) {
-    return a > b ? std::bit_cast<float>(~std::uint32_t{0}) : 0.0F;
+  static reg cmp_gt(reg a, reg b) {  // branch-free: -1 or 0 as a bit mask
+    return std::bit_cast<float>(-static_cast<std::uint32_t>(a > b));
   }
   static reg band(reg a, reg b) {
     return std::bit_cast<float>(std::bit_cast<std::uint32_t>(a) &
@@ -1509,33 +1509,51 @@ struct MmView {
 };
 
 /// One fringe tile: RT output rows (the first `ib` of them stored) by JB
-/// columns at po (row stride m) from a(r, kk) and b(kk, c). The
-/// accumulators stay in registers across the whole k loop, and every
-/// element gets the scalar operation sequence: start from 0, then add
-/// a(r, kk) * b(kk, c) (a rounded multiply, then an add) in k order. Rows
-/// past `ib` repeat row ib - 1 and are dropped.
-template <class T, std::int64_t RT, std::int64_t JB>
-void mm_fringe_tile(MmView<T> a, MmView<T> b, T* po, std::int64_t m,
-                    std::int64_t ib, std::int64_t k) {
-  T acc[RT][JB] = {};
+/// columns at po (row stride m) from a(r, kk) and b(kk, c), in V registers
+/// (scalar ones when V::kWidth does not divide JB) that stay live across
+/// the whole k loop. Every element gets the scalar operation sequence:
+/// start from 0, then add a(r, kk) * b(kk, c) (a rounded multiply, then
+/// an add, never fma) in k order. Rows past `ib` repeat row ib - 1 and
+/// are dropped.
+template <class V, std::int64_t RT, std::int64_t JB>
+void mm_fringe_tile(MmView<typename V::elem> a, MmView<typename V::elem> b,
+                    typename V::elem* po, std::int64_t m, std::int64_t ib,
+                    std::int64_t k) {
+  using T = typename V::elem;
+  using L = std::conditional_t<JB % V::kWidth == 0, V,
+                               typename ScalarVecFor<T>::type>;
+  constexpr std::int64_t w = static_cast<std::int64_t>(L::kWidth);
+  typename L::reg acc[RT][JB / w] = {};  // +0.0 in every lane
+  T bs[JB] = {};
   for (std::int64_t kk = 0; kk < k; ++kk) {
-    T bv[JB];
-    for (std::int64_t c = 0; c < JB; ++c) bv[c] = b.at(kk, c);
+    typename L::reg bv[JB / w];
+    if (w == 1 || b.sv != 1) {  // scalar lanes, or the nt kernel's strided b
+      for (std::int64_t c = 0; c < JB; ++c) bs[c] = b.at(kk, c);
+      for (std::int64_t c = 0; c < JB / w; ++c) bv[c] = L::load(bs + c * w);
+    } else {
+      for (std::int64_t c = 0; c < JB / w; ++c) {
+        bv[c] = L::load(b.p + kk * b.su + c * w);
+      }
+    }
     for (std::int64_t r = 0; r < RT; ++r) {
-      const T a_rk = a.at(std::min(r, ib - 1), kk);
-      for (std::int64_t c = 0; c < JB; ++c) acc[r][c] += a_rk * bv[c];
+      const typename L::reg a_rk = L::set1(a.at(std::min(r, ib - 1), kk));
+      for (std::int64_t c = 0; c < JB / w; ++c) {
+        acc[r][c] = L::add(acc[r][c], L::mul(a_rk, bv[c]));
+      }
     }
   }
   for (std::int64_t r = 0; r < ib; ++r) {
-    for (std::int64_t c = 0; c < JB; ++c) po[r * m + c] = acc[r][c];
+    for (std::int64_t c = 0; c < JB / w; ++c) {
+      L::store(po + r * m + c * w, acc[r][c]);
+    }
   }
 }
 
 /// The fringe of the three matmul micro-kernels: `ib` <= kMmRowTile rows
 /// by `jb` <= kMmColTile columns that the vector tile does not cover, run
-/// as column pieces of kMmColTile, 4, 2 and 1. Each kernel passes its operands as
-/// views relative to the tile, so every kernel gives an element the
-/// sequence mm_rows gives it on the materialized operands.
+/// as column pieces of kMmColTile, 4, 2 and 1. Each kernel passes its
+/// operands as views relative to the tile, so every kernel gives an
+/// element the sequence mm_rows gives it on the materialized operands.
 template <class V>
 void mm_fringe(MmView<typename V::elem> a, MmView<typename V::elem> b,
                typename V::elem* po, std::int64_t m, std::int64_t ib,
@@ -1546,16 +1564,16 @@ void mm_fringe(MmView<typename V::elem> a, MmView<typename V::elem> b,
     const MmView<T> bc{b.p + c * b.sv, b.su, b.sv};
     const std::int64_t left = jb - c;
     if (left >= kMmColTile) {
-      mm_fringe_tile<T, rt, kMmColTile>(a, bc, po + c, m, ib, k);
+      mm_fringe_tile<V, rt, kMmColTile>(a, bc, po + c, m, ib, k);
       c += kMmColTile;
     } else if (left >= 4) {
-      mm_fringe_tile<T, rt, 4>(a, bc, po + c, m, ib, k);
+      mm_fringe_tile<V, rt, 4>(a, bc, po + c, m, ib, k);
       c += 4;
     } else if (left >= 2) {
-      mm_fringe_tile<T, rt, 2>(a, bc, po + c, m, ib, k);
+      mm_fringe_tile<V, rt, 2>(a, bc, po + c, m, ib, k);
       c += 2;
     } else {
-      mm_fringe_tile<T, rt, 1>(a, bc, po + c, m, ib, k);
+      mm_fringe_tile<V, rt, 1>(a, bc, po + c, m, ib, k);
       c += 1;
     }
   }

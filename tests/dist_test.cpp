@@ -43,9 +43,10 @@ constexpr char kEnvEpochs[] = "QPINN_DIST_TEST_EPOCHS";
 constexpr char kEnvResample[] = "QPINN_DIST_TEST_RESAMPLE";
 
 /// Tiny job used by every dist test. The interior is 8x8 = 64 rows so all
-/// kernel working sets stay below the parallel grain — with one pool
-/// thread per process every kernel runs inline, which is what makes the
-/// N-rank / threads=N bit-identity claim exact rather than approximate.
+/// kernel working sets stay below the split floors (tensor/executors.hpp)
+/// — with one pool thread per process every kernel runs inline, which is
+/// what makes the N-rank / threads=N bit-identity claim exact rather than
+/// approximate.
 core::TrainConfig dist_tiny_config(std::int64_t epochs,
                                    std::int64_t resample_every) {
   core::TrainConfig config = core::default_train_config(epochs, /*seed=*/7);

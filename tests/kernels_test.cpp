@@ -11,6 +11,8 @@
 #include <utility>
 #include <vector>
 
+#include "core/benchmarks.hpp"
+#include "optim/adam.hpp"
 #include "parallel/thread_pool.hpp"
 #include "tensor/executors.hpp"
 #include "tensor/kernels.hpp"
@@ -370,8 +372,8 @@ TEST(Kernels, MatmulTnAndNtPropagateNan) {
 
 // Regression for the grain heuristic collapsing to 1: a matmul with only
 // a couple of rows but a large k*m used to dispatch one pool task per row.
-// The rows-per-chunk floor keeps it on the calling thread; the pool's
-// dispatch counter must not move.
+// The row split floor keeps it one chunk on the calling thread; the
+// pool's dispatch counter must not move.
 TEST(Kernels, TinyMatmulRunsSerial) {
   const Tensor a = random({2, 200}, 401);
   const Tensor b = random({200, 100}, 402);  // k*m = 20000 > serial budget
@@ -386,8 +388,9 @@ TEST(Kernels, LargeMatmulDispatchesWhenWorkersAvailable) {
   // with >= 2 workers; on a single-core pool this degenerates (correctly)
   // to fully serial execution.
   if (global_pool().size() < 2) GTEST_SKIP() << "single-worker pool";
-  const Tensor a = random({512, 16}, 403);
-  const Tensor b = random({16, 16}, 404);
+  // 2 Mi multiply-adds: well above what one dispatch costs.
+  const Tensor a = random({512, 64}, 403);
+  const Tensor b = random({64, 64}, 404);
   const std::uint64_t before = global_pool().tasks_submitted();
   matmul(a, b);
   EXPECT_GT(global_pool().tasks_submitted(), before);
@@ -760,10 +763,10 @@ struct ChunkedCase {
 };
 
 /// Every kernel whose result depends on the chunk count, fp64 and fp32,
-/// at sizes above its grain: the reductions combine per-chunk partials,
-/// the sum_to row collapse adds per-chunk partial rows (both below and
-/// above the kStreamDispatch size), and the matmul family's row-tile
-/// fringe follows each chunk's row count.
+/// at sizes above its split floor: the reductions combine per-chunk
+/// partials, the sum_to row collapse adds per-chunk partial rows (a narrow
+/// and a wide collapse), and the matmul family's row-tile fringe follows
+/// each chunk's row count.
 std::vector<ChunkedCase> chunked_cases() {
   std::vector<ChunkedCase> cases;
   const Tensor v = random({10007}, 950);
@@ -881,6 +884,210 @@ TEST(Kernels, ChunkedKernelsInsidePoolChunkMatchTopLevelBitForBit) {
     }
   }
   ASSERT_TRUE(simd::force_isa(original));
+  set_global_threads(default_num_threads());
+}
+
+// ---- the dispatch policy ---------------------------------------------------
+
+/// Pool tasks submitted while `fn` runs.
+std::uint64_t tasks_during(const std::function<void()>& fn) {
+  const std::uint64_t before = global_pool().tasks_submitted();
+  fn();
+  return global_pool().tasks_submitted() - before;
+}
+
+// The sweeps after a 4-shard B1 step (the shard-gradient axpys, the grad
+// norm and Adam) are a few microseconds each: a dispatch would cost more
+// than it saves, so none of them reaches the workers.
+TEST(DispatchPolicy, EpilogueSizedCallsSubmitNoTasks) {
+  set_global_threads(4);
+  Tensor acc = random({64, 64}, 970);
+  const Tensor g = random({64, 64}, 971);
+  EXPECT_EQ(tasks_during([&] { axpy_inplace(acc, 0.25, g); }), 0u);
+  const Tensor v = random({128, 64}, 972);
+  EXPECT_EQ(tasks_during([&] { dot(v, v); }), 0u);
+
+  auto problem = core::make_free_packet_problem();
+  auto model = core::make_model_for(*problem, 7);
+  optim::Adam adam(model->parameters(), {});
+  std::vector<Tensor> grads;
+  std::uint64_t seed = 973;
+  for (const auto& p : model->parameters()) {
+    grads.push_back(random(p.value().shape(), seed++));
+  }
+  EXPECT_EQ(tasks_during([&] { adam.step(grads); }), 0u);
+  set_global_threads(default_num_threads());
+}
+
+TEST(DispatchPolicy, CallFarAboveTheThresholdDispatches) {
+  set_global_threads(4);
+  const Tensor a = random({1 << 20}, 974);
+  const Tensor b = random({1 << 20}, 975);
+  EXPECT_EQ(tasks_during([&] { add(a, b); }), 3u);
+  EXPECT_EQ(tasks_during([&] { dot(a, b); }), 3u);
+  set_global_threads(default_num_threads());
+}
+
+/// Every chunked kernel family at a size the policy dispatches at top
+/// level, fp64 and fp32: same-shape, row-broadcast, fused bias
+/// activations, the reductions, the sum_to row collapse, the matmul trio
+/// and the casts.
+std::vector<ChunkedCase> dispatched_cases() {
+  constexpr std::size_t kRows = 2400, kCols = 125, kN = kRows * kCols;
+  constexpr std::int64_t kN_ = 1031, kK = 65, kM = 37;
+  std::vector<ChunkedCase> cases;
+  const Tensor x = random({static_cast<std::int64_t>(kRows),
+                           static_cast<std::int64_t>(kCols)}, 980);
+  const Tensor y = random(x.shape(), 981);
+  const Tensor row = random({1, static_cast<std::int64_t>(kCols)}, 982);
+  const Tensor w = random(x.shape(), 983, 0.0, 1.0);
+  const Tensor row_w = random({static_cast<std::int64_t>(kRows), 1}, 984,
+                              0.0, 1.0);
+  const Tensor a = random({kN_, kK}, 985);
+  const Tensor at = random({kK, kN_}, 986);
+  const Tensor b = random({kK, kM}, 987);
+  const Tensor bt = random({kM, kK}, 988);
+
+  cases.push_back({"add", [=] { return bytes_of(add(x, y)); }});
+  cases.push_back({"tanh", [=] { return bytes_of(tanh(x)); }});
+  cases.push_back({"add row", [=] { return bytes_of(add(x, row)); }});
+  cases.push_back({"bias_tanh", [=] { return bytes_of(bias_tanh(x, row)); }});
+  cases.push_back({"bias_sin", [=] { return bytes_of(bias_sin(x, row)); }});
+  cases.push_back({"sum", [=] { return bytes_of(sum_all(x)); }});
+  cases.push_back({"dot", [=] { return bytes_of(dot(x, y)); }});
+  cases.push_back({"square_sum", [=] { return bytes_of(square_sum_all(x)); }});
+  cases.push_back({"weighted_square_sum",
+                   [=] { return bytes_of(weighted_square_sum_all(w, x)); }});
+  cases.push_back({"weighted_square_sum_rows", [=] {
+                     return bytes_of(weighted_square_sum_all(row_w, x));
+                   }});
+  cases.push_back({"parallel_reduce", [=] {
+                     return bytes_of(parallel_reduce<double>(
+                         kN, cost::kStream, 0.0,
+                         [&](std::size_t i0, std::size_t i1, double acc) {
+                           for (std::size_t i = i0; i < i1; ++i) {
+                             acc += x.data()[i] * y.data()[i];
+                           }
+                           return acc;
+                         },
+                         [](double p, double q) { return p + q; }));
+                   }});
+  cases.push_back({"sum_to_rows",
+                   [=] { return bytes_of(sum_to(x, {1, 125})); }});
+  cases.push_back({"matmul", [=] { return bytes_of(matmul(a, b)); }});
+  cases.push_back({"matmul_tn", [=] { return bytes_of(matmul_tn(at, b)); }});
+  cases.push_back({"matmul_nt", [=] { return bytes_of(matmul_nt(a, bt)); }});
+
+  const std::vector<float> xf = to_f32(x), yf = to_f32(y), rowf = to_f32(row),
+                           wf = to_f32(w), row_wf = to_f32(row_w),
+                           af = to_f32(a), atf = to_f32(at), bf = to_f32(b),
+                           btf = to_f32(bt);
+  const auto out = [](std::size_t n,
+                      const std::function<void(float*)>& fill) {
+    std::vector<float> o(n);
+    fill(o.data());
+    return bytes_of(o.data(), n);
+  };
+  cases.push_back({"f32 add", [=] {
+                     return out(kN, [&](float* o) {
+                       kernels_f32::bin_same(simd::kAdd, xf.data(), yf.data(),
+                                             o, kN);
+                     });
+                   }});
+  cases.push_back({"f32 tanh", [=] {
+                     return out(kN, [&](float* o) {
+                       kernels_f32::tanh(xf.data(), o, kN);
+                     });
+                   }});
+  cases.push_back({"f32 add row", [=] {
+                     return out(kN, [&](float* o) {
+                       kernels_f32::bin_row(simd::kAdd, xf.data(), rowf.data(),
+                                            o, kRows, kCols);
+                     });
+                   }});
+  cases.push_back({"f32 bias_tanh", [=] {
+                     return out(kN, [&](float* o) {
+                       kernels_f32::bias_tanh(xf.data(), rowf.data(), o, kRows,
+                                              kCols);
+                     });
+                   }});
+  cases.push_back({"f32 bias_sin", [=] {
+                     return out(kN, [&](float* o) {
+                       kernels_f32::bias_sin(xf.data(), rowf.data(), o, kRows,
+                                             kCols);
+                     });
+                   }});
+  cases.push_back({"f32 sum", [=] {
+                     return bytes_of(kernels_f32::sum(xf.data(), kN));
+                   }});
+  cases.push_back({"f32 dot", [=] {
+                     return bytes_of(exec::dot(xf.data(), yf.data(), kN));
+                   }});
+  cases.push_back({"f32 square_sum", [=] {
+                     return bytes_of(kernels_f32::square_sum(xf.data(), kN));
+                   }});
+  cases.push_back({"f32 weighted_square_sum", [=] {
+                     return bytes_of(kernels_f32::weighted_square_sum(
+                         wf.data(), xf.data(), kN));
+                   }});
+  cases.push_back({"f32 weighted_square_sum_rows", [=] {
+                     return bytes_of(kernels_f32::weighted_square_sum_rows(
+                         row_wf.data(), xf.data(), kRows, kCols));
+                   }});
+  cases.push_back({"f32 sum_to_rows", [=] {
+                     return out(kCols, [&](float* o) {
+                       kernels_f32::sum_to_rows(xf.data(), o, kRows, kCols);
+                     });
+                   }});
+  cases.push_back({"f32 matmul", [=] {
+                     return out(kN_ * kM, [&](float* o) {
+                       kernels_f32::matmul(af.data(), bf.data(), o, kN_, kK,
+                                           kM);
+                     });
+                   }});
+  cases.push_back({"f32 matmul_tn", [=] {
+                     return out(kN_ * kM, [&](float* o) {
+                       exec::matmul_tn(atf.data(), bf.data(), o, kN_, kK, kM);
+                     });
+                   }});
+  cases.push_back({"f32 matmul_nt", [=] {
+                     return out(kN_ * kM, [&](float* o) {
+                       exec::matmul_nt(af.data(), btf.data(), o, kN_, kK, kM);
+                     });
+                   }});
+  cases.push_back({"downcast", [=] { return bytes_of(to_f32(x).data(), kN); }});
+  cases.push_back({"upcast", [=] {
+                     std::vector<double> o(kN);
+                     kernels_f32::upcast(o.data(), xf.data(), kN);
+                     return bytes_of(o.data(), kN);
+                   }});
+  return cases;
+}
+
+// The policy only moves chunks between the workers and the calling thread:
+// each family gives the same bytes dispatched (top level) as inline
+// (called from inside a pool chunk, where every chunk runs on one thread).
+TEST(DispatchPolicy, DispatchedAndInlineRunsMatchBitForBit) {
+  set_global_threads(4);
+  for (const ChunkedCase& c : dispatched_cases()) {
+    std::vector<unsigned char> want;
+    EXPECT_GT(tasks_during([&] { want = c.run(); }), 0u)
+        << c.kernel << " should dispatch at top level";
+    for (const std::size_t host : {std::size_t{0}, std::size_t{3}}) {
+      std::vector<unsigned char> got;
+      EXPECT_EQ(tasks_during([&] {
+                  global_pool().for_each_chunk(
+                      4, [&](std::size_t chunk, std::size_t, std::size_t) {
+                        if (chunk == host) got = c.run();
+                      });
+                }),
+                3u)
+          << c.kernel << " dispatched from inside a pool chunk";
+      ASSERT_EQ(got.size(), want.size()) << c.kernel;
+      EXPECT_EQ(std::memcmp(got.data(), want.data(), want.size()), 0)
+          << c.kernel << " inline inside chunk " << host;
+    }
+  }
   set_global_threads(default_num_threads());
 }
 

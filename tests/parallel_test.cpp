@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <numeric>
 #include <thread>
 #include <utility>
@@ -223,9 +224,13 @@ TEST(ParallelFor, MatchesSerialSum) {
   std::vector<double> data(10000);
   std::iota(data.begin(), data.end(), 0.0);
   std::vector<double> out(data.size(), 0.0);
-  parallel_for(data.size(), [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) out[i] = 2.0 * data[i];
-  }, /*grain=*/128);
+  // Priced high enough that the policy dispatches on a multi-thread pool.
+  parallel_for(data.size(), cost::kScalar,
+               [&](std::size_t begin, std::size_t end) {
+                 for (std::size_t i = begin; i < end; ++i) {
+                   out[i] = 2.0 * data[i];
+                 }
+               });
   for (std::size_t i = 0; i < data.size(); ++i) {
     ASSERT_DOUBLE_EQ(out[i], 2.0 * data[i]);
   }
@@ -237,18 +242,57 @@ TEST(ParallelReduce, DeterministicAcrossCalls) {
   for (auto& v : data) v = rng.uniform(-1.0, 1.0);
   auto run = [&] {
     return parallel_reduce<double>(
-        data.size(), 0.0,
+        data.size(), cost::kPoly, 0.0,
         [&](std::size_t begin, std::size_t end, double acc) {
           for (std::size_t i = begin; i < end; ++i) acc += data[i];
           return acc;
         },
-        [](double a, double b) { return a + b; }, /*grain=*/64);
+        [](double a, double b) { return a + b; });
   };
   const double first = run();
   for (int repeat = 0; repeat < 5; ++repeat) EXPECT_EQ(run(), first);
   // And close to the serial result.
   const double serial = std::accumulate(data.begin(), data.end(), 0.0);
   EXPECT_NEAR(first, serial, 1e-9 * std::abs(serial) + 1e-12);
+}
+
+TEST(DispatchPolicy, PaysOnlyWhenTheSavedTimeExceedsOneDispatch) {
+  EXPECT_FALSE(dispatch_pays(1e9, 1));  // one chunk: nothing to hand off
+  // Four chunks save three quarters of the work.
+  EXPECT_FALSE(dispatch_pays(kDispatchNs * 4 / 3, 4));
+  EXPECT_TRUE(dispatch_pays(kDispatchNs * 4 / 3 + 1, 4));
+  EXPECT_FALSE(dispatch_pays(2 * kDispatchNs, 2));
+  EXPECT_TRUE(dispatch_pays(2 * kDispatchNs + 1, 2));
+}
+
+TEST(DispatchPolicy, ParallelForAndReduceDispatchOnlyWhenWorkPays) {
+  set_global_threads(4);
+  const auto tasks = [](const std::function<void()>& fn) {
+    const std::uint64_t before = global_pool().tasks_submitted();
+    fn();
+    return global_pool().tasks_submitted() - before;
+  };
+  const auto body = [](std::size_t, std::size_t) {};
+  const auto chunk = [](std::size_t b, std::size_t e, double acc) {
+    return acc + static_cast<double>(e - b);
+  };
+  const auto plus = [](double a, double b) { return a + b; };
+  // 4096 streaming elements: a couple of microseconds of work.
+  EXPECT_EQ(tasks([&] { parallel_for(4096, cost::kStream, body); }), 0u);
+  EXPECT_EQ(tasks([&] {
+              parallel_reduce<double>(4096, cost::kStream, 0.0, chunk, plus);
+            }),
+            0u);
+  // A million libm-class elements: milliseconds.
+  EXPECT_EQ(tasks([&] { parallel_for(1 << 20, cost::kScalar, body); }), 3u);
+  double total = 0.0;
+  EXPECT_EQ(tasks([&] {
+              total = parallel_reduce<double>(1 << 20, cost::kScalar, 0.0,
+                                              chunk, plus);
+            }),
+            3u);
+  EXPECT_EQ(total, static_cast<double>(1 << 20));
+  set_global_threads(default_num_threads());
 }
 
 TEST(GlobalPool, DefaultThreadsPositive) {

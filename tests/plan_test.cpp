@@ -521,8 +521,7 @@ TEST(PlanTrainer, SteadyStateReplayDoesZeroPoolWork) {
 // One level of parallelism: the four shard tasks of a replayed step own
 // the 4-thread pool, and the kernels they replay run their chunks inline
 // on the shard's thread instead of dispatching nested tasks. What remains
-// is top-level dispatch: the shard fan-out and the shard-order gradient
-// reduction and optimizer sweeps after it.
+// is top-level dispatch, and of that only the shard fan-out pays.
 TEST(PlanTrainer, ShardedReplayDispatchesOnlyTopLevelTasks) {
   set_global_threads(4);
   auto problem = make_free_packet_problem();
@@ -539,9 +538,11 @@ TEST(PlanTrainer, ShardedReplayDispatchesOnlyTopLevelTasks) {
   const std::uint64_t before = global_pool().tasks_submitted();
   trainer.step(2);
   const std::uint64_t tasks = global_pool().tasks_submitted() - before;
-  // Measured: 18 tasks per replayed step. When each shard's kernels
-  // re-entered the pool, the same step dispatched 3990.
-  EXPECT_LE(tasks, 64u);
+  // Only the shard fan-out dispatches: the gradient reduction, grad norm
+  // and Adam sweeps after it are too small to pay for a dispatch. When
+  // each shard's kernels re-entered the pool, the same step dispatched
+  // 3990.
+  EXPECT_LE(tasks, config.threads - 1u);
   set_global_threads(default_num_threads());
 }
 

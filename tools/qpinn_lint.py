@@ -101,6 +101,14 @@ Rules (exit 1 if any finding survives suppression):
                   exceptions hides rank failures from the training loop.
                   Teardown paths in src/dist/launcher.cpp and
                   src/dist/transport.cpp are exempt.
+  single-dispatch-policy
+                  outside src/parallel/, no grain argument to
+                  ``parallel_for``/``parallel_reduce`` (an extra argument,
+                  or a numeric literal where the per-item cost class goes)
+                  and no literal ``true``/``false`` dispatch flag to
+                  ``for_each_chunk`` — whether a call goes to the pool is
+                  decided only by the work policy in
+                  parallel/parallel_for.hpp.
   unused-suppression
                   every ``// lint-allow: <rule>`` tag must suppress a real
                   finding on its line; stale tags are findings themselves.
@@ -359,6 +367,70 @@ class CatchAllSwallowRule(Rule):
                         "failures reach the training loop")
 
 
+def split_call_args(text: str, open_paren: int) -> tuple[list[str], int]:
+    """Top-level comma-separated arguments of the call whose ``(`` is at
+    ``open_paren``, and the index of its matching ``)`` (-1 if unclosed)."""
+    args, depth, start = [], 0, open_paren + 1
+    for i in range(open_paren, len(text)):
+        ch = text[i]
+        if ch in "([{":
+            depth += 1
+        elif ch in ")]}":
+            depth -= 1
+            if depth == 0:
+                args.append(text[start:i].strip())
+                return [a for a in args if a], i
+        elif ch == "," and depth == 1:
+            args.append(text[start:i].strip())
+            start = i + 1
+    return args, -1
+
+
+class SingleDispatchPolicyRule(Rule):
+    """Call-shape rule: every dispatch decision comes from the one work
+    policy in src/parallel/ (dispatch_pays). A per-op grain — an extra
+    argument, or a number where parallel_for/parallel_reduce take the
+    per-item cost class — or a hard-wired for_each_chunk dispatch flag
+    would bring the per-op rules back."""
+
+    name = "single-dispatch-policy"
+    short = "pool dispatch is decided only by the src/parallel/ policy"
+    CALL = re.compile(r"\b(parallel_for|parallel_reduce|for_each_chunk)"
+                      r"\s*(?:<[^<>;()]*>)?\s*\(")
+    ARITY = {"parallel_for": 3, "parallel_reduce": 5}
+    NUMBER = re.compile(r"^[\d.]+(?:[eE][-+]?\d+)?[uUlLfF]*$")
+    FLAG = re.compile(r"^(?:true|false)$")
+
+    def check(self, files: list[SourceFile]) -> Iterator[Finding]:
+        for f in files:
+            if f.rel.startswith("src/parallel/"):
+                continue
+            text = f.code_text
+            for match in self.CALL.finditer(text):
+                args, close = split_call_args(text, match.end() - 1)
+                if close < 0:
+                    continue
+                fn = match.group(1)
+                line = text.count("\n", 0, match.start()) + 1
+                if fn in self.ARITY:
+                    # parallel_for's last argument is the body, so a
+                    # number there is the old trailing grain.
+                    costs = args[1:2] + (args[-1:] if fn == "parallel_for"
+                                         else [])
+                    if (len(args) > self.ARITY[fn] or
+                            any(self.NUMBER.match(a) for a in costs)):
+                        yield Finding(
+                            f.rel, line, self.name,
+                            f"{fn} takes no grain; state the per-item "
+                            "cost (a cost:: class) and let the dispatch "
+                            "policy in parallel/parallel_for.hpp decide")
+                elif len(args) > 2 and self.FLAG.match(args[2]):
+                    yield Finding(
+                        f.rel, line, self.name,
+                        "for_each_chunk's dispatch flag comes from "
+                        "dispatch_pays(work, chunks), not a literal")
+
+
 def build_rules(src: pathlib.Path, tests: pathlib.Path,
                 root: pathlib.Path) -> list[Rule]:
     """The full rule registry, in reporting order."""
@@ -523,6 +595,7 @@ def build_rules(src: pathlib.Path, tests: pathlib.Path,
             exempt_prefixes=["src/tensor/"]),
         PragmaOnceRule(),
         CatchAllSwallowRule(),
+        SingleDispatchPolicyRule(),
         TestCoverageRule(src, tests, root),
     ]
 

@@ -378,6 +378,36 @@ class DeterminismRuleTest(unittest.TestCase):
 
 
 class StructuralRuleTest(unittest.TestCase):
+    def test_single_dispatch_policy_fires_on_grains_and_flags(self):
+        report = lint({"src/tensor/a.cpp":
+                       "void f() {\n"
+                       "  parallel_for(n, [&](size_t b, size_t e) {}, 64);\n"
+                       "  parallel_for(n, 2048, [&](size_t b, size_t e) {\n"
+                       "  });\n"
+                       "  parallel_reduce<double>(n, cost::kStream, 0.0,\n"
+                       "      chunk, combine, /*grain=*/16);\n"
+                       "  pool.for_each_chunk(n, fn, /*dispatch=*/false);\n"
+                       "}\n"})
+        lines = sorted(f.line for f in report.findings
+                       if f.rule == "single-dispatch-policy")
+        self.assertEqual([2, 3, 5, 7], lines)
+
+    def test_single_dispatch_policy_clean_on_policy_calls(self):
+        report = lint({
+            "src/tensor/a.cpp":
+                "void f() {\n"
+                "  parallel_for(n, per_elem<T>(cost::kPoly), [&](size_t b,\n"
+                "                                    size_t e) { g(b, e); });\n"
+                "  parallel_reduce<double>(n, cost::kStream, 0.0, chunk,\n"
+                "      [](double x, double y) { return x + y; });\n"
+                "  pool.for_each_chunk(n, fn, dispatch_pays(w, chunks));\n"
+                "  pool.for_each_chunk(n, fn);\n"
+                "}\n",
+            # The policy's own layer may pass literal flags.
+            "src/parallel/b.cpp":
+                "void g() { pool.for_each_chunk(n, fn, false); }\n"})
+        self.assertNotIn("single-dispatch-policy", rules_hit(report))
+
     def test_pragma_once(self):
         bad = lint({"src/a.hpp": "struct A {};\n"})
         good = lint({"src/a.hpp": "// doc comment first is fine\n"
