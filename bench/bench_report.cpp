@@ -21,6 +21,7 @@
 #include <limits>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -34,6 +35,7 @@
 #include "core/benchmarks.hpp"
 #include "core/field_model.hpp"
 #include "core/trainer.hpp"
+#include "cores_used.hpp"
 #include "dist/communicator.hpp"
 #include "serve/compiled_model.hpp"
 #include "serve/model_registry.hpp"
@@ -69,6 +71,14 @@ struct Result {
   double allocs_per_op = 0.0;
   double reuses_per_op = 0.0;
   double gflops = 0.0;  // 0 when the op has no meaningful flop count
+  // Threads the row keeps busy over its whole timed window (a thread row:
+  // one 256^3 matmul dispatched over the pool; 1 otherwise), the cores it
+  // used there, and whether the host serialized it (cores_used.hpp). A
+  // dist row is not a thread row: its rank-ordered all-reduce runs on the
+  // root alone, so its cores stay below the bar even when spread.
+  std::size_t threads = 1;
+  double cores = 0.0;
+  bool host_serialized = false;
 };
 
 // Best-of-passes count, shared with the dist rows: the worker-rank threads
@@ -76,34 +86,49 @@ struct Result {
 // makes, or the loopback ranks deadlock.
 constexpr int kPasses = 3;
 
+/// Times `body` as a row of `threads` busy threads: re-timed while the host
+/// serializes it (qpinn::bench::time_threads), and the cores it used
+/// recorded.
 template <typename F>
 Result time_op(const std::string& suite, const std::string& op,
                const std::string& shape, int reps, F body,
-               double flops_per_op = 0.0) {
+               double flops_per_op = 0.0, std::size_t threads = 1) {
   body();  // warmup: fills the pool's free lists and touches the caches
   StoragePool& pool = StoragePool::instance();
-  const auto s0 = pool.stats();
-  // Best-of-passes: interference spikes (shared runners, frequency ramps)
-  // only ever make a pass slower, so the minimum is the robust estimate.
-  double ns = std::numeric_limits<double>::infinity();
-  for (int p = 0; p < kPasses; ++p) {
-    Stopwatch sw;
-    for (int r = 0; r < reps; ++r) body();
-    ns = std::min(ns, sw.seconds() * 1e9 / reps);
-  }
-  const auto s1 = pool.stats();
-  Result res;
+  const auto window = [&](qpinn::bench::CoresUsed& meter) {
+    Result res;
+    const auto s0 = pool.stats();
+    meter.reset();
+    // Best-of-passes: interference spikes (shared runners, frequency
+    // ramps) only ever make a pass slower, so the minimum is the robust
+    // estimate.
+    double ns = std::numeric_limits<double>::infinity();
+    for (int p = 0; p < kPasses; ++p) {
+      Stopwatch sw;
+      for (int r = 0; r < reps; ++r) body();
+      ns = std::min(ns, sw.seconds() * 1e9 / reps);
+    }
+    const auto s1 = pool.stats();
+    res.ns_per_op = ns;
+    const int total_reps = reps * kPasses;
+    res.allocs_per_op =
+        static_cast<double>(s1.heap_allocations - s0.heap_allocations) /
+        total_reps;
+    res.reuses_per_op =
+        static_cast<double>(s1.pool_reuses - s0.pool_reuses) / total_reps;
+    return res;
+  };
+  const auto timed = qpinn::bench::time_threads(threads, window);
+  Result res = timed.value;
   res.suite = suite;
   res.op = op;
   res.shape = shape;
-  res.ns_per_op = ns;
-  const int total_reps = reps * kPasses;
-  res.allocs_per_op =
-      static_cast<double>(s1.heap_allocations - s0.heap_allocations) /
-      total_reps;
-  res.reuses_per_op =
-      static_cast<double>(s1.pool_reuses - s0.pool_reuses) / total_reps;
-  if (flops_per_op > 0.0 && ns > 0.0) res.gflops = flops_per_op / ns;
+  if (flops_per_op > 0.0 && res.ns_per_op > 0.0) {
+    res.gflops = flops_per_op / res.ns_per_op;
+  }
+  res.threads = threads;
+  res.cores = timed.cores;
+  res.host_serialized = timed.serialized;
   return res;
 }
 
@@ -186,14 +211,17 @@ int main(int argc, char** argv) {
     results.push_back(time_op("tensor", "matmul", "64x64x64", r_mid,
                               [&] { k::matmul(a64, b64); },
                               2.0 * 64.0 * 64.0 * 64.0));
+    // One 256^3 product is one dispatched call over the whole pool.
+    const std::size_t pool_threads = qpinn::global_pool().size();
     results.push_back(time_op("tensor", "matmul", "256x256x256", r_big,
-                              [&] { k::matmul(a, b); }, 2.0 * 256.0 * n_elem));
+                              [&] { k::matmul(a, b); }, 2.0 * 256.0 * n_elem,
+                              pool_threads));
     results.push_back(time_op("tensor", "matmul_tn", "256x256x256", r_big,
                               [&] { k::matmul_tn(a, b); },
-                              2.0 * 256.0 * n_elem));
+                              2.0 * 256.0 * n_elem, pool_threads));
     results.push_back(time_op("tensor", "matmul_nt", "256x256x256", r_big,
                               [&] { k::matmul_nt(a, b); },
-                              2.0 * 256.0 * n_elem));
+                              2.0 * 256.0 * n_elem, pool_threads));
     // The B1 backward shapes: weight gradient x^T g and input gradient
     // g W^T of a 64-wide hidden layer over 900 collocation points.
     const Tensor x900 = Tensor::rand({900, 64}, rng, -1.0, 1.0);
@@ -330,18 +358,21 @@ int main(int argc, char** argv) {
           time_op("tensor", "matmul_f32", "256x256x256", r_big,
                   [&] { f32::matmul(fa.data(), fb.data(), fo.data(), 256, 256,
                                     256); },
-                  2.0 * 256.0 * n_elem));
+                  2.0 * 256.0 * n_elem, pool_threads));
     }
   }
 
   // ---- parallel suite ----------------------------------------------------
-  // One empty for_each_chunk round trip on the global pool (all its chunks,
-  // chunk 0 on this thread): the dispatch cost the policy in
-  // parallel/parallel_for.hpp weighs every call's work against. A 1-thread
-  // pool runs its one chunk inline, so the row reads the call overhead.
+  // One empty for_each_chunk round trip (all its chunks, chunk 0 on this
+  // thread): the dispatch cost the policy in parallel/parallel_for.hpp
+  // weighs every call's work against. A 1-thread pool would run its one
+  // chunk inline, so a pool of 2 stands in for it.
   double dispatch_us = 0.0;
   {
-    qpinn::ThreadPool& tp = qpinn::global_pool();
+    std::optional<qpinn::ThreadPool> pair;
+    qpinn::ThreadPool& tp = qpinn::global_pool().size() >= 2
+                                ? qpinn::global_pool()
+                                : pair.emplace(2);
     const std::size_t chunks = tp.size();
     const Result row = time_op(
         "parallel", "dispatch_us", std::to_string(chunks) + "-chunks",
@@ -572,6 +603,8 @@ int main(int argc, char** argv) {
       std::vector<std::thread> workers;
       for (std::int64_t r = 1; r < world; ++r) {
         workers.emplace_back([&rank_step, r, calls] {
+          // Placed once, as Trainer::step places a dist rank's thread.
+          qpinn::place_thread_once(static_cast<std::size_t>(r));
           for (int c = 0; c < calls; ++c) rank_step(r);
         });
       }
@@ -745,6 +778,7 @@ int main(int argc, char** argv) {
 
     const std::int64_t adam_epochs = quick ? 200 : 600;
     const std::int64_t eval_every = 25;
+    const qpinn::bench::CoresUsed meter;
     Stopwatch clock;
     for (std::int64_t e = 0; e < adam_epochs && !target_reached; ++e) {
       trainer.step(e);
@@ -786,6 +820,7 @@ int main(int argc, char** argv) {
     row.op = "time_to_target_l2";
     row.shape = "free-packet";
     row.ns_per_op = time_to_target_ns;
+    row.cores = meter.cores();
     results.push_back(row);
   }
 
@@ -932,14 +967,19 @@ int main(int argc, char** argv) {
   json << "  \"quick\": " << (quick ? "true" : "false") << ",\n";
   json << "  \"threads\": " << qpinn::global_pool().size() << ",\n";
   json << "  \"results\": [\n";
+  int serialized_rows = 0;
   for (std::size_t i = 0; i < results.size(); ++i) {
     const Result& r = results[i];
     json << "    {\"suite\": \"" << r.suite << "\", \"op\": \"" << r.op
          << "\", \"shape\": \"" << r.shape << "\", \"ns_per_op\": "
          << fmt(r.ns_per_op) << ", \"allocs_per_op\": " << fmt(r.allocs_per_op)
          << ", \"reuses_per_op\": " << fmt(r.reuses_per_op)
-         << ", \"gflops\": " << fmt(r.gflops) << "}"
+         << ", \"gflops\": " << fmt(r.gflops)
+         << ", \"threads\": " << r.threads << ", \"cores\": " << fmt(r.cores)
+         << ", \"host_serialized\": "
+         << (r.host_serialized ? "true" : "false") << "}"
          << (i + 1 < results.size() ? "," : "") << "\n";
+    serialized_rows += r.host_serialized ? 1 : 0;
   }
   json << "  ],\n";
   json << "  \"summary\": {\n";
@@ -957,6 +997,7 @@ int main(int argc, char** argv) {
   json << "    \"graph_overhead_x\": " << fmt(graph_overhead) << ",\n";
   json << "    \"mixed_speedup_x\": " << fmt(mixed_speedup) << ",\n";
   json << "    \"dispatch_us\": " << fmt(dispatch_us) << ",\n";
+  json << "    \"host_serialized_rows\": " << serialized_rows << ",\n";
   json << "    \"dispatch_policy_us\": " << fmt(qpinn::kDispatchNs / 1e3)
        << ",\n";
   json << "    \"mixed_demoted_thunks\": " << demote_stats.demoted << ",\n";
@@ -1049,6 +1090,14 @@ int main(int argc, char** argv) {
     std::cout << "WARNING: mixed_speedup_x " << fmt(mixed_speedup)
               << " is below the 1.3x gate (train_step_replay vs "
                  "train_step_mixed)\n";
+  }
+  if (serialized_rows > 0) {
+    std::cout << "WARNING: " << serialized_rows
+              << " thread row(s) stayed host-serialized after "
+              << qpinn::bench::kMaxRetimes
+              << " re-times (cores used below "
+              << qpinn::bench::kSerializedShare
+              << " x min(threads, nproc)); their times measure the scheduler\n";
   }
   if (serve_allocs_per_query > 0.0) {
     std::cout << "WARNING: serving did " << fmt(serve_allocs_per_query)

@@ -7,7 +7,10 @@
 // speedup while shards stay large, bounded by the machine's cores (the
 // "hw threads" column); the decomposition itself is validated by the
 // loss-agreement column. Step times are medians over the timed steps, so
-// one descheduled step on a shared machine does not skew a row.
+// one descheduled step on a shared machine does not skew a row. Each row
+// also records the cores it used over its timed steps; a row the host
+// serialized (cores_used.hpp) is re-timed, and marked if it stays so.
+#include "cores_used.hpp"
 #include "exp_common.hpp"
 
 #include <algorithm>
@@ -44,18 +47,37 @@ double median_seconds(int repeats, Step step) {
   return *mid;
 }
 
+TrainConfig t3_config(std::int64_t side) {
+  TrainConfig config = exp::standard_train(1, 5);
+  config.sampling.n_interior_x = side;
+  config.sampling.n_interior_t = side;
+  config.resample_every = 0;
+  return config;
+}
+
 RankJob make_rank_job(std::int64_t side,
                       std::shared_ptr<dist::Communicator> comm) {
   RankJob job;
   auto problem = make_free_packet_problem();
   job.model = exp::standard_model(*problem, 5);
-  TrainConfig config = exp::standard_train(1, 5);
-  config.sampling.n_interior_x = side;
-  config.sampling.n_interior_t = side;
-  config.resample_every = 0;
+  TrainConfig config = t3_config(side);
   config.dist = std::move(comm);
   job.trainer = std::make_unique<Trainer>(problem, job.model, config);
   return job;
+}
+
+/// Step time and final loss of one timed window.
+struct Window {
+  double step_s = 0.0;
+  double loss = 0.0;
+};
+
+std::string fmt_cores(const bench::CoresTiming<Window>& t) {
+  return Table::fmt(t.cores, 2);
+}
+
+std::string fmt_serialized(const bench::CoresTiming<Window>& t) {
+  return t.serialized ? "yes" : "no";
 }
 
 }  // namespace
@@ -68,49 +90,43 @@ int main() {
 
   auto problem = make_free_packet_problem();
 
-  // Serial reference loss for the agreement column.
-  double serial_loss = 0.0;
-  double serial_time = 0.0;
-  {
-    set_global_threads(1);
-    auto model = exp::standard_model(*problem, 5);
-    TrainConfig config = exp::standard_train(1, 5);
-    config.sampling.n_interior_x = side;
-    config.sampling.n_interior_t = side;
-    config.resample_every = 0;
-    config.threads = 1;
-    Trainer trainer(problem, model, config);
-    trainer.step(0);  // warm-up (allocator, pool)
-    serial_time = median_seconds(repeats, [&](int) {
-      serial_loss = trainer.step(0).total_loss;
-    });
-  }
+  // One window: a fresh trainer at `threads` shards on a pool of
+  // `threads`, a warm-up step (capture), then `repeats` timed steps. Every
+  // window computes the same steps, so a re-timed row keeps its loss.
+  const auto threads_window = [&](std::size_t threads) {
+    return [&, threads](bench::CoresUsed& meter) {
+      set_global_threads(threads);
+      TrainConfig config = t3_config(side);
+      config.threads = threads;
+      Trainer trainer(problem, exp::standard_model(*problem, 5), config);
+      trainer.step(0);
+      Window w;
+      meter.reset();
+      w.step_s = median_seconds(
+          repeats, [&](int) { w.loss = trainer.step(0).total_loss; });
+      return w;
+    };
+  };
+
+  // Serial reference: step time and loss for the speedup and agreement
+  // columns.
+  const Window serial = bench::time_threads(1, threads_window(1)).value;
 
   Table table({"threads", "hw threads", "step ms", "speedup", "efficiency",
-               "loss rel diff vs serial"});
+               "cores used", "host serialized", "loss rel diff vs serial"});
   for (std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4},
                               std::size_t{8}}) {
-    set_global_threads(threads);
-    auto model = exp::standard_model(*problem, 5);
-    TrainConfig config = exp::standard_train(1, 5);
-    config.sampling.n_interior_x = side;
-    config.sampling.n_interior_t = side;
-    config.resample_every = 0;
-    config.threads = threads;
-    Trainer trainer(problem, model, config);
-    trainer.step(0);
-    double loss = 0.0;
-    const double step_time = median_seconds(
-        repeats, [&](int) { loss = trainer.step(0).total_loss; });
-    const double speedup = serial_time / step_time;
+    const auto t = bench::time_threads(threads, threads_window(threads));
+    const double speedup = serial.step_s / t.value.step_s;
     table.add_row(
         {std::to_string(threads),
          std::to_string(std::thread::hardware_concurrency()),
-         Table::fmt(step_time * 1e3, 2), Table::fmt(speedup, 2),
-         Table::fmt(speedup / static_cast<double>(threads), 2),
-         Table::fmt_sci(
-             std::abs(loss - serial_loss) / std::max(1e-300, serial_loss),
-             2)});
+         Table::fmt(t.value.step_s * 1e3, 2), Table::fmt(speedup, 2),
+         Table::fmt(speedup / static_cast<double>(threads), 2), fmt_cores(t),
+         fmt_serialized(t),
+         Table::fmt_sci(std::abs(t.value.loss - serial.loss) /
+                            std::max(1e-300, serial.loss),
+                        2)});
   }
   set_global_threads(default_num_threads());
   exp::emit(table, "T3 - training-step strong scaling", "exp_t3_scaling.csv");
@@ -121,58 +137,61 @@ int main() {
   // single-process run with threads=world shards — the dist runtime's
   // bit-identity contract — so 0 certifies that going multi-process
   // changes nothing about the mathematics.
-  Table table2({"ranks", "step ms", "speedup", "efficiency",
-                "loss rel diff vs threads=N"});
+  Table table2({"ranks", "step ms", "speedup", "efficiency", "cores used",
+                "host serialized", "loss rel diff vs threads=N"});
   for (const std::int64_t world : {1, 2, 4}) {
     // Reference: one process, `world` logical shards, pool size 1 — the
     // epoch schedule (0 warmup, then 1..repeats) matches the dist job.
     double ref_loss = 0.0;
     {
       set_global_threads(1);
-      auto problem = make_free_packet_problem();
-      auto model = exp::standard_model(*problem, 5);
-      TrainConfig config = exp::standard_train(1, 5);
-      config.sampling.n_interior_x = side;
-      config.sampling.n_interior_t = side;
-      config.resample_every = 0;
+      TrainConfig config = t3_config(side);
       config.threads = static_cast<std::size_t>(world);
-      Trainer trainer(problem, model, config);
+      Trainer trainer(problem, exp::standard_model(*problem, 5), config);
       trainer.step(0);
       for (int r = 1; r <= repeats; ++r) {
         ref_loss = trainer.step(r).total_loss;
       }
     }
 
-    set_global_threads(1);
-    auto comms = dist::Communicator::loopback(world);
-    std::vector<RankJob> jobs;
-    for (std::int64_t r = 0; r < world; ++r) {
-      jobs.push_back(make_rank_job(side, comms[static_cast<std::size_t>(r)]));
-    }
-    // Worker ranks run the full epoch schedule on background threads; the
-    // collectives hold every rank in lockstep with the timed root, so the
-    // root's wall clock is the job's.
-    std::vector<std::thread> workers;
-    for (std::int64_t r = 1; r < world; ++r) {
-      workers.emplace_back([&jobs, r, repeats] {
-        Trainer& t = *jobs[static_cast<std::size_t>(r)].trainer;
-        for (int e = 0; e <= repeats; ++e) t.step(e);
-      });
-    }
-    jobs[0].trainer->step(0);  // warm-up
-    double loss = 0.0;
-    const double step_time = median_seconds(repeats, [&](int r) {
-      loss = jobs[0].trainer->step(r + 1).total_loss;
-    });
-    for (auto& w : workers) w.join();
+    // One window is a fresh job. Worker ranks run the full epoch schedule
+    // on background threads; the collectives hold every rank in lockstep
+    // with the timed root, so the root's wall clock is the job's.
+    const auto t = bench::time_threads(
+        static_cast<std::size_t>(world), [&](bench::CoresUsed& meter) {
+          set_global_threads(1);
+          auto comms = dist::Communicator::loopback(world);
+          std::vector<RankJob> jobs;
+          for (std::int64_t r = 0; r < world; ++r) {
+            jobs.push_back(
+                make_rank_job(side, comms[static_cast<std::size_t>(r)]));
+          }
+          std::vector<std::thread> workers;
+          for (std::int64_t r = 1; r < world; ++r) {
+            workers.emplace_back([&jobs, r, repeats] {
+              Trainer& t = *jobs[static_cast<std::size_t>(r)].trainer;
+              for (int e = 0; e <= repeats; ++e) t.step(e);
+            });
+          }
+          jobs[0].trainer->step(0);  // warm-up
+          Window w;
+          meter.reset();
+          w.step_s = median_seconds(repeats, [&](int r) {
+            w.loss = jobs[0].trainer->step(r + 1).total_loss;
+          });
+          for (auto& worker : workers) worker.join();
+          return w;
+        });
 
-    const double speedup = serial_time / step_time;
+    const double speedup = serial.step_s / t.value.step_s;
     table2.add_row(
-        {std::to_string(world), Table::fmt(step_time * 1e3, 2),
+        {std::to_string(world), Table::fmt(t.value.step_s * 1e3, 2),
          Table::fmt(speedup, 2),
-         Table::fmt(speedup / static_cast<double>(world), 2),
-         Table::fmt_sci(
-             std::abs(loss - ref_loss) / std::max(1e-300, ref_loss), 2)});
+         Table::fmt(speedup / static_cast<double>(world), 2), fmt_cores(t),
+         fmt_serialized(t),
+         Table::fmt_sci(std::abs(t.value.loss - ref_loss) /
+                            std::max(1e-300, ref_loss),
+                        2)});
   }
   set_global_threads(default_num_threads());
   exp::emit(table2, "T3b - process-level strong scaling (loopback ranks)",

@@ -7,6 +7,7 @@
 #include <optional>
 #include <sstream>
 #include <tuple>
+#include <utility>
 
 #include "autodiff/grad.hpp"
 #include "autodiff/plan_passes.hpp"
@@ -411,6 +412,12 @@ Trainer::LossAndGrads Trainer::compute(std::int64_t epoch) {
 
 EpochRecord Trainer::step(std::int64_t epoch) {
   if (config_.dist) {
+    // A rank's first step on a thread moves the thread once to allowed CPU
+    // `rank`, so in-process ranks do not start on one CPU.
+    thread_local bool placed = false;
+    if (!std::exchange(placed, true)) {
+      place_thread_once(static_cast<std::size_t>(config_.dist->rank()));
+    }
     dist::maybe_fault_kill(config_.dist->rank(), epoch);
   }
   const double lr =

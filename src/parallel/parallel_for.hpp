@@ -13,8 +13,10 @@
 
 namespace qpinn {
 
-/// One dispatch on a 4-vCPU x86 VM, 4 threads: calls break even from ~55 us
-/// of serial work; an empty round trip (parallel/dispatch_us) is 33-35 us.
+/// One dispatch on a 4-vCPU x86 VM, 4 threads, as measured on 4 workers.
+/// On the caller plus 3 placed workers an empty round trip
+/// (parallel/dispatch_us) reads 16-17 us and real chunks break even at
+/// 17-31 us; 40 us keeps the sweeps after a sharded step inline.
 inline constexpr double kDispatchNs = 40000.0;
 
 /// Serial ns per fp64 element or matmul multiply-add, same VM, one thread.

@@ -4,6 +4,10 @@
 #include <memory>
 #include <utility>
 
+#ifdef __linux__
+#include <sched.h>
+#endif
+
 #include "util/env.hpp"
 #include "util/error.hpp"
 
@@ -13,13 +17,40 @@ namespace {
 /// The pool whose chunk this thread is running: set for a worker's whole
 /// life and around the calling thread's chunk 0 (see for_each_chunk).
 thread_local const ThreadPool* t_chunk_pool = nullptr;
+
+#ifdef __linux__
+/// The calling thread's allowed CPUs, in order; empty if unreadable.
+std::vector<int> allowed_cpus(cpu_set_t& mask) {
+  std::vector<int> cpus;
+  if (sched_getaffinity(0, sizeof mask, &mask) != 0) return cpus;
+  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+    if (CPU_ISSET(cpu, &mask)) cpus.push_back(cpu);
+  }
+  return cpus;
+}
+
+/// Position of the calling thread's CPU among its allowed CPUs (0 if
+/// unknown).
+std::size_t current_cpu_slot() {
+  cpu_set_t mask;
+  const std::vector<int> cpus = allowed_cpus(mask);
+  const auto it = std::find(cpus.begin(), cpus.end(), sched_getcpu());
+  return it == cpus.end() ? 0 : static_cast<std::size_t>(it - cpus.begin());
+}
+#else
+std::size_t current_cpu_slot() { return 0; }
+#endif
 }  // namespace
 
 ThreadPool::ThreadPool(std::size_t num_threads) {
-  QPINN_CHECK(num_threads >= 1, "thread pool needs at least one worker");
-  workers_.reserve(num_threads);
-  for (std::size_t i = 0; i < num_threads; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
+  QPINN_CHECK(num_threads >= 1, "thread pool needs at least one thread");
+  const std::size_t creator = current_cpu_slot();
+  workers_.reserve(num_threads - 1);
+  for (std::size_t i = 1; i < num_threads; ++i) {
+    workers_.emplace_back([this, slot = creator + i] {
+      place_thread_once(slot);
+      worker_loop();
+    });
   }
 }
 
@@ -64,6 +95,11 @@ void ThreadPool::worker_loop() {
 }
 
 std::future<void> ThreadPool::submit(std::function<void()> task) {
+  if (workers_.empty()) {
+    std::packaged_task<void()> inline_task(std::move(task));
+    inline_task();
+    return inline_task.get_future();
+  }
   Entry entry{std::move(task), std::make_shared<std::promise<void>>()};
   std::future<void> future = entry.done->get_future();
   {
@@ -149,7 +185,7 @@ ThreadPool& global_pool() {
 }
 
 void set_global_threads(std::size_t num_threads) {
-  QPINN_CHECK(num_threads >= 1, "set_global_threads needs >= 1 worker");
+  QPINN_CHECK(num_threads >= 1, "set_global_threads needs >= 1 thread");
   // Build the replacement before taking the lock so a throwing constructor
   // leaves the old pool in place.
   auto next = std::make_unique<ThreadPool>(num_threads);
@@ -168,5 +204,23 @@ void set_global_threads(std::size_t num_threads) {
   // the idle() check above saw an empty queue and stopping_ drains it).
   retired.reset();
 }
+
+#ifdef __linux__
+void place_thread_once(std::size_t slot) {
+  cpu_set_t mask;
+  const std::vector<int> cpus = allowed_cpus(mask);
+  if (cpus.size() < 2) return;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpus[slot % cpus.size()], &one);
+  // A mask without the current CPU migrates the thread before the call
+  // returns; restoring the full mask leaves it there, unpinned.
+  if (sched_setaffinity(0, sizeof one, &one) == 0) {
+    sched_setaffinity(0, sizeof mask, &mask);
+  }
+}
+#else
+void place_thread_once(std::size_t) {}
+#endif
 
 }  // namespace qpinn

@@ -8,6 +8,10 @@
 // All queue and lifecycle state is guarded by a single annotated mutex
 // (clang -Wthread-safety proves the locking discipline; TSan checks the
 // dynamic behavior in CI). Task bodies themselves run unlocked.
+//
+// A pool of size P is the calling thread plus P - 1 workers, so P threads
+// share P CPUs. Each worker is placed once, as it starts, on an allowed
+// CPU other than its creator's (place_thread_once) and is never pinned.
 #pragma once
 
 #include <algorithm>
@@ -40,7 +44,8 @@ inline std::pair<std::size_t, std::size_t> chunk_range(std::size_t n,
 
 class ThreadPool {
  public:
-  /// Spawns `num_threads` workers (>= 1).
+  /// The calling thread plus `num_threads - 1` (>= 0) workers; worker i
+  /// is placed once, i + 1 allowed CPUs after its creator's.
   explicit ThreadPool(std::size_t num_threads);
 
   /// Drains the queue: already-submitted tasks still run; workers exit
@@ -50,10 +55,13 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  std::size_t size() const { return workers_.size(); }
+  /// Threads that run a dispatched call's chunks: the caller and the
+  /// workers.
+  std::size_t size() const { return workers_.size() + 1; }
 
   /// Enqueues a task; the future resolves when it completes (exceptions are
-  /// transported through the future).
+  /// transported through the future). A pool of size 1 has no worker: the
+  /// task runs inline and the returned future is ready.
   std::future<void> submit(std::function<void()> task);
 
   /// Runs fn(i) for i in [0, n), blocking until all complete. Work is
@@ -141,5 +149,11 @@ void set_global_threads(std::size_t num_threads);
 
 /// QPINN_THREADS env override, otherwise hardware_concurrency (>= 1).
 std::size_t default_num_threads();
+
+/// One-time scheduler hint: moves the calling thread to allowed CPU
+/// `slot` (mod the allowed count), then at once restores its full mask, so
+/// it starts there and stays free to migrate; never a pin. Skipped when
+/// fewer than two CPUs are allowed or a call fails.
+void place_thread_once(std::size_t slot);
 
 }  // namespace qpinn

@@ -1,12 +1,23 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <filesystem>
 #include <functional>
+#include <future>
+#include <latch>
 #include <numeric>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#ifdef __linux__
+#include <sched.h>
+#endif
+
+#include "core/benchmarks.hpp"
+#include "core/trainer.hpp"
+#include "dist/communicator.hpp"
 #include "parallel/parallel_for.hpp"
 #include "parallel/thread_pool.hpp"
 #include "util/error.hpp"
@@ -14,6 +25,27 @@
 
 namespace qpinn {
 namespace {
+
+#ifdef __linux__
+/// Threads of this process right now.
+std::size_t process_threads() {
+  std::size_t n = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)entry;
+    ++n;
+  }
+  return n;
+}
+
+/// The calling thread's affinity mask.
+cpu_set_t own_mask() {
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  EXPECT_EQ(sched_getaffinity(0, sizeof mask, &mask), 0);
+  return mask;
+}
+#endif
 
 TEST(ThreadPool, RunsSubmittedTasks) {
   ThreadPool pool(4);
@@ -84,7 +116,7 @@ TEST(ThreadPool, TeardownDrainsQueuedWork) {
   std::promise<void> gate;
   std::shared_future<void> opened = gate.get_future().share();
   {
-    ThreadPool pool(1);
+    ThreadPool pool(2);
     // First task blocks the single worker; the rest pile up in the queue.
     auto blocker = pool.submit([opened] { opened.wait(); });
     for (int i = 0; i < 32; ++i) {
@@ -97,6 +129,94 @@ TEST(ThreadPool, TeardownDrainsQueuedWork) {
   }
   EXPECT_EQ(completed.load(), 32);
 }
+
+// A pool of P is the caller plus P - 1 workers; a pool of 1 has none and
+// runs submitted tasks inline.
+TEST(ThreadPool, StartsOneWorkerFewerThanItsSize) {
+#ifdef __linux__
+  for (const std::size_t size : {std::size_t{1}, std::size_t{2},
+                                 std::size_t{4}}) {
+    const std::size_t before = process_threads();
+    ThreadPool pool(size);
+    EXPECT_EQ(pool.size(), size);
+    EXPECT_EQ(process_threads() - before, size - 1) << "size " << size;
+  }
+#endif
+  ThreadPool pool(1);
+  std::thread::id ran_on;
+  auto future = pool.submit([&] { ran_on = std::this_thread::get_id(); });
+  EXPECT_EQ(future.wait_for(std::chrono::seconds(0)),
+            std::future_status::ready);
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+  auto failed = pool.submit([] { throw ValueError("inline boom"); });
+  EXPECT_THROW(failed.get(), ValueError);
+  EXPECT_TRUE(pool.idle());
+  EXPECT_EQ(pool.tasks_submitted(), 0u);
+}
+
+// Every chunk waits for all four, so each runs on its own thread: chunk 0
+// on the caller, chunks 1..3 on the three workers.
+TEST(ThreadPool, DispatchedChunksRunOnTheCallerAndEachWorker) {
+  ThreadPool pool(4);
+  std::vector<std::thread::id> ids(4);
+  std::latch all_running(4);
+  pool.for_each_chunk(4, [&](std::size_t c, std::size_t, std::size_t) {
+    ids[c] = std::this_thread::get_id();
+    all_running.arrive_and_wait();
+  });
+  EXPECT_EQ(ids[0], std::this_thread::get_id());
+  for (std::size_t a = 1; a < 4; ++a) {
+    EXPECT_NE(ids[a], ids[0]);
+    for (std::size_t b = a + 1; b < 4; ++b) EXPECT_NE(ids[a], ids[b]);
+  }
+}
+
+#ifdef __linux__
+// Placement is a one-time hint: every worker runs with its creator's full
+// mask afterwards, not pinned to the CPU it was moved to.
+TEST(ThreadPool, WorkersKeepTheCreatorsAffinityMask) {
+  const cpu_set_t creator = own_mask();
+  ThreadPool pool(4);
+  std::vector<cpu_set_t> masks(4);
+  std::latch all_running(4);
+  pool.for_each_chunk(4, [&](std::size_t c, std::size_t, std::size_t) {
+    masks[c] = own_mask();
+    all_running.arrive_and_wait();
+  });
+  for (std::size_t c = 1; c < 4; ++c) {
+    EXPECT_TRUE(CPU_EQUAL(&masks[c], &creator)) << "worker " << c;
+  }
+}
+
+// A dist rank places its thread once on its first step and leaves the
+// thread's mask as it found it.
+TEST(ThreadPool, DistRankKeepsItsAffinityMaskAfterItsFirstStep) {
+  set_global_threads(1);
+  auto comms = dist::Communicator::loopback(2);
+  std::vector<cpu_set_t> before(2), after(2);
+  const auto rank = [&](std::size_t r) {
+    auto problem = core::make_free_packet_problem();
+    core::TrainConfig config = core::default_train_config(1, /*seed=*/7);
+    config.sampling.n_interior_x = 8;
+    config.sampling.n_interior_t = 8;
+    config.sampling.n_initial = 16;
+    config.sampling.n_boundary = 8;
+    config.dist = comms[r];
+    core::Trainer trainer(problem, core::make_model_for(*problem, 11),
+                          config);
+    before[r] = own_mask();
+    trainer.step(0);
+    after[r] = own_mask();
+  };
+  std::thread other(rank, std::size_t{1});
+  rank(0);
+  other.join();
+  for (std::size_t r = 0; r < 2; ++r) {
+    EXPECT_TRUE(CPU_EQUAL(&before[r], &after[r])) << "rank " << r;
+  }
+  set_global_threads(default_num_threads());
+}
+#endif
 
 TEST(ThreadPool, IdleTracksInflightWork) {
   ThreadPool pool(2);

@@ -109,6 +109,13 @@ Rules (exit 1 if any finding survives suppression):
                   ``for_each_chunk`` — whether a call goes to the pool is
                   decided only by the work policy in
                   parallel/parallel_for.hpp.
+  single-placement
+                  no ``sched_setaffinity``, ``pthread_setaffinity_np`` or
+                  ``CPU_SET`` outside src/parallel/thread_pool.cpp — a
+                  thread is only ever placed once, by
+                  ``place_thread_once``, which restores the full mask at
+                  once; a permanent pin is slower once the scheduler has
+                  spread the threads.
   unused-suppression
                   every ``// lint-allow: <rule>`` tag must suppress a real
                   finding on its line; stale tags are findings themselves.
@@ -593,6 +600,16 @@ def build_rules(src: pathlib.Path, tests: pathlib.Path,
              r"(?<!sizeof)(?<!sizeof )\(\s*float\s*\)\s*[\w(]",
              r"(?<![\w.:])float\s*\("],
             exempt_prefixes=["src/tensor/"]),
+        RegexRule(
+            "single-placement",
+            "threads are placed only by parallel/thread_pool.cpp",
+            "affinity calls are banned outside src/parallel/thread_pool.cpp; "
+            "call place_thread_once, which moves a thread once and restores "
+            "its full mask instead of pinning it",
+            # CPU_SETSIZE and CPU_ISSET only read masks.
+            [r"\b(?:sched_setaffinity|pthread_setaffinity_np)\s*\(",
+             r"\bCPU_SET(?:_S)?\s*\("],
+            exempt=["src/parallel/thread_pool.cpp"]),
         PragmaOnceRule(),
         CatchAllSwallowRule(),
         SingleDispatchPolicyRule(),

@@ -408,6 +408,29 @@ class StructuralRuleTest(unittest.TestCase):
                 "void g() { pool.for_each_chunk(n, fn, false); }\n"})
         self.assertNotIn("single-dispatch-policy", rules_hit(report))
 
+    def test_single_placement_fires_outside_the_pool(self):
+        report = lint({"src/core/a.cpp":
+                       "void f() {\n"
+                       "  sched_setaffinity(0, sizeof m, &m);\n"
+                       "  pthread_setaffinity_np(t, sizeof m, &m);\n"
+                       "  CPU_SET(2, &m);\n"
+                       "  CPU_SET_S(2, size, m);\n"
+                       "}\n"})
+        lines = sorted(f.line for f in report.findings
+                       if f.rule == "single-placement")
+        self.assertEqual([2, 3, 4, 5], lines)
+
+    def test_single_placement_clean_in_the_pool_and_on_reads(self):
+        report = lint({
+            "src/parallel/thread_pool.cpp":
+                "void place() { CPU_SET(c, &one);\n"
+                "  sched_setaffinity(0, sizeof one, &one); }\n",
+            "src/core/a.cpp":
+                "void f() { place_thread_once(rank);\n"
+                "  sched_getaffinity(0, sizeof m, &m);\n"
+                "  if (CPU_ISSET(c, &m) && c < CPU_SETSIZE) {} }\n"})
+        self.assertNotIn("single-placement", rules_hit(report))
+
     def test_pragma_once(self):
         bad = lint({"src/a.hpp": "struct A {};\n"})
         good = lint({"src/a.hpp": "// doc comment first is fine\n"
