@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <optional>
 #include <sstream>
+#include <thread>
 #include <tuple>
 #include <utility>
 
@@ -412,11 +413,13 @@ Trainer::LossAndGrads Trainer::compute(std::int64_t epoch) {
 
 EpochRecord Trainer::step(std::int64_t epoch) {
   if (config_.dist) {
-    // A rank's first step on a thread moves the thread once to allowed CPU
-    // `rank`, so in-process ranks do not start on one CPU.
-    thread_local bool placed = false;
-    if (!std::exchange(placed, true)) {
+    // A rank's first step moves its thread once to allowed CPU `rank`, so
+    // in-process ranks do not start on one CPU. The yield lets a rank
+    // thread just started on this CPU run now and place itself, instead of
+    // waiting out this thread's time slice.
+    if (!std::exchange(placed_, true)) {
       place_thread_once(static_cast<std::size_t>(config_.dist->rank()));
+      std::this_thread::yield();
     }
     dist::maybe_fault_kill(config_.dist->rank(), epoch);
   }

@@ -374,6 +374,7 @@ class Trainer {
   /// so every rank stops at the same epoch (synchronized cooperative
   /// stop).
   double dist_stop_sum_ = 0.0;
+  bool placed_ = false;  ///< the first dist step placed this rank's thread
 };
 
 }  // namespace qpinn::core

@@ -52,6 +52,9 @@ ThreadPool::ThreadPool(std::size_t num_threads) {
       worker_loop();
     });
   }
+  // New threads start on this CPU; yielding lets each run and move itself
+  // now, not when this thread's time slice ends.
+  std::this_thread::yield();
 }
 
 ThreadPool::~ThreadPool() {

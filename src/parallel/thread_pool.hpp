@@ -45,7 +45,8 @@ inline std::pair<std::size_t, std::size_t> chunk_range(std::size_t n,
 class ThreadPool {
  public:
   /// The calling thread plus `num_threads - 1` (>= 0) workers; worker i
-  /// is placed once, i + 1 allowed CPUs after its creator's.
+  /// is placed once, i + 1 allowed CPUs after its creator's. Workers start
+  /// on the creator's CPU, so the constructor yields once to let them move.
   explicit ThreadPool(std::size_t num_threads);
 
   /// Drains the queue: already-submitted tasks still run; workers exit
