@@ -292,7 +292,6 @@ int main(int argc, char** argv) {
                               [&] { k::sum_to(a, Shape{1, 256}); }, n_elem));
 
     // Fused kernels introduced by the SIMD layer.
-    Tensor acc2 = v1.clone();
     const Tensor w_col = Tensor::rand({256, 1}, rng, 0.0, 1.0);
     const Tensor bias_row = Tensor::rand({1, 256}, rng, -1.0, 1.0);
     Tensor param = Tensor::rand({1 << 16}, rng, -1.0, 1.0);
@@ -306,9 +305,6 @@ int main(int argc, char** argv) {
     adam_cfg.eps = 1e-8;
     adam_cfg.bias_corr1 = 0.1;
     adam_cfg.bias_corr2 = 0.001;
-    results.push_back(time_op("tensor", "axpby_inplace", "65536", r_small,
-                              [&] { k::axpby_inplace(acc2, 0.9, 0.1, v2); },
-                              3.0 * n_vec));
     results.push_back(time_op("tensor", "square_sum", "256x256", r_mid,
                               [&] { k::square_sum_all(a); }, 2.0 * n_elem));
     results.push_back(

@@ -457,14 +457,10 @@ EpochRecord Trainer::step(std::int64_t epoch) {
     throw NumericsError("training loss became non-finite at epoch " +
                         std::to_string(epoch));
   }
-  double grad_norm;
-  if (config_.grad_clip > 0.0) {
-    grad_norm = optim::clip_grad_norm(lg.grads, config_.grad_clip);
-  } else {
-    double sq = 0.0;
-    for (const Tensor& g : lg.grads) sq += kernels::dot(g, g);
-    grad_norm = std::sqrt(sq);
-  }
+  const double grad_norm =
+      config_.grad_clip > 0.0
+          ? optim::clip_grad_norm(lg.grads, config_.grad_clip)
+          : optim::grad_norm(lg.grads);
   if ((config_.check_finite || config_.recovery) && !std::isfinite(grad_norm)) {
     throw NumericsError("gradient norm became non-finite at epoch " +
                         std::to_string(epoch));

@@ -4,98 +4,18 @@
 
 #include "tensor/kernels.hpp"
 #include "util/error.hpp"
-#include "util/invariant.hpp"
 
 namespace qpinn::optim {
 
-Optimizer::Optimizer(std::vector<autodiff::Variable> params, double lr)
-    : params_(std::move(params)), lr_(lr) {
-  QPINN_CHECK(!params_.empty(), "optimizer needs at least one parameter");
-  QPINN_CHECK(lr > 0.0, "learning rate must be positive");
-  for (const auto& p : params_) {
-    QPINN_CHECK(p.defined() && p.requires_grad(),
-                "optimizer parameters must be trainable leaves");
-  }
+double grad_norm(const std::vector<Tensor>& grads) {
+  double sq = 0.0;
+  for (const Tensor& g : grads) sq += kernels::dot(g, g);
+  return std::sqrt(sq);
 }
-
-void Optimizer::set_lr(double lr) {
-  QPINN_CHECK(lr > 0.0, "learning rate must be positive");
-  lr_ = lr;
-}
-
-void Optimizer::step(const std::vector<Tensor>& grads) {
-  QPINN_CHECK(grads.size() == params_.size(),
-              "step(): gradient count mismatch");
-  for (std::size_t i = 0; i < grads.size(); ++i) {
-    QPINN_CHECK_SHAPE(grads[i].same_shape(params_[i].value()),
-                      "step(): gradient " + std::to_string(i) +
-                          " shape mismatch");
-    if (!grads[i].all_finite()) {
-      throw NumericsError("non-finite gradient in optimizer step (parameter " +
-                          std::to_string(i) + ")");
-    }
-  }
-  apply(grads);
-}
-
-namespace detail {
-
-void validate_state_agreement(const OptimizerState& state,
-                              const std::vector<autodiff::Variable>& params,
-                              const char* what) {
-#ifdef QPINN_CHECKED
-  QPINN_INVARIANT(state.step_count >= 0, "optim.import_state",
-                  "param-agreement",
-                  std::string(what) + ": negative step count " +
-                      std::to_string(state.step_count) +
-                      " (corrupted state would skew bias correction)");
-  QPINN_INVARIANT(
-      state.slots.empty() || params.empty() ||
-          state.slots.size() % params.size() == 0,
-      "optim.import_state", "param-agreement",
-      std::string(what) + ": " + std::to_string(state.slots.size()) +
-          " slots is not a whole number of per-parameter buffers for " +
-          std::to_string(params.size()) + " parameters");
-  for (const Tensor& slot : state.slots) {
-    slot.validate("optim.import_state");
-  }
-#else
-  (void)state;
-  (void)params;
-  (void)what;
-#endif
-}
-
-void clone_into_slots(std::vector<Tensor>& slots,
-                      const std::vector<Tensor>& buffers) {
-  slots.reserve(slots.size() + buffers.size());
-  for (const Tensor& t : buffers) slots.push_back(t.clone());
-}
-
-std::vector<Tensor> clone_slot_group(
-    const OptimizerState& state, std::size_t offset,
-    const std::vector<autodiff::Variable>& params, const char* what) {
-  QPINN_CHECK(offset + params.size() <= state.slots.size(),
-              std::string(what) + ": optimizer state is missing slots");
-  std::vector<Tensor> group;
-  group.reserve(params.size());
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    const Tensor& slot = state.slots[offset + i];
-    QPINN_CHECK_SHAPE(slot.same_shape(params[i].value()),
-                      std::string(what) + ": slot " + std::to_string(i) +
-                          " shape mismatch");
-    group.push_back(slot.clone());
-  }
-  return group;
-}
-
-}  // namespace detail
 
 double clip_grad_norm(std::vector<Tensor>& grads, double max_norm) {
   QPINN_CHECK(max_norm > 0.0, "clip_grad_norm: max_norm must be positive");
-  double sq = 0.0;
-  for (const Tensor& g : grads) sq += kernels::dot(g, g);
-  const double norm = std::sqrt(sq);
+  const double norm = grad_norm(grads);
   if (norm > max_norm) {
     const double factor = max_norm / norm;
     for (Tensor& g : grads) kernels::scale_inplace(g, factor);

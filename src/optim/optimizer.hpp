@@ -1,8 +1,5 @@
-// Optimizer interface.
-//
-// qpinn uses a functional gradient API: the trainer computes gradients via
-// autodiff::grad and hands plain tensors to the optimizer, which updates
-// the parameter leaves in place.
+// Optimizer state and gradient-norm helpers shared by Adam, the trainer
+// and the checkpoint.
 #pragma once
 
 #include <vector>
@@ -24,64 +21,11 @@ struct OptimizerState {
   std::vector<Tensor> slots;  ///< deep copies, detached from the optimizer
 };
 
-class Optimizer {
- public:
-  explicit Optimizer(std::vector<autodiff::Variable> params, double lr);
-  virtual ~Optimizer() = default;
-
-  /// Applies one update; grads[i] must match params[i] in shape. Throws
-  /// NumericsError if any gradient is non-finite.
-  void step(const std::vector<Tensor>& grads);
-
-  /// Clears internal state (moments, step counters).
-  virtual void reset() = 0;
-
-  /// Deep-copies the mutable state (for in-memory rollback snapshots and
-  /// on-disk checkpoints). Empty slots mean "no state accumulated yet".
-  virtual OptimizerState export_state() const = 0;
-
-  /// Restores a state produced by export_state() on an optimizer with the
-  /// same parameter shapes; throws ValueError/ShapeError on mismatch.
-  virtual void import_state(const OptimizerState& state) = 0;
-
-  double lr() const { return lr_; }
-  void set_lr(double lr);
-
-  const std::vector<autodiff::Variable>& params() const { return params_; }
-
- protected:
-  /// Backend update after validation.
-  virtual void apply(const std::vector<Tensor>& grads) = 0;
-
-  std::vector<autodiff::Variable> params_;
-  double lr_;
-};
+/// Global L2 norm of `grads`: the per-tensor squared norms summed in order.
+double grad_norm(const std::vector<Tensor>& grads);
 
 /// Scales `grads` in place so their global L2 norm is at most `max_norm`;
 /// returns the pre-clip norm.
 double clip_grad_norm(std::vector<Tensor>& grads, double max_norm);
-
-namespace detail {
-/// Checked-build (QPINN_CHECKED) agreement validation between an imported
-/// OptimizerState and the optimizer's parameters: step count non-negative,
-/// slot count an exact per-parameter multiple, every slot tensor internally
-/// consistent (Tensor::validate). Violations raise InvariantError at site
-/// "optim.import_state" — a corrupted checkpoint is caught here rather
-/// than silently skewing bias correction or moment shapes. No-op in
-/// release builds.
-void validate_state_agreement(const OptimizerState& state,
-                              const std::vector<autodiff::Variable>& params,
-                              const char* what);
-/// Clones every tensor of `buffers` onto the end of `slots`.
-void clone_into_slots(std::vector<Tensor>& slots,
-                      const std::vector<Tensor>& buffers);
-/// Extracts one per-parameter buffer group from `state.slots[offset ...]`,
-/// shape-checked against `params`; `what` labels errors.
-std::vector<Tensor> clone_slot_group(const OptimizerState& state,
-                                     std::size_t offset,
-                                     const std::vector<autodiff::Variable>&
-                                         params,
-                                     const char* what);
-}  // namespace detail
 
 }  // namespace qpinn::optim

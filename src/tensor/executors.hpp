@@ -371,15 +371,6 @@ void scale_inplace(T* dst, double s, std::size_t n) {
   detail::sweep(dst, dst, n,
                 [fn, s](const T*, T* pd, std::size_t c) { fn(pd, s, c); });
 }
-/// dst[i] = a*dst[i] + b*src[i].
-template <class T>
-void axpby(T* dst, double a, double b, const T* src, std::size_t n) {
-  auto* fn = simd::table<T>().axpby;
-  detail::sweep(src, dst, n, [fn, a, b](const T* ps, T* pd, std::size_t c) {
-    fn(pd, a, b, ps, c);
-  });
-}
-
 /// Fused Adam sweep over one parameter buffer and its moments.
 template <class T>
 void adam(T* p, const T* g, T* m, T* v, std::size_t n,

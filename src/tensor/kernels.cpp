@@ -605,13 +605,6 @@ void scale_inplace(Tensor& dst, double s) {
   exec::scale_inplace(dst.data(), s, extent(dst));
 }
 
-void axpby_inplace(Tensor& dst, double a, double b, const Tensor& src) {
-  QPINN_KERNEL_VALIDATE(dst, "kernels.axpby_inplace");
-  QPINN_KERNEL_VALIDATE(src, "kernels.axpby_inplace");
-  QPINN_CHECK_SHAPE(dst.same_shape(src), "axpby_inplace shape mismatch");
-  exec::axpby(dst.data(), a, b, src.data(), extent(dst));
-}
-
 void copy_into(Tensor& dst, const Tensor& src) {
   QPINN_KERNEL_VALIDATE(dst, "kernels.copy_into");
   QPINN_KERNEL_VALIDATE(src, "kernels.copy_into");

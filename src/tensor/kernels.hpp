@@ -164,9 +164,6 @@ void fill_zero(Tensor& out);
 void axpy_inplace(Tensor& dst, double s, const Tensor& src);
 /// dst *= s.
 void scale_inplace(Tensor& dst, double s);
-/// dst = a*dst + b*src in one sweep (same shape required); bit-identical
-/// to scale_inplace(dst, a) followed by axpy_inplace(dst, b, src).
-void axpby_inplace(Tensor& dst, double a, double b, const Tensor& src);
 /// Copies src into dst (same shape required).
 void copy_into(Tensor& dst, const Tensor& src);
 

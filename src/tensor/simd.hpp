@@ -34,9 +34,9 @@
 // Bit-identity contract (fp64 tables): for the elementwise arithmetic
 // kernels (bin_same/bin_row, neg, scale, add_scalar, square, reciprocal,
 // sqrt, abs, relu, step, sign, tanh, bias_tanh, sin, cos, bias_sin, axpy,
-// scale_inplace, axpby, acc_add, adam) the vector body performs exactly the
-// lane-wise IEEE operation sequence of the scalar code and fringe elements
-// run the identical scalar expressions, so results are bit-identical across
+// scale_inplace, acc_add, adam) the vector body performs exactly the lane-wise
+// IEEE operation sequence of the scalar code and fringe elements run the
+// identical scalar expressions, so results are bit-identical across
 // every dispatch variant (the per-ISA TUs are compiled with
 // -ffp-contract=off so the compiler cannot fuse a*b+c differently per
 // target). tanh, sin and cos (and the fused bias_tanh and bias_sin) are
@@ -159,8 +159,6 @@ struct KernelTableT {
 
   void (*axpy)(T* dst, double s, const T* src, std::size_t n);
   void (*scale_inplace)(T* dst, double s, std::size_t n);
-  /// dst = a*dst + b*src in one sweep.
-  void (*axpby)(T* dst, double a, double b, const T* src, std::size_t n);
   /// dst += src (the sum_to row-collapse inner loop).
   void (*acc_add)(T* dst, const T* src, std::size_t n);
 
@@ -1386,25 +1384,6 @@ void ip_scale(typename V::elem* dst, double s, std::size_t n) {
 }
 
 template <class V>
-void ip_axpby(typename V::elem* dst, double a, double b,
-              const typename V::elem* src, std::size_t n) {
-  using T = typename V::elem;
-  const T av = static_cast<T>(a);
-  const T bv = static_cast<T>(b);
-  constexpr std::size_t w = V::kWidth;
-  std::size_t i = 0;
-  if constexpr (w > 1) {
-    const typename V::reg va = V::set1(av);
-    const typename V::reg vb = V::set1(bv);
-    for (; i + w <= n; i += w) {
-      V::store(dst + i, V::add(V::mul(va, V::load(dst + i)),
-                               V::mul(vb, V::load(src + i))));
-    }
-  }
-  for (; i < n; ++i) dst[i] = av * dst[i] + bv * src[i];
-}
-
-template <class V>
 void ip_acc_add(typename V::elem* dst, const typename V::elem* src,
                 std::size_t n) {
   constexpr std::size_t w = V::kWidth;
@@ -1795,7 +1774,6 @@ KernelTableT<typename V::elem> make_table(Isa isa, const char* name) {
   t.weighted_square_sum = &red_weighted_square_sum<V>;
   t.axpy = &ip_axpy<V>;
   t.scale_inplace = &ip_scale<V>;
-  t.axpby = &ip_axpby<V>;
   t.acc_add = &ip_acc_add<V>;
   t.adam = &adam_sweep<V>;
   t.matmul_rows = &mm_rows<V>;

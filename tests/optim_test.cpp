@@ -6,9 +6,7 @@
 #include "autodiff/ops.hpp"
 #include "optim/adam.hpp"
 #include "optim/optimizer.hpp"
-#include "optim/rmsprop.hpp"
 #include "optim/scheduler.hpp"
-#include "optim/sgd.hpp"
 #include "util/error.hpp"
 
 namespace qpinn::optim {
@@ -18,7 +16,7 @@ using autodiff::Variable;
 
 /// Minimizes f(p) = sum((p - target)^2) for `steps` iterations; returns the
 /// final distance to the optimum.
-double minimize_quadratic(Optimizer& optimizer, const Variable& p,
+double minimize_quadratic(Adam& optimizer, const Variable& p,
                           const Tensor& target, int steps) {
   for (int i = 0; i < steps; ++i) {
     const Variable diff =
@@ -37,63 +35,6 @@ double minimize_quadratic(Optimizer& optimizer, const Variable& p,
 
 Tensor target_tensor() { return Tensor::from_vector({1.0, -2.0, 0.5}, {3}); }
 
-TEST(Sgd, ConvergesOnQuadratic) {
-  const Variable p = Variable::leaf(Tensor::zeros({3}));
-  SgdConfig config;
-  config.lr = 0.1;
-  Sgd optimizer({p}, config);
-  EXPECT_LT(minimize_quadratic(optimizer, p, target_tensor(), 100), 1e-6);
-}
-
-TEST(Sgd, MomentumAcceleratesConvergence) {
-  const Variable plain_p = Variable::leaf(Tensor::zeros({3}));
-  SgdConfig plain;
-  plain.lr = 0.02;
-  Sgd plain_opt({plain_p}, plain);
-  const double plain_dist =
-      minimize_quadratic(plain_opt, plain_p, target_tensor(), 40);
-
-  const Variable mom_p = Variable::leaf(Tensor::zeros({3}));
-  SgdConfig with_momentum;
-  with_momentum.lr = 0.02;
-  with_momentum.momentum = 0.9;
-  Sgd mom_opt({mom_p}, with_momentum);
-  const double mom_dist =
-      minimize_quadratic(mom_opt, mom_p, target_tensor(), 40);
-  EXPECT_LT(mom_dist, plain_dist);
-}
-
-TEST(Sgd, NesterovConverges) {
-  const Variable p = Variable::leaf(Tensor::zeros({3}));
-  SgdConfig config;
-  config.lr = 0.02;
-  config.momentum = 0.9;
-  config.nesterov = true;
-  Sgd optimizer({p}, config);
-  EXPECT_LT(minimize_quadratic(optimizer, p, target_tensor(), 200), 1e-5);
-}
-
-TEST(Sgd, WeightDecayShrinksSolution) {
-  const Variable p = Variable::leaf(Tensor::zeros({3}));
-  SgdConfig config;
-  config.lr = 0.1;
-  config.weight_decay = 1.0;  // strong decay biases toward zero
-  Sgd optimizer({p}, config);
-  minimize_quadratic(optimizer, p, target_tensor(), 300);
-  // Fixed point of (2(p - t) + p) = 0 is p = 2t/3.
-  EXPECT_NEAR(p.value()[0], 2.0 / 3.0, 1e-6);
-}
-
-TEST(Sgd, ConfigValidation) {
-  const Variable p = Variable::leaf(Tensor::zeros({1}));
-  SgdConfig bad;
-  bad.momentum = 1.5;
-  EXPECT_THROW(Sgd({p}, bad), ValueError);
-  SgdConfig nesterov_without_momentum;
-  nesterov_without_momentum.nesterov = true;
-  EXPECT_THROW(Sgd({p}, nesterov_without_momentum), ValueError);
-}
-
 TEST(Adam, ConvergesOnQuadratic) {
   const Variable p = Variable::leaf(Tensor::zeros({3}));
   AdamConfig config;
@@ -101,14 +42,6 @@ TEST(Adam, ConvergesOnQuadratic) {
   Adam optimizer({p}, config);
   EXPECT_LT(minimize_quadratic(optimizer, p, target_tensor(), 400), 1e-4);
   EXPECT_EQ(optimizer.step_count(), 400);
-}
-
-TEST(Adam, ResetClearsState) {
-  const Variable p = Variable::leaf(Tensor::zeros({3}));
-  Adam optimizer({p}, AdamConfig{});
-  minimize_quadratic(optimizer, p, target_tensor(), 3);
-  optimizer.reset();
-  EXPECT_EQ(optimizer.step_count(), 0);
 }
 
 TEST(Adam, DecoupledWeightDecayDiffersFromCoupled) {
@@ -159,23 +92,6 @@ TEST(Optimizer, RequiresTrainableLeaves) {
   const Variable constant = Variable::constant(Tensor::zeros({2}));
   EXPECT_THROW(Adam({constant}, AdamConfig{}), ValueError);
   EXPECT_THROW(Adam({}, AdamConfig{}), ValueError);
-}
-
-TEST(Rmsprop, ConvergesOnQuadratic) {
-  const Variable p = Variable::leaf(Tensor::zeros({3}));
-  RmspropConfig config;
-  config.lr = 0.02;
-  Rmsprop optimizer({p}, config);
-  EXPECT_LT(minimize_quadratic(optimizer, p, target_tensor(), 500), 1e-3);
-}
-
-TEST(Rmsprop, MomentumVariantConverges) {
-  const Variable p = Variable::leaf(Tensor::zeros({3}));
-  RmspropConfig config;
-  config.lr = 0.01;
-  config.momentum = 0.5;
-  Rmsprop optimizer({p}, config);
-  EXPECT_LT(minimize_quadratic(optimizer, p, target_tensor(), 500), 1e-2);
 }
 
 // ---- gradient clipping -------------------------------------------------------

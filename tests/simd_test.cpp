@@ -214,8 +214,6 @@ TEST_P(SimdVariantP, InplaceAndAdamKernelsAreBitIdenticalToScalar) {
     scalar().axpy(want.data() + 1, 0.5, src.data() + 1, n);
     variant().scale_inplace(got.data() + 1, 0.9, n);
     scalar().scale_inplace(want.data() + 1, 0.9, n);
-    variant().axpby(got.data() + 1, 0.9, 0.1, src.data() + 1, n);
-    scalar().axpby(want.data() + 1, 0.9, 0.1, src.data() + 1, n);
     variant().acc_add(got.data() + 1, src.data() + 1, n);
     scalar().acc_add(want.data() + 1, src.data() + 1, n);
     for (std::size_t i = 1; i <= n; ++i) {
@@ -442,6 +440,37 @@ INSTANTIATE_TEST_SUITE_P(AllVariants, SimdVariantP,
                            return isa_name(info.param);
                          });
 
+// Every training run uses weight_decay = 0, which skips both decay
+// branches of the sweep; the test above runs only the decay branches.
+TEST_P(SimdVariantP, AdamWithoutWeightDecayIsBitIdenticalToScalar) {
+  const KernelTable& var = variant();
+  AdamParams cfg;
+  cfg.lr = 1e-3;
+  cfg.beta1 = 0.9;
+  cfg.beta2 = 0.999;
+  cfg.eps = 1e-8;
+  cfg.bias_corr1 = 1.0 - std::pow(0.9, 3);
+  cfg.bias_corr2 = 1.0 - std::pow(0.999, 3);
+  for (std::size_t n : test_lengths(var.width)) {
+    std::vector<double> pv = filled(n, 67 + n, -1.0, 1.0);
+    std::vector<double> ps = pv;
+    const std::vector<double> g = filled(n, 71 + n, -1.0, 1.0);
+    std::vector<double> mv = filled(n, 73 + n, -0.1, 0.1);
+    std::vector<double> ms = mv;
+    std::vector<double> vv = filled(n, 79 + n, 0.0, 0.1);
+    std::vector<double> vs = vv;
+    variant().adam(pv.data() + 1, g.data() + 1, mv.data() + 1, vv.data() + 1,
+                   n, cfg);
+    scalar().adam(ps.data() + 1, g.data() + 1, ms.data() + 1, vs.data() + 1,
+                  n, cfg);
+    for (std::size_t i = 1; i <= n; ++i) {
+      ASSERT_TRUE(bit_equal(pv[i], ps[i])) << "n " << n << " param lane " << i;
+      ASSERT_TRUE(bit_equal(mv[i], ms[i])) << "n " << n << " m lane " << i;
+      ASSERT_TRUE(bit_equal(vv[i], vs[i])) << "n " << n << " v lane " << i;
+    }
+  }
+}
+
 // ---- tensor-level kernels under every variant ----------------------------
 
 TEST(SimdKernels, FusedKernelsMatchTheirCompositionUnderEveryVariant) {
@@ -478,12 +507,6 @@ TEST(SimdKernels, FusedKernelsMatchTheirCompositionUnderEveryVariant) {
       }
     }
     EXPECT_NEAR(kernels::weighted_square_sum_all(w_col, a)[0], want, 1e-12);
-
-    Tensor dst = a.clone();
-    kernels::axpby_inplace(dst, 0.9, 0.1, w_same);
-    for (std::int64_t i = 0; i < a.numel(); ++i) {
-      EXPECT_DOUBLE_EQ(dst[i], 0.9 * a[i] + 0.1 * w_same[i]);
-    }
 
     // tanh_grad must agree bitwise with the composition it replaces in
     // optimized plans: mul(g, add_scalar(neg(square(t)), 1.0)). The fused
@@ -537,6 +560,52 @@ TEST(SimdKernels, FusedAdamMatchesTheUnfusedUpdate) {
         ASSERT_NEAR(p[i], pi - cfg.lr * update, 1e-14)
             << isa_name(isa) << " lane " << i;
       }
+    }
+  }
+}
+
+TEST(SimdKernels, FusedAdamWithoutWeightDecayMatchesTheUnfusedUpdate) {
+  IsaGuard guard;
+  const std::int64_t n = 130;  // not a multiple of any vector width
+  kernels::AdamStepConfig cfg;
+  cfg.lr = 1e-3;
+  cfg.beta1 = 0.9;
+  cfg.beta2 = 0.999;
+  cfg.eps = 1e-8;
+  cfg.bias_corr1 = 1.0 - std::pow(cfg.beta1, 3);
+  cfg.bias_corr2 = 1.0 - std::pow(cfg.beta2, 3);
+  const double ob1 = 1.0 - cfg.beta1;
+  const double ob2 = 1.0 - cfg.beta2;
+  for (Isa isa : available_isas()) {
+    ASSERT_TRUE(force_isa(isa));
+    Rng local(101);
+    Tensor p = Tensor::rand({n}, local, -1.0, 1.0);
+    const Tensor g = Tensor::rand({n}, local, -1.0, 1.0);
+    Tensor m = Tensor::rand({n}, local, -0.1, 0.1);
+    Tensor v = Tensor::rand({n}, local, 0.0, 0.1);
+    const Tensor p0 = p.clone();
+    const Tensor m0 = m.clone();
+    const Tensor v0 = v.clone();
+    kernels::adam_step_inplace(p, g, m, v, cfg);
+    // One IEEE operation per statement, in the kernel's order, so no
+    // compiler can contract the reference into an FMA.
+    for (std::int64_t i = 0; i < n; ++i) {
+      const double m_decay = cfg.beta1 * m0[i];
+      const double m_new = ob1 * g[i];
+      const double mi = m_decay + m_new;
+      const double v_decay = cfg.beta2 * v0[i];
+      const double g_sq = g[i] * g[i];
+      const double v_new = ob2 * g_sq;
+      const double vi = v_decay + v_new;
+      const double m_hat = mi / cfg.bias_corr1;
+      const double v_hat = vi / cfg.bias_corr2;
+      const double denom = std::sqrt(v_hat) + cfg.eps;
+      const double update = m_hat / denom;
+      const double step = cfg.lr * update;
+      const double pi = p0[i] - step;
+      ASSERT_TRUE(bit_equal(m[i], mi)) << isa_name(isa) << " m lane " << i;
+      ASSERT_TRUE(bit_equal(v[i], vi)) << isa_name(isa) << " v lane " << i;
+      ASSERT_TRUE(bit_equal(p[i], pi)) << isa_name(isa) << " lane " << i;
     }
   }
 }

@@ -78,11 +78,11 @@ Rules (exit 1 if any finding survives suppression):
                   oracle the jets are tested against.
   single-training-driver
                   no ``grad(`` and no optimizer construction
-                  (``optim::Adam``/``Sgd``/``Rmsprop``,
-                  ``lbfgs_minimize``) in src/ outside src/autodiff/,
-                  src/optim/ and src/core/trainer.cpp — every problem
-                  trains through ``core::Trainer``, the one loop that
-                  captures, replays, shards, demotes and checkpoints.
+                  (``optim::Adam``, ``lbfgs_minimize``) in src/ outside
+                  src/autodiff/, src/optim/ and src/core/trainer.cpp —
+                  every problem trains through ``core::Trainer``, the one
+                  loop that captures, replays, shards, demotes and
+                  checkpoints.
   banned-unordered-float-reduce
                   no ``unordered_map``/``unordered_set`` whose element or
                   mapped type is directly ``float``/``double`` — iteration
@@ -572,7 +572,7 @@ def build_rules(src: pathlib.Path, tests: pathlib.Path,
             # requires_grad) and member calls; a declared optimizer type
             # (unique_ptr<optim::Adam>) or config is not a construction.
             [r"(?<![\w.>:])(?:(?:autodiff|ad)\s*::\s*)?grad(?:_single)?\s*\(",
-             r"\boptim\s*::\s*(?:Adam|Sgd|Rmsprop)\b\s*"
+             r"\boptim\s*::\s*Adam\b\s*"
              r"(?:>\s*\(|[({]|\w+\s*[({])",
              r"(?<![\w.>])(?:optim\s*::\s*)?lbfgs_minimize\s*\("],
             exempt=["src/core/trainer.cpp"],

@@ -203,8 +203,8 @@ class SingleTrainingDriverTest(unittest.TestCase):
                 "auto g = autodiff::grad(loss, params);\n",
                 "auto g = ad::grad_single(loss, energy);\n",
                 "optim::Adam optimizer(params, adam_config);\n",
-                "auto o = std::make_unique<optim::Sgd>(params, c);\n",
-                "optim::Rmsprop optimizer{params, c};\n",
+                "auto o = std::make_unique<optim::Adam>(params, c);\n",
+                "optim::Adam optimizer{params, c};\n",
                 "auto r = optim::lbfgs_minimize(params, closure, c);\n"):
             report = lint({"src/core/eigen_pinn.cpp": snippet})
             self.assertIn("single-training-driver", rules_hit(report),
@@ -218,7 +218,7 @@ class SingleTrainingDriverTest(unittest.TestCase):
                 "return optim::lbfgs_minimize(params_, closure, c);\n",
             "src/autodiff/derivatives.cpp":
                 "return grad(y, {x}, {}, options)[0];\n",
-            "src/optim/lbfgs.cpp": "optim::Sgd probe(params, c);\n"})
+            "src/optim/lbfgs.cpp": "optim::Adam probe(params, c);\n"})
         self.assertNotIn("single-training-driver", rules_hit(report))
 
     def test_types_configs_and_similar_names_are_clean(self):
