@@ -216,21 +216,6 @@ Variable square(const Variable& a) {
             });
 }
 
-Variable sigmoid(const Variable& a) {
-  return op("sigmoid", run1(&k::sigmoid, &k::sigmoid_into, a.value()), {a},
-            [](const Variable& g, const Variable& self) {
-              return std::vector<Variable>{
-                  mul(g, mul(self, add_scalar(neg(self), 1.0)))};
-            });
-}
-
-Variable softplus(const Variable& a) {
-  return op("softplus", run1(&k::softplus, &k::softplus_into, a.value()), {a},
-            [](const Variable& g, const Variable& self) {
-              return std::vector<Variable>{mul(g, sigmoid(parent(self, 0)))};
-            });
-}
-
 Variable pow_scalar(const Variable& a, double p) {
   return op("pow_scalar",
             run1s(&k::pow_scalar, &k::pow_scalar_into, a.value(), p), {a},
@@ -238,19 +223,6 @@ Variable pow_scalar(const Variable& a, double p) {
               return std::vector<Variable>{
                   scale(mul(g, pow_scalar(parent(self, 0), p - 1.0)), p)};
             });
-}
-
-Variable relu(const Variable& a) {
-  return op("relu", run1(&k::relu, &k::relu_into, a.value()), {a},
-            [](const Variable& g, const Variable& self) {
-              // Step factor is locally constant: correct a.e., and its
-              // second derivative is identically zero.
-              return std::vector<Variable>{mul(g, step(parent(self, 0)))};
-            });
-}
-
-Variable step(const Variable& a) {
-  return Variable::constant(run1(&k::step, &k::step_into, a.value()));
 }
 
 Variable abs(const Variable& a) {
@@ -355,21 +327,6 @@ Variable bias_tanh(const Variable& a, const Variable& bias) {
               // through `self` like tanh does.
               const Variable dx =
                   mul(g, add_scalar(neg(square(self)), 1.0));
-              std::vector<Variable> grads(2);
-              if (needs(self, 0)) grads[0] = dx;
-              if (needs(self, 1))
-                grads[1] = sum_to(dx, parent(self, 1).shape());
-              return grads;
-            });
-}
-
-Variable bias_sin(const Variable& a, const Variable& bias) {
-  return op("bias_sin",
-            run2(&k::bias_sin, &k::bias_sin_into, a.value(), bias.value()),
-            {a, bias},
-            [](const Variable& g, const Variable& self) {
-              const Variable dx =
-                  mul(g, cos(add(parent(self, 0), parent(self, 1))));
               std::vector<Variable> grads(2);
               if (needs(self, 0)) grads[0] = dx;
               if (needs(self, 1))

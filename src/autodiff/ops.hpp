@@ -47,16 +47,10 @@ Variable cos(const Variable& a);
 Variable sqrt(const Variable& a);
 Variable reciprocal(const Variable& a);
 Variable square(const Variable& a);
-Variable sigmoid(const Variable& a);
-Variable softplus(const Variable& a);
 Variable pow_scalar(const Variable& a, double p);
-/// relu / abs have measure-zero kinks; their backward treats the
-/// step/sign factor as locally constant (zero second derivative a.e.).
-Variable relu(const Variable& a);
+/// abs has a measure-zero kink; its backward treats the sign factor as
+/// locally constant (zero second derivative a.e.).
 Variable abs(const Variable& a);
-/// The Heaviside step 1[a > 0] — relu's derivative — as a constant: its
-/// own derivative is zero a.e.
-Variable step(const Variable& a);
 
 // ---- linear algebra --------------------------------------------------------
 Variable matmul(const Variable& a, const Variable& b);
@@ -78,8 +72,6 @@ Variable broadcast_to(const Variable& a, const Shape& target);
 // one tape node instead of two or three of each (see tensor/simd.hpp).
 /// tanh(a + bias); a rank-2, bias a row vector ({M} or {1,M}).
 Variable bias_tanh(const Variable& a, const Variable& bias);
-/// sin(a + bias); same contract as bias_tanh.
-Variable bias_sin(const Variable& a, const Variable& bias);
 /// sum(a^2) as a scalar Variable without materializing square(a).
 Variable square_sum(const Variable& a);
 /// sum(w * a^2); w is same-shape as `a` or a per-row column vector ({N} or

@@ -131,18 +131,15 @@ std::size_t fuse_elementwise(Thunks& ts, const BufFlags& outputs) {
         continue;
       }
 
-      // bias + activation: add(a, bias-row) -> tanh/sin becomes
-      // bias_tanh/bias_sin (bit-identical per the SIMD table contract).
+      // bias + tanh: add(a, bias-row) -> tanh becomes bias_tanh
+      // (bit-identical per the SIMD table contract).
       if (i + 1 < ts.size() && is_binary(ts[i], &k::add_into) &&
-          links(ts[i], ts[i + 1], 0) &&
-          (is_unary(ts[i + 1], &k::tanh_into) ||
-           is_unary(ts[i + 1], &k::sin_into)) &&
+          links(ts[i], ts[i + 1], 0) && is_unary(ts[i + 1], &k::tanh_into) &&
           is_row_vector_of(ts[i].ins[1].shape, ts[i].ins[0].shape) &&
           ts[i].out.shape == ts[i].ins[0].shape) {
         RecordedThunk& act = ts[i + 1];
-        const bool is_tanh = is_unary(act, &k::tanh_into);
         act.kind = ThunkKind::kBinary;
-        act.k2 = is_tanh ? &k::bias_tanh_into : &k::bias_sin_into;
+        act.k2 = &k::bias_tanh_into;
         act.k1 = nullptr;
         act.ins = {ts[i].ins[0], ts[i].ins[1]};
         erased[i] = 1;

@@ -14,7 +14,7 @@
 //   2. Elementwise fusion — adjacent pair/triple/quad sequences whose
 //      intermediates die immediately are pattern-matched into the fused
 //      `_into` kernels (tensor/kernels.hpp): add+tanh -> bias_tanh,
-//      add+sin -> bias_sin, square+sum -> square_sum, the tanh-backward
+//      square+sum -> square_sum, the tanh-backward
 //      chain square/neg/add_scalar/mul -> tanh_grad, scale/neg folded into
 //      gradient-accumulation axpy scalars, and unit-scale copy+axpy -> add.
 //      Every rewrite reuses a kernel whose bit-identity against the

@@ -277,16 +277,12 @@ class Demoter {
     else if (t.k1 == &k::square_into) fn = &f32::square;
     else if (t.k1 == &k::sqrt_into) fn = &f32::sqrt;
     else if (t.k1 == &k::reciprocal_into) fn = &f32::reciprocal;
-    else if (t.k1 == &k::relu_into) fn = &f32::relu;
     else if (t.k1 == &k::abs_into) fn = &f32::abs;
-    else if (t.k1 == &k::step_into) fn = &f32::step;
     else if (t.k1 == &k::sign_into) fn = &f32::sign;
     else if (t.k1 == &k::exp_into) fn = &f32::exp;
     else if (t.k1 == &k::log_into) fn = &f32::log;
     else if (t.k1 == &k::sin_into) fn = &f32::sin;
     else if (t.k1 == &k::cos_into) fn = &f32::cos;
-    else if (t.k1 == &k::sigmoid_into) fn = &f32::sigmoid;
-    else if (t.k1 == &k::softplus_into) fn = &f32::softplus;
     if (fn != nullptr) {
       const float* ap = read_f32(a);
       float* op = write_f32(o);
@@ -400,20 +396,15 @@ class Demoter {
       return true;
     }
 
-    if (t.k2 == &k::bias_tanh_into || t.k2 == &k::bias_sin_into) {
+    if (t.k2 == &k::bias_tanh_into) {
       if (!is_row_vector_of(b.shape(), a.shape())) return false;
-      const bool is_tanh = t.k2 == &k::bias_tanh_into;
       const float* ap = read_f32(a);
       const float* bp = read_f32(b);
       float* op = write_f32(o);
       const auto rows = static_cast<std::size_t>(a.rows());
       const auto cols = static_cast<std::size_t>(a.cols());
-      emit(o, t.ins, [is_tanh, ap, bp, op, rows, cols](auto&&...) {
-        if (is_tanh) {
-          f32::bias_tanh(ap, bp, op, rows, cols);
-        } else {
-          f32::bias_sin(ap, bp, op, rows, cols);
-        }
+      emit(o, t.ins, [ap, bp, op, rows, cols](auto&&...) {
+        f32::bias_tanh(ap, bp, op, rows, cols);
       });
       wrote_f32(o);
       return true;

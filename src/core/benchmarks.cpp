@@ -117,7 +117,6 @@ FieldModelConfig default_model_config(const SchrodingerProblem& problem,
                                       std::uint64_t seed) {
   FieldModelConfig config;
   config.hidden = {64, 64, 64, 64};
-  config.activation = nn::Activation::kTanh;
   config.fourier = nn::FourierConfig{64, 1.0};
   config.x_period =
       problem.periodic_x() ? problem.domain().x_span() : 0.0;

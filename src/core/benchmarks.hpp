@@ -51,8 +51,7 @@ std::shared_ptr<SchrodingerProblem> make_nls_raissi_problem(
     const BenchmarkOverrides& overrides = {});
 
 /// A model configuration adapted to the problem: periodic x-embedding for
-/// periodic problems, input normalization to [-1,1]^2, RFF on, tanh
-/// activations.
+/// periodic problems, input normalization to [-1,1]^2, RFF on.
 FieldModelConfig default_model_config(const SchrodingerProblem& problem,
                                       std::uint64_t seed = 0);
 

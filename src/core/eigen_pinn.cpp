@@ -125,7 +125,6 @@ EigenTraining make_eigen_training(const EigenPinnConfig& config,
   mlp.in_dim = 1;
   mlp.out_dim = 1;
   mlp.hidden = config.hidden;
-  mlp.activation = config.activation;
   mlp.seed = config.seed + 7919 * (lower_states.size() + 1);
   setup.model = std::make_shared<FieldModel>(std::make_unique<nn::Mlp>(mlp),
                                              config.x_lo, config.x_hi);

@@ -29,7 +29,6 @@ struct EigenPinnConfig {
   PotentialOp potential;  ///< null = 0 (pure box)
 
   std::vector<std::int64_t> hidden = {32, 32, 32};
-  nn::Activation activation = nn::Activation::kTanh;
   std::uint64_t seed = 0;
 
   std::int64_t epochs = 4000;

@@ -170,7 +170,6 @@ std::shared_ptr<FieldModel> make_field_model(const FieldModelConfig& config) {
   mlp.in_dim = 2;
   mlp.out_dim = 2;
   mlp.hidden = config.hidden;
-  mlp.activation = config.activation;
   mlp.fourier = config.fourier;
   if (config.x_period > 0.0) {
     // The backbone sees normalized x, so convert the period accordingly.

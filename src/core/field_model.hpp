@@ -106,7 +106,6 @@ std::pair<autodiff::Variable, autodiff::Variable> envelope_field(
 /// Architecture + feature configuration of the standard QPINN field model.
 struct FieldModelConfig {
   std::vector<std::int64_t> hidden = {64, 64, 64, 64};
-  nn::Activation activation = nn::Activation::kTanh;
   /// Random Fourier features (nullopt disables).
   std::optional<nn::FourierConfig> fourier = nn::FourierConfig{64, 1.0};
   /// Period of the x coordinate (0 = not periodic). Time is never embedded

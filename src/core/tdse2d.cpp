@@ -93,7 +93,6 @@ Tdse2dTraining make_tdse2d_training(const Tdse2dConfig& config) {
   mlp.in_dim = 3;
   mlp.out_dim = 2;
   mlp.hidden = config.hidden;
-  mlp.activation = config.activation;
   mlp.fourier = config.fourier;
   mlp.seed = config.seed;
   InputNormalization norm = InputNormalization::for_domain(

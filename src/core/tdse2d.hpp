@@ -61,7 +61,6 @@ struct Tdse2dConfig {
   FieldOp2d initial;
 
   std::vector<std::int64_t> hidden = {48, 48, 48};
-  nn::Activation activation = nn::Activation::kTanh;
   std::optional<nn::FourierConfig> fourier = nn::FourierConfig{24, 1.0};
   std::uint64_t seed = 0;
 

@@ -6,7 +6,7 @@
 // Bettencourt, Johnson & Duvenaud 2019). Every rule is built from ordinary
 // tape ops, so capture, replay, the plan passes and mixed demotion apply to
 // a jet unchanged, and the parameter gradient of a jet residual is a single
-// reverse sweep. Every module answers forward_jet: layers and activations
+// reverse sweep. Every module answers forward_jet: the layers
 // carry their own rules, and Module's default (`jet_by_partial` below)
 // differentiates any other module by reverse-mode `partial`
 // (autodiff/derivatives.hpp). `partial` is otherwise the oracle jets are

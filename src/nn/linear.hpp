@@ -1,34 +1,29 @@
 // Fully connected layer.
 #pragma once
 
-#include <memory>
-
-#include "nn/activation.hpp"
-#include "nn/init.hpp"
 #include "nn/module.hpp"
+#include "util/rng.hpp"
 
 namespace qpinn::nn {
 
 class Linear : public Module {
  public:
-  /// Weight (in, out) initialized by `init`; bias (1, out) zeros when
-  /// `with_bias`.
-  Linear(std::int64_t in, std::int64_t out, Rng& rng,
-         Init init = Init::kXavierUniform, bool with_bias = true);
+  /// Weight (in, out) drawn Xavier-uniform, U(-sqrt(6/(in+out)), +...);
+  /// bias (1, out) zeros.
+  Linear(std::int64_t in, std::int64_t out, Rng& rng);
 
+  /// x W + b: the plain affine map (the network's output head).
   autodiff::Variable forward(const autodiff::Variable& x) override;
-  /// forward followed by `act`, fusing the bias-add with the activation
-  /// into one kernel sweep (and one tape node) for tanh and sin — the
-  /// PINN-default activations. Other activations and bias-less layers
-  /// fall back to the unfused composition; results are identical either
-  /// way.
-  autodiff::Variable forward_act(const autodiff::Variable& x, Activation act);
+  /// tanh(x W + b), fusing the bias-add with tanh into one kernel sweep
+  /// (and one tape node): the hidden-layer map.
+  autodiff::Variable forward_tanh(const autodiff::Variable& x);
   /// The same W maps every jet component; the bias goes on the value only.
-  Jet forward_jet(const Jet& x) override {
-    return forward_act_jet(x, Activation::kIdentity);
-  }
-  /// Jet of forward_act (see activation_jet).
-  Jet forward_act_jet(const Jet& x, Activation act);
+  Jet forward_jet(const Jet& x) override;
+  /// Jet of forward_tanh. With t the value, φ' = 1 − t² and
+  /// φ'' = −2t·φ', each stream follows y_k = φ'·z_k and
+  /// y_kk = φ'·z_kk + φ''·z_k²; φ'' is built once, when a second-order
+  /// stream first needs it.
+  Jet forward_tanh_jet(const Jet& x);
   std::vector<autodiff::Variable> parameters() const override;
   std::vector<std::pair<std::string, autodiff::Variable>> named_parameters()
       const override;
@@ -37,13 +32,15 @@ class Linear : public Module {
 
   const autodiff::Variable& weight() const { return weight_; }
   const autodiff::Variable& bias() const { return bias_; }
-  bool has_bias() const { return bias_.defined(); }
 
  private:
+  /// The jet of x W (every component mapped by W).
+  Jet times_weight(const Jet& x) const;
+
   std::int64_t in_;
   std::int64_t out_;
   autodiff::Variable weight_;
-  autodiff::Variable bias_;  // undefined when bias disabled
+  autodiff::Variable bias_;
 };
 
 }  // namespace qpinn::nn

@@ -45,11 +45,10 @@ Mlp::Mlp(const MlpConfig& config) : config_(config) {
     width = fourier_->output_dim();
   }
   for (std::int64_t h : config_.hidden) {
-    layers_.push_back(std::make_unique<Linear>(width, h, rng, config_.init));
+    layers_.push_back(std::make_unique<Linear>(width, h, rng));
     width = h;
   }
-  layers_.push_back(
-      std::make_unique<Linear>(width, config_.out_dim, rng, config_.init));
+  layers_.push_back(std::make_unique<Linear>(width, config_.out_dim, rng));
 }
 
 Variable Mlp::forward(const Variable& x) {
@@ -57,7 +56,7 @@ Variable Mlp::forward(const Variable& x) {
   if (periodic_) h = periodic_->forward(h);
   if (fourier_) h = fourier_->forward(h);
   for (std::size_t i = 0; i + 1 < layers_.size(); ++i) {
-    h = layers_[i]->forward_act(h, config_.activation);
+    h = layers_[i]->forward_tanh(h);
   }
   return layers_.back()->forward(h);  // linear output head
 }
@@ -67,7 +66,7 @@ Jet Mlp::forward_jet(const Jet& x) {
   if (periodic_) h = periodic_->forward_jet(h);
   if (fourier_) h = fourier_->forward_jet(h);
   for (std::size_t i = 0; i + 1 < layers_.size(); ++i) {
-    h = layers_[i]->forward_act_jet(h, config_.activation);
+    h = layers_[i]->forward_tanh_jet(h);
   }
   return layers_.back()->forward_jet(h);
 }

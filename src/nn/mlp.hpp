@@ -1,12 +1,12 @@
 // The PINN backbone: optional periodic embedding -> optional random
-// Fourier features -> fully connected stack.
+// Fourier features -> fully connected stack (tanh hidden layers, affine
+// output head).
 #pragma once
 
 #include <memory>
 #include <optional>
 #include <vector>
 
-#include "nn/activation.hpp"
 #include "nn/fourier.hpp"
 #include "nn/linear.hpp"
 #include "nn/module.hpp"
@@ -23,8 +23,6 @@ struct MlpConfig {
   std::int64_t in_dim = 2;
   std::int64_t out_dim = 2;
   std::vector<std::int64_t> hidden = {64, 64, 64, 64};
-  Activation activation = Activation::kTanh;
-  Init init = Init::kXavierUniform;
   /// Optional RFF embedding applied after the periodic embedding.
   std::optional<FourierConfig> fourier;
   /// Per-input-dim periods (empty = no periodic embedding; otherwise must

@@ -74,7 +74,6 @@ Adam::Adam(std::vector<autodiff::Variable> params, const AdamConfig& config)
   QPINN_CHECK(config.beta2 >= 0.0 && config.beta2 < 1.0,
               "beta2 must be in [0, 1)");
   QPINN_CHECK(config.eps > 0.0, "eps must be positive");
-  QPINN_CHECK(config.weight_decay >= 0.0, "weight_decay must be >= 0");
   // Eager: allocating the moment buffers lazily inside the first step
   // used to consume pooled buffers mid-step, so the warmup step never
   // reached the steady-state allocation pattern and the first measured
@@ -138,13 +137,11 @@ void Adam::step(const std::vector<Tensor>& grads) {
   cfg.beta1 = config_.beta1;
   cfg.beta2 = config_.beta2;
   cfg.eps = config_.eps;
-  cfg.weight_decay = config_.weight_decay;
   cfg.bias_corr1 = 1.0 - std::pow(config_.beta1, step_count_);
   cfg.bias_corr2 = 1.0 - std::pow(config_.beta2, step_count_);
-  cfg.decoupled = config_.decoupled;
   for (std::size_t i = 0; i < params_.size(); ++i) {
-    // Single fused sweep per buffer (weight decay, moments, bias
-    // correction, parameter write); elementwise and collision-free, so
+    // Single fused sweep per buffer (moments, bias correction,
+    // parameter write); elementwise and collision-free, so
     // chunking over the pool is exact — determinism is untouched by
     // thread count.
     kernels::adam_step_inplace(params_[i].mutable_value(), grads[i], m_[i],

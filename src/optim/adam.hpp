@@ -1,4 +1,4 @@
-// Adam / AdamW (Kingma & Ba 2014; Loshchilov & Hutter 2019).
+// Adam (Kingma & Ba 2014).
 //
 // Adam is the optimizer used for all PINN trainings in this reproduction
 // (lr 1e-3 with exponential decay, as is standard for PINNs). qpinn uses a
@@ -16,10 +16,6 @@ struct AdamConfig {
   double beta1 = 0.9;
   double beta2 = 0.999;
   double eps = 1e-8;
-  /// L2 penalty added to gradients (classic Adam) when decoupled=false, or
-  /// decoupled weight decay (AdamW) when true.
-  double weight_decay = 0.0;
-  bool decoupled = false;
 };
 
 class Adam {

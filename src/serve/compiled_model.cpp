@@ -54,10 +54,7 @@ CompiledModel::CompiledModel(std::shared_ptr<core::FieldModel> model,
 std::shared_ptr<const CompiledModel> CompiledModel::compile(
     std::shared_ptr<core::FieldModel> model, std::int64_t batch_rows,
     ModelInfo info, std::size_t lanes) {
-  if (lanes == 0) {
-    const long long workers = env_int("QPINN_SERVE_WORKERS", 1);
-    lanes = workers > 0 ? static_cast<std::size_t>(workers) : 1;
-  }
+  if (lanes == 0) lanes = env_count("QPINN_SERVE_WORKERS", 1);
   // The constructor is private so every instance is born inside a
   // shared_ptr<const>; make_shared cannot reach it, hence the raw new
   // immediately owned by the returned pointer.

@@ -24,11 +24,9 @@ void QueryQueueConfig::validate() const {
 
 QueryQueueConfig query_queue_config_from_env() {
   QueryQueueConfig config;
-  config.capacity = static_cast<std::size_t>(env_int(
-      "QPINN_SERVE_QUEUE_CAP", static_cast<long long>(config.capacity)));
+  config.capacity = env_count("QPINN_SERVE_QUEUE_CAP", config.capacity);
   config.flush_us = env_int("QPINN_SERVE_FLUSH_US", config.flush_us);
-  config.workers = static_cast<std::size_t>(env_int(
-      "QPINN_SERVE_WORKERS", static_cast<long long>(config.workers)));
+  config.workers = env_count("QPINN_SERVE_WORKERS", config.workers);
   config.validate();
   return config;
 }

@@ -245,17 +245,8 @@ void reciprocal(const T* a, T* o, std::size_t n) {
   detail::sweep(a, o, n, simd::table<T>().reciprocal);
 }
 template <class T>
-void relu(const T* a, T* o, std::size_t n) {
-  detail::sweep(a, o, n, simd::table<T>().relu);
-}
-template <class T>
 void abs(const T* a, T* o, std::size_t n) {
   detail::sweep(a, o, n, simd::table<T>().abs);
-}
-/// Heaviside step: 1 where a > 0, else 0.
-template <class T>
-void step(const T* a, T* o, std::size_t n) {
-  detail::sweep(a, o, n, simd::table<T>().step);
 }
 template <class T>
 void sign(const T* a, T* o, std::size_t n) {
@@ -282,17 +273,6 @@ template <class T>
 void cos(const T* a, T* o, std::size_t n) {
   detail::sweep(a, o, n, simd::table<T>().cos, cost::kPoly);
 }
-template <class T>
-void sigmoid(const T* a, T* o, std::size_t n) {
-  detail::map(a, o, n, [](T x) { return T{1} / (T{1} + std::exp(-x)); });
-}
-/// Numerically stable log(1 + e^x).
-template <class T>
-void softplus(const T* a, T* o, std::size_t n) {
-  detail::map(a, o, n, [](T x) {
-    return x > T{0} ? x + std::log1p(std::exp(-x)) : std::log1p(std::exp(x));
-  });
-}
 
 template <class T>
 void scale(const T* a, double s, T* o, std::size_t n) {
@@ -316,14 +296,6 @@ void bias_tanh(const T* a, const T* b, T* o, std::size_t rows,
                std::size_t cols) {
   detail::row_sweep(a, b, o, rows, cols, cost::kPoly,
                     simd::table<T>().bias_tanh);
-}
-
-/// o[r][c] = sin(a[r][c] + b[c]) — fused sin-activation forward.
-template <class T>
-void bias_sin(const T* a, const T* b, T* o, std::size_t rows,
-              std::size_t cols) {
-  detail::row_sweep(a, b, o, rows, cols, cost::kPoly,
-                    simd::table<T>().bias_sin);
 }
 
 /// o[i] = g[i] * (1 - t[i]^2) — fused tanh backward.

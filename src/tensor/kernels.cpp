@@ -40,8 +40,6 @@ std::size_t extent(const Tensor& t) {
 
 using UnaryExec = void (*)(const double*, double*, std::size_t);
 using UnaryScalarExec = void (*)(const double*, double, double*, std::size_t);
-using RowExec = void (*)(const double*, const double*, double*, std::size_t,
-                         std::size_t);
 
 /// Validates a same-shape unary operand pair; returns the element count.
 std::size_t unary_extent(const Tensor& out, const Tensor& a) {
@@ -106,25 +104,6 @@ void binary_into(Tensor& out, const Tensor& a, const Tensor& b,
   exec::bin_strided(op, a.data(), broadcast_strides(a.shape(), rank),
                     b.data(), broadcast_strides(b.shape(), rank), out.data(),
                     row_major_strides(shape), extent(out));
-}
-
-void bias_activation_into(Tensor& out, const Tensor& a, const Tensor& bias,
-                          const char* name, RowExec fn) {
-  QPINN_KERNEL_VALIDATE(a, "kernels.bias_activation");
-  QPINN_KERNEL_VALIDATE(bias, "kernels.bias_activation");
-  QPINN_CHECK_SHAPE(a.rank() == 2, std::string(name) +
-                                       " requires a rank-2 input, got " +
-                                       shape_to_string(a.shape()));
-  QPINN_CHECK_SHAPE(is_row_vector_of(bias.shape(), a.shape()),
-                    std::string(name) + " bias " +
-                        shape_to_string(bias.shape()) +
-                        " does not match columns of " +
-                        shape_to_string(a.shape()));
-  QPINN_KERNEL_VALIDATE(out, "kernels.bias_activation");
-  QPINN_CHECK_SHAPE(out.same_shape(a),
-                    std::string(name) + " output shape mismatch");
-  fn(a.data(), bias.data(), out.data(), static_cast<std::size_t>(a.rows()),
-     static_cast<std::size_t>(a.cols()));
 }
 
 /// Result extents of a rank-2 kernel, checked against an _into output
@@ -250,15 +229,9 @@ Tensor reciprocal(const Tensor& a) {
   return fresh<&reciprocal_into>(a.shape(), a);
 }
 Tensor square(const Tensor& a) { return fresh<&square_into>(a.shape(), a); }
-Tensor sigmoid(const Tensor& a) { return fresh<&sigmoid_into>(a.shape(), a); }
-Tensor softplus(const Tensor& a) {
-  return fresh<&softplus_into>(a.shape(), a);
-}
 Tensor pow_scalar(const Tensor& a, double p) {
   return fresh<&pow_scalar_into>(a.shape(), a, p);
 }
-Tensor step(const Tensor& a) { return fresh<&step_into>(a.shape(), a); }
-Tensor relu(const Tensor& a) { return fresh<&relu_into>(a.shape(), a); }
 Tensor abs(const Tensor& a) { return fresh<&abs_into>(a.shape(), a); }
 Tensor sign(const Tensor& a) { return fresh<&sign_into>(a.shape(), a); }
 
@@ -305,9 +278,6 @@ Tensor concat_rows(const std::vector<Tensor>& parts) {
 
 Tensor bias_tanh(const Tensor& a, const Tensor& bias) {
   return fresh<&bias_tanh_into>(a.shape(), a, bias);
-}
-Tensor bias_sin(const Tensor& a, const Tensor& bias) {
-  return fresh<&bias_sin_into>(a.shape(), a, bias);
 }
 Tensor tanh_grad(const Tensor& g, const Tensor& t) {
   return fresh<&tanh_grad_into>(g.shape(), g, t);
@@ -366,20 +336,8 @@ void reciprocal_into(Tensor& out, const Tensor& a) {
 void square_into(Tensor& out, const Tensor& a) {
   unary_into(out, a, &exec::square<double>);
 }
-void sigmoid_into(Tensor& out, const Tensor& a) {
-  unary_into(out, a, &exec::sigmoid<double>);
-}
-void softplus_into(Tensor& out, const Tensor& a) {
-  unary_into(out, a, &exec::softplus<double>);
-}
 void pow_scalar_into(Tensor& out, const Tensor& a, double p) {
   unary_into(out, a, p, &exec::pow_scalar<double>);
-}
-void step_into(Tensor& out, const Tensor& a) {
-  unary_into(out, a, &exec::step<double>);
-}
-void relu_into(Tensor& out, const Tensor& a) {
-  unary_into(out, a, &exec::relu<double>);
 }
 void abs_into(Tensor& out, const Tensor& a) {
   unary_into(out, a, &exec::abs<double>);
@@ -396,11 +354,19 @@ void fill_zero(Tensor& out) {
 // ---- fused kernels --------------------------------------------------------
 
 void bias_tanh_into(Tensor& out, const Tensor& a, const Tensor& bias) {
-  bias_activation_into(out, a, bias, "bias_tanh", &exec::bias_tanh<double>);
-}
-
-void bias_sin_into(Tensor& out, const Tensor& a, const Tensor& bias) {
-  bias_activation_into(out, a, bias, "bias_sin", &exec::bias_sin<double>);
+  QPINN_KERNEL_VALIDATE(a, "kernels.bias_tanh");
+  QPINN_KERNEL_VALIDATE(bias, "kernels.bias_tanh");
+  QPINN_CHECK_SHAPE(a.rank() == 2, "bias_tanh requires a rank-2 input, got " +
+                                       shape_to_string(a.shape()));
+  QPINN_CHECK_SHAPE(is_row_vector_of(bias.shape(), a.shape()),
+                    "bias_tanh bias " + shape_to_string(bias.shape()) +
+                        " does not match columns of " +
+                        shape_to_string(a.shape()));
+  QPINN_KERNEL_VALIDATE(out, "kernels.bias_tanh");
+  QPINN_CHECK_SHAPE(out.same_shape(a), "bias_tanh output shape mismatch");
+  exec::bias_tanh(a.data(), bias.data(), out.data(),
+                  static_cast<std::size_t>(a.rows()),
+                  static_cast<std::size_t>(a.cols()));
 }
 
 void tanh_grad_into(Tensor& out, const Tensor& g, const Tensor& t) {
@@ -626,10 +592,8 @@ void adam_step_inplace(Tensor& param, const Tensor& grad, Tensor& m,
   sp.beta1 = cfg.beta1;
   sp.beta2 = cfg.beta2;
   sp.eps = cfg.eps;
-  sp.weight_decay = cfg.weight_decay;
   sp.bias_corr1 = cfg.bias_corr1;
   sp.bias_corr2 = cfg.bias_corr2;
-  sp.decoupled = cfg.decoupled;
   exec::adam(param.data(), grad.data(), m.data(), v.data(), extent(param), sp);
 }
 

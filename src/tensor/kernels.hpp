@@ -40,14 +40,8 @@ Tensor cos(const Tensor& a);
 Tensor sqrt(const Tensor& a);
 Tensor reciprocal(const Tensor& a);
 Tensor square(const Tensor& a);
-Tensor sigmoid(const Tensor& a);
-Tensor softplus(const Tensor& a);
 /// x^p for real p (x must be positive unless p is a non-negative integer).
 Tensor pow_scalar(const Tensor& a, double p);
-/// Heaviside step: 1 where a > 0, else 0 (used for relu's zero-a.e.
-/// derivative; treated as locally constant by autodiff).
-Tensor step(const Tensor& a);
-Tensor relu(const Tensor& a);
 Tensor abs(const Tensor& a);
 /// -1 / 0 / +1 elementwise.
 Tensor sign(const Tensor& a);
@@ -92,8 +86,6 @@ Tensor concat_rows(const std::vector<Tensor>& parts);
 // plain elementwise kernels and obey the same storage/IEEE contract.
 /// tanh(a + bias) in one pass; a rank-2, bias a row vector ({M} or {1,M}).
 Tensor bias_tanh(const Tensor& a, const Tensor& bias);
-/// sin(a + bias); same contract as bias_tanh.
-Tensor bias_sin(const Tensor& a, const Tensor& bias);
 /// g * (1 - t^2) in one pass (the tanh backward chain), same shapes
 /// required. Performs the identical per-lane IEEE sequence as the
 /// mul(g, add_scalar(neg(square(t)), 1.0)) composition — square, negate,
@@ -129,11 +121,7 @@ void cos_into(Tensor& out, const Tensor& a);
 void sqrt_into(Tensor& out, const Tensor& a);
 void reciprocal_into(Tensor& out, const Tensor& a);
 void square_into(Tensor& out, const Tensor& a);
-void sigmoid_into(Tensor& out, const Tensor& a);
-void softplus_into(Tensor& out, const Tensor& a);
 void pow_scalar_into(Tensor& out, const Tensor& a, double p);
-void step_into(Tensor& out, const Tensor& a);
-void relu_into(Tensor& out, const Tensor& a);
 void abs_into(Tensor& out, const Tensor& a);
 void sign_into(Tensor& out, const Tensor& a);
 void matmul_into(Tensor& out, const Tensor& a, const Tensor& b);
@@ -151,7 +139,6 @@ void slice_cols_into(Tensor& out, const Tensor& a, std::int64_t c0,
 void slice_rows_into(Tensor& out, const Tensor& a, std::int64_t r0,
                      std::int64_t r1);
 void bias_tanh_into(Tensor& out, const Tensor& a, const Tensor& bias);
-void bias_sin_into(Tensor& out, const Tensor& a, const Tensor& bias);
 void tanh_grad_into(Tensor& out, const Tensor& g, const Tensor& t);
 void square_sum_all_into(Tensor& out, const Tensor& a);
 void weighted_square_sum_all_into(Tensor& out, const Tensor& w,
@@ -174,12 +161,10 @@ struct AdamStepConfig {
   double beta1 = 0.0;
   double beta2 = 0.0;
   double eps = 0.0;
-  double weight_decay = 0.0;
   double bias_corr1 = 1.0;
   double bias_corr2 = 1.0;
-  bool decoupled = false;  ///< AdamW-style decoupled weight decay
 };
-/// One fused sweep of the Adam update: weight decay, both moment updates,
+/// One fused sweep of the Adam update: both moment updates,
 /// bias correction, and the parameter write in a single pass per buffer
 /// (replaces ~6 kernel calls per parameter). Bit-identical across SIMD
 /// dispatch variants, so checkpoints resume exactly under any of them.

@@ -41,10 +41,10 @@ inline void upcast(double* dst, const float* src, std::size_t n) {
 using exec::bin_row, exec::bin_same, exec::bin_scalar_lhs,
     exec::bin_scalar_rhs;
 using exec::abs, exec::cos, exec::exp, exec::log, exec::neg,
-    exec::reciprocal, exec::relu, exec::sigmoid, exec::sign, exec::sin,
-    exec::softplus, exec::sqrt, exec::square, exec::step, exec::tanh;
+    exec::reciprocal, exec::sign, exec::sin, exec::sqrt, exec::square,
+    exec::tanh;
 using exec::add_scalar, exec::pow_scalar, exec::scale;
-using exec::bias_sin, exec::bias_tanh, exec::tanh_grad;
+using exec::bias_tanh, exec::tanh_grad;
 using exec::axpy, exec::copy, exec::fill_value, exec::fill_zero,
     exec::sum_to_rows, exec::transpose;
 using exec::matmul, exec::matmul_nt, exec::matmul_tn;

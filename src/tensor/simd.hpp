@@ -33,13 +33,13 @@
 //
 // Bit-identity contract (fp64 tables): for the elementwise arithmetic
 // kernels (bin_same/bin_row, neg, scale, add_scalar, square, reciprocal,
-// sqrt, abs, relu, step, sign, tanh, bias_tanh, sin, cos, bias_sin, axpy,
-// scale_inplace, acc_add, adam) the vector body performs exactly the lane-wise
+// sqrt, abs, sign, tanh, bias_tanh, sin, cos, axpy, scale_inplace,
+// acc_add, adam) the vector body performs exactly the lane-wise
 // IEEE operation sequence of the scalar code and fringe elements run the
 // identical scalar expressions, so results are bit-identical across
 // every dispatch variant (the per-ISA TUs are compiled with
 // -ffp-contract=off so the compiler cannot fuse a*b+c differently per
-// target). tanh, sin and cos (and the fused bias_tanh and bias_sin) are
+// target). tanh, sin and cos (and the fused bias_tanh) are
 // branchless polynomial implementations (tanh_lanes, sincos_lanes below),
 // NOT bit-equal to libm: tanh is within a few ulp of std::tanh, fp64 sin/cos
 // within 2 ulp of glibc (1 ulp measured) and fp32 within 2 ulp of sinf/cosf.
@@ -105,10 +105,8 @@ struct AdamParams {
   double beta1 = 0.0;
   double beta2 = 0.0;
   double eps = 0.0;
-  double weight_decay = 0.0;
   double bias_corr1 = 1.0;
   double bias_corr2 = 1.0;
-  bool decoupled = false;
 };
 
 /// One fully-populated kernel variant over element type T. All pointers
@@ -133,8 +131,6 @@ struct KernelTableT {
   void (*reciprocal)(const T* a, T* o, std::size_t n);
   void (*sqrt)(const T* a, T* o, std::size_t n);
   void (*abs)(const T* a, T* o, std::size_t n);
-  void (*relu)(const T* a, T* o, std::size_t n);
-  void (*step)(const T* a, T* o, std::size_t n);
   void (*sign)(const T* a, T* o, std::size_t n);
   void (*tanh)(const T* a, T* o, std::size_t n);
   /// Fused bias + tanh: o[r][c] = tanh(a[r][c] + b[c]); bit-identical to
@@ -146,10 +142,6 @@ struct KernelTableT {
   void (*tanh_grad)(const T* g, const T* t, T* o, std::size_t n);
   void (*sin)(const T* a, T* o, std::size_t n);
   void (*cos)(const T* a, T* o, std::size_t n);
-  /// Fused bias + sin: o[r][c] = sin(a[r][c] + b[c]); bit-identical to
-  /// composing bin_row[kAdd] with sin.
-  void (*bias_sin)(const T* a, const T* b, T* o, std::size_t rows,
-                   std::size_t cols);
 
   double (*dot)(const T* a, const T* b, std::size_t n);
   double (*sum)(const T* a, std::size_t n);
@@ -837,36 +829,6 @@ void ew_abs(const typename V::elem* a, typename V::elem* o, std::size_t n) {
 }
 
 template <class V>
-void ew_relu(const typename V::elem* a, typename V::elem* o, std::size_t n) {
-  using T = typename V::elem;
-  constexpr std::size_t w = V::kWidth;
-  std::size_t i = 0;
-  if constexpr (w > 1) {
-    const typename V::reg z = V::zero();
-    for (; i + w <= n; i += w) {
-      const typename V::reg x = V::load(a + i);
-      V::store(o + i, V::gt_and(x, z, x));
-    }
-  }
-  for (; i < n; ++i) o[i] = a[i] > T(0.0) ? a[i] : T(0.0);
-}
-
-template <class V>
-void ew_step(const typename V::elem* a, typename V::elem* o, std::size_t n) {
-  using T = typename V::elem;
-  constexpr std::size_t w = V::kWidth;
-  std::size_t i = 0;
-  if constexpr (w > 1) {
-    const typename V::reg z = V::zero();
-    const typename V::reg one = V::set1(T(1.0));
-    for (; i + w <= n; i += w) {
-      V::store(o + i, V::gt_and(V::load(a + i), z, one));
-    }
-  }
-  for (; i < n; ++i) o[i] = a[i] > T(0.0) ? T(1.0) : T(0.0);
-}
-
-template <class V>
 void ew_sign(const typename V::elem* a, typename V::elem* o, std::size_t n) {
   using T = typename V::elem;
   constexpr std::size_t w = V::kWidth;
@@ -1163,26 +1125,6 @@ void ew_sincos(const typename V::elem* a, typename V::elem* o,
   for (; i < n; ++i) sincos_store<S, kCos>(o + i, a[i]);
 }
 
-template <class V>
-void ew_bias_sin(const typename V::elem* a, const typename V::elem* b,
-                 typename V::elem* o, std::size_t rows, std::size_t cols) {
-  using T = typename V::elem;
-  using S = typename ScalarVecFor<T>::type;
-  constexpr std::size_t w = V::kWidth;
-  for (std::size_t row = 0; row < rows; ++row) {
-    const T* ar = a + row * cols;
-    T* orow = o + row * cols;
-    std::size_t i = 0;
-    if constexpr (w > 1) {
-      for (; i + w <= cols; i += w) {
-        sincos_store<V, false>(orow + i,
-                               V::add(V::load(ar + i), V::load(b + i)));
-      }
-    }
-    for (; i < cols; ++i) sincos_store<S, false>(orow + i, ar[i] + b[i]);
-  }
-}
-
 // Reductions return double for every element type. The fp64 bodies use
 // 4 (or 2) independent vector accumulators with FMA to hide latency,
 // combining partials low-to-high — deterministic per variant. The fp32
@@ -1408,13 +1350,10 @@ void adam_sweep(typename V::elem* p, const typename V::elem* g,
                 typename V::elem* m, typename V::elem* v, std::size_t n,
                 const AdamParams& cfg) {
   using T = typename V::elem;
-  const bool coupled_wd = cfg.weight_decay > 0.0 && !cfg.decoupled;
-  const bool decoupled_wd = cfg.weight_decay > 0.0 && cfg.decoupled;
   const T lr = static_cast<T>(cfg.lr);
   const T beta1 = static_cast<T>(cfg.beta1);
   const T beta2 = static_cast<T>(cfg.beta2);
   const T eps = static_cast<T>(cfg.eps);
-  const T wd = static_cast<T>(cfg.weight_decay);
   const T bc1 = static_cast<T>(cfg.bias_corr1);
   const T bc2 = static_cast<T>(cfg.bias_corr2);
   const T ob1 = T(1.0) - beta1;
@@ -1430,11 +1369,9 @@ void adam_sweep(typename V::elem* p, const typename V::elem* g,
     const typename V::reg vbc2 = V::set1(bc2);
     const typename V::reg veps = V::set1(eps);
     const typename V::reg vlr = V::set1(lr);
-    const typename V::reg vwd = V::set1(wd);
     for (; i + w <= n; i += w) {
       const typename V::reg pv = V::load(p + i);
-      typename V::reg gj = V::load(g + i);
-      if (coupled_wd) gj = V::add(gj, V::mul(vwd, pv));
+      const typename V::reg gj = V::load(g + i);
       const typename V::reg mv =
           V::add(V::mul(vb1, V::load(m + i)), V::mul(vob1, gj));
       const typename V::reg vv = V::add(V::mul(vb2, V::load(v + i)),
@@ -1443,21 +1380,18 @@ void adam_sweep(typename V::elem* p, const typename V::elem* g,
       V::store(v + i, vv);
       const typename V::reg m_hat = V::div(mv, vbc1);
       const typename V::reg v_hat = V::div(vv, vbc2);
-      typename V::reg update =
+      const typename V::reg update =
           V::div(m_hat, V::add(V::sqrt(v_hat), veps));
-      if (decoupled_wd) update = V::add(update, V::mul(vwd, pv));
       V::store(p + i, V::sub(pv, V::mul(vlr, update)));
     }
   }
   for (; i < n; ++i) {
-    T gj = g[i];
-    if (coupled_wd) gj = gj + wd * p[i];
+    const T gj = g[i];
     m[i] = beta1 * m[i] + ob1 * gj;
     v[i] = beta2 * v[i] + ob2 * (gj * gj);
     const T m_hat = m[i] / bc1;
     const T v_hat = v[i] / bc2;
-    T update = m_hat / (std::sqrt(v_hat) + eps);
-    if (decoupled_wd) update = update + wd * p[i];
+    const T update = m_hat / (std::sqrt(v_hat) + eps);
     p[i] = p[i] - lr * update;
   }
 }
@@ -1759,15 +1693,12 @@ KernelTableT<typename V::elem> make_table(Isa isa, const char* name) {
   t.reciprocal = &ew_reciprocal<V>;
   t.sqrt = &ew_sqrt<V>;
   t.abs = &ew_abs<V>;
-  t.relu = &ew_relu<V>;
-  t.step = &ew_step<V>;
   t.sign = &ew_sign<V>;
   t.tanh = &ew_tanh<V>;
   t.bias_tanh = &ew_bias_tanh<V>;
   t.tanh_grad = &ew_bin<V, OpTanhGrad>;
   t.sin = &ew_sincos<V, false>;
   t.cos = &ew_sincos<V, true>;
-  t.bias_sin = &ew_bias_sin<V>;
   t.dot = &red_dot<V>;
   t.sum = &red_sum<V>;
   t.square_sum = &red_square_sum<V>;

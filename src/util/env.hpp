@@ -1,6 +1,7 @@
 // Environment-variable helpers shared by tests / benches / experiments.
 #pragma once
 
+#include <cstddef>
 #include <string>
 
 namespace qpinn {
@@ -11,6 +12,11 @@ bool env_flag(const std::string& name);
 
 /// Integer value of an environment variable, or `fallback` when unset/bad.
 long long env_int(const std::string& name, long long fallback);
+
+/// env_int for a count: `fallback` when unset/bad, and ConfigError naming
+/// the variable when it is set below 1 (a negative value must not wrap to
+/// a huge size_t).
+std::size_t env_count(const std::string& name, std::size_t fallback);
 
 /// Raw string value of an environment variable, or `fallback` when unset.
 /// An empty value counts as unset.

@@ -74,12 +74,8 @@ const UnaryCase kUnaryCases[] = {
     {"reciprocal", [](const Variable& x) { return reciprocal(x); }, 0.4, 2.0,
      true},
     {"square", [](const Variable& x) { return square(x); }, -1.5, 1.5, true},
-    {"sigmoid", [](const Variable& x) { return sigmoid(x); }, -2.0, 2.0, true},
-    {"softplus", [](const Variable& x) { return softplus(x); }, -2.0, 2.0,
-     true},
     {"pow2.5", [](const Variable& x) { return pow_scalar(x, 2.5); }, 0.3, 2.0,
      true},
-    {"relu", [](const Variable& x) { return relu(x); }, 0.2, 2.0, false},
     {"abs", [](const Variable& x) { return abs(x); }, 0.2, 2.0, false},
 };
 

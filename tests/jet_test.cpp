@@ -76,12 +76,6 @@ class NoJet : public nn::Module {
   nn::Module& inner_;
 };
 
-/// Every activation; each has a jet rule.
-constexpr nn::Activation kActivations[] = {
-    nn::Activation::kTanh,     nn::Activation::kSin,  nn::Activation::kSigmoid,
-    nn::Activation::kSoftplus, nn::Activation::kRelu, nn::Activation::kGelu,
-    nn::Activation::kIdentity};
-
 /// A jet model and its `partial` twin sharing one backbone.
 struct ModelPair {
   std::shared_ptr<FieldModel> jet;
@@ -167,19 +161,15 @@ TEST(JetLayers, EveryModuleMatchesPartial) {
   expect_module_jet_matches_partial(periodic, 9, {2, 1});
   nn::RandomFourierFeatures fourier(3, 5, 1.0, rng);
   expect_module_jet_matches_partial(fourier, 9, {2, 2, 1});
-  for (nn::Activation act : kActivations) {
-    SCOPED_TRACE(nn::to_string(act));
-    nn::MlpConfig config;
-    config.in_dim = 3;
-    config.out_dim = 2;
-    config.hidden = {7, 6};
-    config.activation = act;
-    config.fourier = nn::FourierConfig{4, 1.0};
-    config.periods = {2.5, 0.0, 0.0};
-    config.seed = 4;
-    nn::Mlp mlp(config);
-    expect_module_jet_matches_partial(mlp, 11, {2, 2, 1});
-  }
+  nn::MlpConfig config;
+  config.in_dim = 3;
+  config.out_dim = 2;
+  config.hidden = {7, 6};
+  config.fourier = nn::FourierConfig{4, 1.0};
+  config.periods = {2.5, 0.0, 0.0};
+  config.seed = 4;
+  nn::Mlp mlp(config);
+  expect_module_jet_matches_partial(mlp, 11, {2, 2, 1});
 }
 
 // Module's default forward_jet is exact only for input jets; it refuses a
@@ -228,13 +218,10 @@ TEST(JetFieldModel, UnnormalizedAndPlainBackbonesMatchPartial) {
   raw.normalization.reset();
   FieldModelConfig no_fourier = base;  // periodic embedding straight in
   no_fourier.fourier.reset();
-  FieldModelConfig plain = base;  // neither embedding, sin activation
+  FieldModelConfig plain = base;  // neither embedding
   plain.fourier.reset();
   plain.x_period = 0.0;
-  plain.activation = nn::Activation::kSin;
-  FieldModelConfig identity = plain;  // linear net: zero second derivative
-  identity.activation = nn::Activation::kIdentity;
-  for (const FieldModelConfig& config : {raw, no_fourier, plain, identity}) {
+  for (const FieldModelConfig& config : {raw, no_fourier, plain}) {
     expect_jet_matches_partial(make_pair_for(config), X);
   }
 }
@@ -362,11 +349,6 @@ TEST(JetTdse2d, ResidualMatchesPartial) {
       ad::add(ad::partial(u, X, 2), ad::scale(lap(v), 0.5)), ad::mul(V, v));
   const Variable reference = ad::concat_cols({r1, r2});
   EXPECT_LE(max_rel(Variable::constant(jet_residual), reference), 1e-12);
-
-  // gelu's own jet rule (checked against `partial` in JetLayers).
-  config.activation = nn::Activation::kGelu;
-  Tdse2dSolver fallback(config);
-  EXPECT_TRUE(fallback.residual_at(points).all_finite());
 }
 
 // --- FieldModel with two space axes ----------------------------------------
@@ -569,40 +551,36 @@ TEST(JetTrainer, ShardedCaptureOnPoolThreadsBitIdentical) {
   }
 }
 
-/// Every activation's jet rule under capture: graph-on replay matches the
-/// eager step bit for bit over 3 steps, serially and over 4 shards.
+/// The tanh jet rule under capture: graph-on replay matches the eager step
+/// bit for bit over 3 steps, serially and over 4 shards.
 TEST(JetTrainer, EveryActivationReplaysBitIdentical) {
   const ad::Precision saved = ad::precision_mode();
   ad::set_precision_mode(ad::Precision::kFp64);
   auto problem = make_free_packet_problem();
   for (const std::int64_t threads : {1, 4}) {
     set_global_threads(threads);
-    for (nn::Activation act : kActivations) {
-      SCOPED_TRACE(nn::to_string(act) + " at " + std::to_string(threads) +
-                   " threads");
-      std::vector<double> losses[2];
-      for (const GraphMode mode : {GraphMode::kOff, GraphMode::kOn}) {
-        TrainConfig config = default_train_config(1, /*seed=*/7);
-        config.resample_every = 0;
-        config.threads = threads;
-        config.graph = mode;
-        config.sampling.n_interior_x = 8;
-        config.sampling.n_interior_t = 8;
-        config.sampling.n_initial = 16;
-        config.sampling.n_boundary = 8;
-        FieldModelConfig mc = benchmark_config(*problem, /*hard_ic=*/true);
-        mc.hidden = {12, 12};
-        mc.fourier = nn::FourierConfig{6, 1.0};
-        mc.activation = act;
-        Trainer trainer(problem, make_field_model(mc), config);
-        for (std::int64_t e = 0; e < 3; ++e) {
-          losses[mode == GraphMode::kOn].push_back(trainer.step(e).total_loss);
-        }
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    std::vector<double> losses[2];
+    for (const GraphMode mode : {GraphMode::kOff, GraphMode::kOn}) {
+      TrainConfig config = default_train_config(1, /*seed=*/7);
+      config.resample_every = 0;
+      config.threads = threads;
+      config.graph = mode;
+      config.sampling.n_interior_x = 8;
+      config.sampling.n_interior_t = 8;
+      config.sampling.n_initial = 16;
+      config.sampling.n_boundary = 8;
+      FieldModelConfig mc = benchmark_config(*problem, /*hard_ic=*/true);
+      mc.hidden = {12, 12};
+      mc.fourier = nn::FourierConfig{6, 1.0};
+      Trainer trainer(problem, make_field_model(mc), config);
+      for (std::int64_t e = 0; e < 3; ++e) {
+        losses[mode == GraphMode::kOn].push_back(trainer.step(e).total_loss);
       }
-      for (std::size_t i = 0; i < losses[0].size(); ++i) {
-        ASSERT_TRUE(std::isfinite(losses[0][i]));
-        EXPECT_EQ(losses[0][i], losses[1][i]) << "step " << i;
-      }
+    }
+    for (std::size_t i = 0; i < losses[0].size(); ++i) {
+      ASSERT_TRUE(std::isfinite(losses[0][i]));
+      EXPECT_EQ(losses[0][i], losses[1][i]) << "step " << i;
     }
   }
   set_global_threads(default_num_threads());

@@ -102,24 +102,8 @@ TEST(Kernels, UnaryMatchStd) {
   }
 }
 
-TEST(Kernels, SigmoidSoftplusStable) {
-  const Tensor x = Tensor::from_vector({-700.0, -1.0, 0.0, 1.0, 700.0}, {5});
-  const Tensor s = sigmoid(x), sp = softplus(x);
-  EXPECT_NEAR(s[0], 0.0, 1e-12);
-  EXPECT_NEAR(s[4], 1.0, 1e-12);
-  EXPECT_DOUBLE_EQ(s[2], 0.5);
-  EXPECT_TRUE(sp.all_finite());
-  EXPECT_NEAR(sp[4], 700.0, 1e-9);
-  EXPECT_NEAR(sp[0], 0.0, 1e-12);
-}
-
-TEST(Kernels, StepReluAbsSign) {
+TEST(Kernels, AbsSign) {
   const Tensor x = Tensor::from_vector({-2.0, 0.0, 3.0}, {3});
-  EXPECT_DOUBLE_EQ(step(x)[0], 0.0);
-  EXPECT_DOUBLE_EQ(step(x)[1], 0.0);
-  EXPECT_DOUBLE_EQ(step(x)[2], 1.0);
-  EXPECT_DOUBLE_EQ(relu(x)[0], 0.0);
-  EXPECT_DOUBLE_EQ(relu(x)[2], 3.0);
   EXPECT_DOUBLE_EQ(abs(x)[0], 2.0);
   EXPECT_DOUBLE_EQ(sign(x)[0], -1.0);
   EXPECT_DOUBLE_EQ(sign(x)[1], 0.0);
@@ -598,10 +582,6 @@ std::vector<TwinCase> twin_cases() {
       {"sqrt", &sqrt, &sqrt_into},
       {"reciprocal", &reciprocal, &reciprocal_into},
       {"square", &square, &square_into},
-      {"sigmoid", &sigmoid, &sigmoid_into},
-      {"softplus", &softplus, &softplus_into},
-      {"step", &step, &step_into},
-      {"relu", &relu, &relu_into},
       {"abs", &abs, &abs_into},
       {"sign", &sign, &sign_into},
       {"transpose", &transpose, &transpose_into},
@@ -684,7 +664,7 @@ std::vector<TwinCase> twin_cases() {
              [=](Tensor& o) { broadcast_to_into(o, a); });
   }
 
-  // Fused bias activations: bias {m} and {1,m}.
+  // Fused bias + tanh: bias {m} and {1,m}.
   for (const auto& [rows, cols] :
        std::vector<std::pair<std::int64_t, std::int64_t>>{
            {1, 1}, {3, 3}, {13, 17}, {257, 3}, {70, 65}}) {
@@ -693,8 +673,6 @@ std::vector<TwinCase> twin_cases() {
       const Tensor bias = rnd(bs);
       add_case("bias_tanh", {a, bias}, [=] { return bias_tanh(a, bias); },
                [=](Tensor& o) { bias_tanh_into(o, a, bias); });
-      add_case("bias_sin", {a, bias}, [=] { return bias_sin(a, bias); },
-               [=](Tensor& o) { bias_sin_into(o, a, bias); });
     }
   }
 
@@ -717,7 +695,7 @@ TEST(Kernels, EveryValueKernelEqualsItsIntoTwinBitForBit) {
   const std::vector<TwinCase> cases = twin_cases();
   std::set<std::string> kernels;
   for (const TwinCase& c : cases) kernels.insert(c.kernel);
-  EXPECT_EQ(kernels.size(), 39u) << "a value kernel lost its twin case";
+  EXPECT_EQ(kernels.size(), 34u) << "a value kernel lost its twin case";
 
   const simd::Isa original = simd::active_isa();
   for (const simd::Isa isa : simd::available_isas()) {
@@ -952,7 +930,6 @@ std::vector<ChunkedCase> dispatched_cases() {
   cases.push_back({"tanh", [=] { return bytes_of(tanh(x)); }});
   cases.push_back({"add row", [=] { return bytes_of(add(x, row)); }});
   cases.push_back({"bias_tanh", [=] { return bytes_of(bias_tanh(x, row)); }});
-  cases.push_back({"bias_sin", [=] { return bytes_of(bias_sin(x, row)); }});
   cases.push_back({"sum", [=] { return bytes_of(sum_all(x)); }});
   cases.push_back({"dot", [=] { return bytes_of(dot(x, y)); }});
   cases.push_back({"square_sum", [=] { return bytes_of(square_sum_all(x)); }});
@@ -1009,12 +986,6 @@ std::vector<ChunkedCase> dispatched_cases() {
                      return out(kN, [&](float* o) {
                        kernels_f32::bias_tanh(xf.data(), rowf.data(), o, kRows,
                                               kCols);
-                     });
-                   }});
-  cases.push_back({"f32 bias_sin", [=] {
-                     return out(kN, [&](float* o) {
-                       kernels_f32::bias_sin(xf.data(), rowf.data(), o, kRows,
-                                             kCols);
                      });
                    }});
   cases.push_back({"f32 sum", [=] {

@@ -3,10 +3,8 @@
 #include <cmath>
 #include <cstdio>
 
-#include "autodiff/gradcheck.hpp"
-#include "nn/activation.hpp"
+#include "autodiff/ops.hpp"
 #include "nn/fourier.hpp"
-#include "nn/init.hpp"
 #include "nn/linear.hpp"
 #include "nn/mlp.hpp"
 #include "nn/periodic.hpp"
@@ -20,87 +18,13 @@ using autodiff::Variable;
 
 // ---- init --------------------------------------------------------------------
 
-TEST(Init, ParseRoundTrip) {
-  for (const char* name :
-       {"xavier_uniform", "xavier_normal", "he_normal", "lecun_normal"}) {
-    EXPECT_EQ(to_string(parse_init(name)), name);
-  }
-  EXPECT_THROW(parse_init("glorot"), ValueError);
-}
-
 TEST(Init, XavierUniformBounds) {
   Rng rng(1);
-  const Tensor w = make_weight(64, 64, Init::kXavierUniform, rng);
+  const Tensor w = Linear(64, 64, rng).weight().value();
   const double bound = std::sqrt(6.0 / 128.0);
   EXPECT_LE(w.abs_max(), bound);
   EXPECT_GT(w.abs_max(), 0.5 * bound);  // actually fills the range
 }
-
-TEST(Init, VarianceScalesWithFans) {
-  Rng rng(2);
-  const Tensor w = make_weight(200, 100, Init::kHeNormal, rng);
-  double sq = 0.0;
-  for (std::int64_t i = 0; i < w.numel(); ++i) sq += w[i] * w[i];
-  const double var = sq / static_cast<double>(w.numel());
-  EXPECT_NEAR(var, 2.0 / 200.0, 0.002);
-  EXPECT_THROW(make_weight(0, 4, Init::kHeNormal, rng), ValueError);
-}
-
-// ---- activations -----------------------------------------------------------------
-
-TEST(Activation, ParseRoundTrip) {
-  for (const char* name :
-       {"tanh", "sin", "sigmoid", "softplus", "relu", "gelu", "identity"}) {
-    EXPECT_EQ(to_string(parse_activation(name)), name);
-  }
-  EXPECT_THROW(parse_activation("swish"), ValueError);
-}
-
-TEST(Activation, ValuesMatchClosedForms) {
-  const Tensor x = Tensor::from_vector({-1.0, 0.0, 0.5}, {3});
-  const Variable v = Variable::constant(x);
-  const Tensor t = apply_activation(Activation::kTanh, v).value();
-  const Tensor s = apply_activation(Activation::kSin, v).value();
-  const Tensor i = apply_activation(Activation::kIdentity, v).value();
-  for (std::int64_t k = 0; k < 3; ++k) {
-    // The vectorized tanh is accurate to a few ulp of libm, not bit-equal.
-    EXPECT_NEAR(t[k], std::tanh(x[k]), 5e-15);
-    EXPECT_DOUBLE_EQ(s[k], std::sin(x[k]));
-    EXPECT_DOUBLE_EQ(i[k], x[k]);
-  }
-}
-
-TEST(Activation, GeluApproximation) {
-  const Variable v = Variable::constant(
-      Tensor::from_vector({0.0, 5.0, -5.0, 1.0}, {4}));
-  const Tensor g = apply_activation(Activation::kGelu, v).value();
-  EXPECT_NEAR(g[0], 0.0, 1e-12);
-  EXPECT_NEAR(g[1], 5.0, 1e-3);
-  EXPECT_NEAR(g[2], 0.0, 1e-3);
-  EXPECT_NEAR(g[3], 0.8412, 5e-4);  // known gelu(1)
-}
-
-class SmoothActivationGradP : public ::testing::TestWithParam<Activation> {};
-
-TEST_P(SmoothActivationGradP, FirstAndSecondOrderGradcheck) {
-  const Activation activation = GetParam();
-  const autodiff::ScalarFn f = [&](const std::vector<Variable>& in) {
-    return autodiff::mse(apply_activation(activation, in[0]));
-  };
-  Rng rng(33);
-  const Tensor x = Tensor::rand({3, 4}, rng, -1.2, 1.2);
-  EXPECT_TRUE(autodiff::check_gradients(f, {x}).ok);
-  EXPECT_TRUE(autodiff::check_second_gradients(f, {x}).ok);
-}
-
-INSTANTIATE_TEST_SUITE_P(Smooth, SmoothActivationGradP,
-                         ::testing::Values(Activation::kTanh, Activation::kSin,
-                                           Activation::kSigmoid,
-                                           Activation::kSoftplus,
-                                           Activation::kGelu),
-                         [](const auto& info) {
-                           return to_string(info.param);
-                         });
 
 // ---- linear -----------------------------------------------------------------------
 
@@ -116,11 +40,25 @@ TEST(Linear, ForwardShapeAndBias) {
                ShapeError);
 }
 
-TEST(Linear, NoBiasVariant) {
+TEST(Linear, ForwardTanhIsTanhOfForward) {
   Rng rng(5);
-  Linear layer(3, 2, rng, Init::kXavierUniform, /*with_bias=*/false);
-  EXPECT_FALSE(layer.has_bias());
-  EXPECT_EQ(layer.parameters().size(), 1u);
+  Linear layer(3, 2, rng);
+  Variable bias_param = layer.bias();
+  Tensor& bias = bias_param.mutable_value();
+  for (std::int64_t k = 0; k < bias.numel(); ++k) {
+    bias[k] = 0.25 * static_cast<double>(k + 1);
+  }
+  const Variable x =
+      Variable::constant(Tensor::rand({4, 3}, rng, -1.0, 1.0));
+  const Tensor z = layer.forward(x).value();
+  const Tensor t = layer.forward_tanh(x).value();
+  const Tensor composed = autodiff::tanh(layer.forward(x)).value();
+  for (std::int64_t k = 0; k < z.numel(); ++k) {
+    // The fused bias_tanh sweep equals tanh of the affine map bit for bit;
+    // the vectorized tanh is accurate to a few ulp of libm, not bit-equal.
+    EXPECT_EQ(t[k], composed[k]);
+    EXPECT_NEAR(t[k], std::tanh(z[k]), 5e-15);
+  }
 }
 
 TEST(Linear, NamedParameters) {

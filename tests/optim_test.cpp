@@ -44,25 +44,6 @@ TEST(Adam, ConvergesOnQuadratic) {
   EXPECT_EQ(optimizer.step_count(), 400);
 }
 
-TEST(Adam, DecoupledWeightDecayDiffersFromCoupled) {
-  const Tensor target = target_tensor();
-  const Variable pa = Variable::leaf(Tensor::zeros({3}));
-  AdamConfig coupled;
-  coupled.weight_decay = 0.1;
-  Adam a({pa}, coupled);
-  minimize_quadratic(a, pa, target, 50);
-
-  const Variable pb = Variable::leaf(Tensor::zeros({3}));
-  AdamConfig decoupled = coupled;
-  decoupled.decoupled = true;
-  Adam b({pb}, decoupled);
-  minimize_quadratic(b, pb, target, 50);
-
-  double diff = 0.0;
-  for (int i = 0; i < 3; ++i) diff += std::abs(pa.value()[i] - pb.value()[i]);
-  EXPECT_GT(diff, 1e-6);
-}
-
 TEST(Adam, RejectsNonFiniteGradients) {
   const Variable p = Variable::leaf(Tensor::zeros({2}));
   Adam optimizer({p}, AdamConfig{});

@@ -17,6 +17,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <thread>
@@ -384,6 +385,34 @@ TEST(QueryQueue, ConfigValidates) {
   config = QueryQueueConfig{};
   config.flush_us = -1;
   EXPECT_THROW(config.validate(), ConfigError);
+}
+
+// A negative count must not wrap to SIZE_MAX and slip past validate(): both
+// env readers reject it with a ConfigError naming the variable. No
+// QueryQueue is built, so no worker thread starts.
+TEST(QueryQueue, NegativeEnvCountsAreConfigErrors) {
+  auto model = tiny_model(25);
+  for (const char* name : {"QPINN_SERVE_WORKERS", "QPINN_SERVE_QUEUE_CAP"}) {
+    SCOPED_TRACE(name);
+    const char* saved = std::getenv(name);
+    const std::string restore = saved != nullptr ? saved : "";
+    ::setenv(name, "-1", 1);
+    try {
+      (void)query_queue_config_from_env();
+      ADD_FAILURE() << "no ConfigError";
+    } catch (const ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+          << e.what();
+    }
+    if (std::string(name) == "QPINN_SERVE_WORKERS") {
+      EXPECT_THROW(CompiledModel::compile(model, 8), ConfigError);
+    }
+    if (saved != nullptr) {
+      ::setenv(name, restore.c_str(), 1);
+    } else {
+      ::unsetenv(name);
+    }
+  }
 }
 
 // --- hot-swap under load ----------------------------------------------------

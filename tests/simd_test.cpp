@@ -135,8 +135,6 @@ TEST_P(SimdVariantP, ElementwiseKernelsAreBitIdenticalToScalar) {
         {variant().reciprocal, scalar().reciprocal},
         {variant().sqrt, scalar().sqrt},
         {variant().abs, scalar().abs},
-        {variant().relu, scalar().relu},
-        {variant().step, scalar().step},
         {variant().sign, scalar().sign},
     };
     for (const auto& [v_fn, s_fn] : unaries) {
@@ -197,14 +195,6 @@ TEST_P(SimdVariantP, RowBroadcastMatchesScalar) {
 
 TEST_P(SimdVariantP, InplaceAndAdamKernelsAreBitIdenticalToScalar) {
   const KernelTable& var = variant();
-  AdamParams cfg;
-  cfg.lr = 1e-3;
-  cfg.beta1 = 0.9;
-  cfg.beta2 = 0.999;
-  cfg.eps = 1e-8;
-  cfg.weight_decay = 0.01;
-  cfg.bias_corr1 = 0.1;
-  cfg.bias_corr2 = 0.001;
   for (std::size_t n : test_lengths(var.width)) {
     const std::vector<double> src = filled(n, 41 + n, -2.0, 2.0);
     std::vector<double> got = filled(n, 43 + n, -2.0, 2.0);
@@ -218,26 +208,6 @@ TEST_P(SimdVariantP, InplaceAndAdamKernelsAreBitIdenticalToScalar) {
     scalar().acc_add(want.data() + 1, src.data() + 1, n);
     for (std::size_t i = 1; i <= n; ++i) {
       ASSERT_TRUE(bit_equal(got[i], want[i])) << "n " << n << " lane " << i;
-    }
-
-    for (bool decoupled : {false, true}) {
-      cfg.decoupled = decoupled;
-      std::vector<double> pv = filled(n, 47 + n, -1.0, 1.0);
-      std::vector<double> ps = pv;
-      const std::vector<double> g = filled(n, 53 + n, -1.0, 1.0);
-      std::vector<double> mv = filled(n, 59 + n, -0.1, 0.1);
-      std::vector<double> ms = mv;
-      std::vector<double> vv = filled(n, 61 + n, 0.0, 0.1);
-      std::vector<double> vs = vv;
-      variant().adam(pv.data() + 1, g.data() + 1, mv.data() + 1,
-                     vv.data() + 1, n, cfg);
-      scalar().adam(ps.data() + 1, g.data() + 1, ms.data() + 1,
-                    vs.data() + 1, n, cfg);
-      for (std::size_t i = 1; i <= n; ++i) {
-        ASSERT_TRUE(bit_equal(pv[i], ps[i])) << "param lane " << i;
-        ASSERT_TRUE(bit_equal(mv[i], ms[i])) << "m lane " << i;
-        ASSERT_TRUE(bit_equal(vv[i], vs[i])) << "v lane " << i;
-      }
     }
   }
 }
@@ -326,13 +296,10 @@ TEST_P(SimdVariantP, NanAndInfPropagateLikeScalar) {
   variant().bin_same[kMul](a.data() + 1, b.data() + 1, got.data() + 1, n);
   EXPECT_TRUE(std::isnan(got[3])) << "0 * NaN was dropped";
 
-  // relu/step/sign: comparisons with NaN are false, so NaN maps to 0 in
-  // every variant (same as the scalar ternary).
-  using Unary = void (*)(const double*, double*, std::size_t);
-  for (Unary v_fn : {var.relu, var.step, var.sign}) {
-    v_fn(a.data() + 1, got.data() + 1, n);
-    EXPECT_TRUE(bit_equal(got[1], 0.0));
-  }
+  // sign: comparisons with NaN are false, so NaN maps to 0 in every
+  // variant (same as the scalar ternary).
+  var.sign(a.data() + 1, got.data() + 1, n);
+  EXPECT_TRUE(bit_equal(got[1], 0.0));
   variant().neg(a.data() + 1, got.data() + 1, n);
   EXPECT_TRUE(std::isnan(got[1]));
   EXPECT_EQ(got[2], -kInf);
@@ -373,12 +340,9 @@ TEST_P(SimdVariantP, F32NanAndInfPropagateLikeScalar) {
   EXPECT_TRUE(std::isnan(got[2])) << "f32 inf + -inf must be NaN";
 
   // Unary edge semantics mirror the fp64 table: comparisons with NaN are
-  // false, so relu/step/sign map NaN to 0; neg and tanh propagate.
-  using UnaryF = void (*)(const float*, float*, std::size_t);
-  for (UnaryF v_fn : {var.relu, var.step, var.sign}) {
-    v_fn(a.data() + 1, got.data() + 1, n);
-    EXPECT_EQ(got[1], 0.0f);
-  }
+  // false, so sign maps NaN to 0; neg and tanh propagate.
+  var.sign(a.data() + 1, got.data() + 1, n);
+  EXPECT_EQ(got[1], 0.0f);
   var.neg(a.data() + 1, got.data() + 1, n);
   EXPECT_TRUE(std::isnan(got[1]));
   EXPECT_EQ(got[2], -kInfF);
@@ -440,8 +404,7 @@ INSTANTIATE_TEST_SUITE_P(AllVariants, SimdVariantP,
                            return isa_name(info.param);
                          });
 
-// Every training run uses weight_decay = 0, which skips both decay
-// branches of the sweep; the test above runs only the decay branches.
+// The fused Adam sweep every training runs.
 TEST_P(SimdVariantP, AdamWithoutWeightDecayIsBitIdenticalToScalar) {
   const KernelTable& var = variant();
   AdamParams cfg;
@@ -483,16 +446,14 @@ TEST(SimdKernels, FusedKernelsMatchTheirCompositionUnderEveryVariant) {
   for (Isa isa : available_isas()) {
     ASSERT_TRUE(force_isa(isa));
     const Tensor bt = kernels::bias_tanh(a, bias);
-    const Tensor bs = kernels::bias_sin(a, bias);
     const Tensor plain = kernels::add(a, bias);
     // bias_tanh must agree bitwise with the unfused tanh(add(..)) chain
     // (both use the same polynomial kernel) and stay within a few ulp of
-    // libm; bias_sin still goes through std::sin exactly.
+    // libm.
     const Tensor tanh_chain = kernels::tanh(plain);
     for (std::int64_t i = 0; i < a.numel(); ++i) {
       EXPECT_EQ(bt[i], tanh_chain[i]) << isa_name(isa);
       EXPECT_NEAR(bt[i], std::tanh(plain[i]), 5e-15) << isa_name(isa);
-      EXPECT_DOUBLE_EQ(bs[i], std::sin(plain[i])) << isa_name(isa);
     }
     EXPECT_NEAR(kernels::square_sum_all(a)[0],
                 kernels::sum_all(kernels::mul(a, a))[0], 1e-12);
@@ -518,48 +479,6 @@ TEST(SimdKernels, FusedKernelsMatchTheirCompositionUnderEveryVariant) {
         w_same, kernels::add_scalar(kernels::neg(kernels::square(a)), 1.0));
     for (std::int64_t i = 0; i < a.numel(); ++i) {
       EXPECT_EQ(tg[i], tg_chain[i]) << isa_name(isa);
-    }
-  }
-}
-
-TEST(SimdKernels, FusedAdamMatchesTheUnfusedUpdate) {
-  IsaGuard guard;
-  Rng rng(7);
-  const std::int64_t n = 130;  // not a multiple of any vector width
-  kernels::AdamStepConfig cfg;
-  cfg.lr = 1e-3;
-  cfg.beta1 = 0.9;
-  cfg.beta2 = 0.999;
-  cfg.eps = 1e-8;
-  cfg.weight_decay = 0.01;
-  cfg.bias_corr1 = 1.0 - cfg.beta1;
-  cfg.bias_corr2 = 1.0 - cfg.beta2;
-  for (Isa isa : available_isas()) {
-    ASSERT_TRUE(force_isa(isa));
-    for (bool decoupled : {false, true}) {
-      cfg.decoupled = decoupled;
-      Rng local(99);
-      Tensor p = Tensor::rand({n}, local, -1.0, 1.0);
-      const Tensor p0 = p.clone();
-      const Tensor g = Tensor::rand({n}, local, -1.0, 1.0);
-      Tensor m = Tensor::zeros({n});
-      Tensor v = Tensor::zeros({n});
-      kernels::adam_step_inplace(p, g, m, v, cfg);
-      for (std::int64_t i = 0; i < n; ++i) {
-        double gi = g[i];
-        double pi = p0[i];
-        if (!decoupled) gi += cfg.weight_decay * pi;
-        const double mi = cfg.beta1 * 0.0 + (1.0 - cfg.beta1) * gi;
-        const double vi = cfg.beta2 * 0.0 + (1.0 - cfg.beta2) * (gi * gi);
-        ASSERT_NEAR(m[i], mi, 1e-15);
-        ASSERT_NEAR(v[i], vi, 1e-15);
-        const double mhat = mi / cfg.bias_corr1;
-        const double vhat = vi / cfg.bias_corr2;
-        double update = mhat / (std::sqrt(vhat) + cfg.eps);
-        if (decoupled) update += cfg.weight_decay * pi;
-        ASSERT_NEAR(p[i], pi - cfg.lr * update, 1e-14)
-            << isa_name(isa) << " lane " << i;
-      }
     }
   }
 }
@@ -807,33 +726,6 @@ TEST(SimdSinCos, SpecialValuesAreExactAndWideLanesTakeTheFixUp) {
     ASSERT_TRUE(force_isa(isa));
     expect_sincos_special_values<double>();
     expect_sincos_special_values<float>();
-  }
-}
-
-template <class T>
-void expect_bias_sin_is_row_add_then_sin() {
-  const std::size_t rows = 5;
-  for (std::size_t cols : {1, 3, 4, 7, 8, 9, 19, 64}) {
-    std::vector<T> a = sincos_args<T>(rows * cols, 74 + cols, 50.0);
-    const std::vector<T> b = sincos_args<T>(cols, 75 + cols, 5.0);
-    a[rows * cols / 2] = static_cast<T>(5e7);  // a wide lane
-    std::vector<T> fused(rows * cols), sum(rows * cols), chain(rows * cols);
-    table<T>().bias_sin(a.data(), b.data(), fused.data(), rows, cols);
-    table<T>().bin_row[kAdd](a.data(), b.data(), sum.data(), rows, cols);
-    table<T>().sin(sum.data(), chain.data(), rows * cols);
-    for (std::size_t i = 0; i < rows * cols; ++i) {
-      ASSERT_TRUE(same_bits(fused[i], chain[i]))
-          << isa_name(active_isa()) << " cols " << cols << " element " << i;
-    }
-  }
-}
-
-TEST(SimdSinCos, BiasSinEqualsRowAddThenSinBitForBit) {
-  IsaGuard guard;
-  for (Isa isa : available_isas()) {
-    ASSERT_TRUE(force_isa(isa));
-    expect_bias_sin_is_row_add_then_sin<double>();
-    expect_bias_sin_is_row_add_then_sin<float>();
   }
 }
 

@@ -122,7 +122,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     with tempfile.TemporaryDirectory(prefix="qpinn_exp_") as tmp:
-        findings = run_experiments(Path(args.build) / "bench", Path(tmp))
+        findings = run_experiments(Path(args.build).resolve() / "bench",
+                                   Path(tmp))
         if not findings:
             findings = compare_dirs(Path(args.committed), Path(tmp))
     for finding in findings:

@@ -505,7 +505,7 @@ def build_rules(src: pathlib.Path, tests: pathlib.Path,
             "banned-libm-sincos",
             "sin/cos in src/tensor/ run through the SIMD kernel table",
             "libm sin/cos is banned in src/tensor/; use the simd table's "
-            "sin/cos/bias_sin kernels so every ISA, chunking and precision "
+            "sin/cos kernels so every ISA, chunking and precision "
             "computes the same bits (only simd.hpp's large-argument fix-up "
             "may call libm, under a lint-allow tag)",
             # std::sin, std::cosf, ::sin and sincos spellings; member calls

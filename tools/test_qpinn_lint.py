@@ -273,7 +273,7 @@ class DeterminismRuleTest(unittest.TestCase):
                 "  detail::sweep(a, o, n, simd::table<T>().sin);\n"
                 "}\n"
                 "exec::cos<double>(a, o, n);\n"
-                "t.bias_sin = &ew_bias_sin<V>;\n",
+                "t.sin = &ew_sincos<V, false>;\n",
             "src/quantum/analytic.cpp": "double y = std::sin(k * x);\n"})
         self.assertNotIn("banned-libm-sincos", rules_hit(report))
 
